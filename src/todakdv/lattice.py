@@ -603,6 +603,8 @@ def read_state_csv(path) -> LatticeState:
         if [h.strip() for h in header] != ["n", "a", "b"]:
             raise ValueError(f"expected header n,a,b in {path}")
         rows = sorted((int(r[0]), float(r[1]), float(r[2])) for r in rd)
+    if [r[0] for r in rows] != list(range(len(rows))):
+        raise ValueError(f"site indices n in {path} must be exactly 0..N-1, each once")
     a = np.array([r[1] for r in rows])
     b = np.array([r[2] for r in rows])
     return LatticeState(len(rows), a, b)

@@ -1,27 +1,30 @@
 """Time integration of the lattice flow and an independent KdV reference.
 
 Explicit RK4 and implicit Crank-Nicolson (trapezoidal) steppers for the
-second-flow lattice equations, with Newton iteration on the exact Jacobian
-for the implicit solve.  The reference KdV oracle integrates the scaled
-equation df/dt = eps^2 (-1/4 f''' + 3 f f') pseudo-spectrally and shares no
-code with the lattice right side.
+second-flow lattice equations.  The implicit step is a Newton iteration on
+the exact Jacobian, a periodic block-tridiagonal CSC matrix with 10 N
+nonzeros (pattern cached per N) factored by SuperLU, so one step costs O(N).
+The explicit stability diagnostic ``linear_spectral_radius`` is the closed
+form of the block-circulant stencil symbol, also O(N).  The reference KdV
+oracle integrates the scaled equation df/dt = eps^2 (-1/4 f''' + 3 f f')
+pseudo-spectrally and shares no code with the lattice right side.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import lu_factor, lu_solve
+from scipy.sparse import csc_array
+from scipy.sparse.linalg import splu
 
 from .lattice import (
     ConservedReport,
     LatticeState,
     Profile,
     conserved_report,
-    rhs_flow2,
     rhs_flow2_arrays,
 )
 
@@ -75,6 +78,14 @@ class SolverConfig:
             raise ValueError("newton_tol must be positive")
         if self.scheme not in ("rk4", "cn"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        if self.output_every < 1:
+            raise ValueError(f"output_every must be >= 1, got {self.output_every}")
+        steps = self.t_end / self.dt
+        if not 0 <= steps < np.inf or abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+            raise ValueError(
+                f"t_end = {self.t_end:g} must be a non-negative whole number of "
+                f"steps dt = {self.dt:g} (got {steps:.12g} steps)"
+            )
 
 
 @dataclass(frozen=True)
@@ -91,12 +102,8 @@ class Trajectory:
         return self.samples[i][0], self.samples[i][1]
 
 
-def _rhs_stacked(s: LatticeState) -> np.ndarray:
-    da, db = rhs_flow2(s)
-    return np.concatenate([da, db])
-
-
 def _rhs_raw(N: int, x: np.ndarray) -> np.ndarray:
+    """Stacked right side (da, db) of the stacked state x = (a, b)."""
     da, db = rhs_flow2_arrays(N, x[:N], x[N:])
     return np.concatenate([da, db])
 
@@ -120,79 +127,105 @@ def step_rk4(s: LatticeState, dt: float) -> LatticeState:
     return _unstack(N, x1)
 
 
-def _band(N: int, shift: int, vals: np.ndarray) -> np.ndarray:
-    """Periodic band matrix M[k, (k+shift) % N] = vals[k]."""
-    M = np.zeros((N, N))
-    rows = np.arange(N)
-    M[rows, (rows + shift) % N] = vals
-    return M
+# Stencil offsets of the flow-2 Jacobian, one entry per (row block, column
+# block, column shift): row k of block (r, c) depends on column k + shift of
+# the c half.  flow2_jacobian fills the values in this order.
+_STENCIL = (
+    (0, 0, -1), (0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1),
+    (1, 0, -1), (1, 0, 0), (1, 1, -1), (1, 1, 0), (1, 1, 1),
+)
 
 
-def flow2_linear_jacobian(N: int) -> np.ndarray:
-    """State-independent part of the flow-2 Jacobian (assembled once)."""
-    ones = np.ones(N)
-    Jaa = -_band(N, 1, ones) + _band(N, -1, ones)
-    Jab = 2 * _band(N, 1, ones) - 2 * _band(N, 0, ones)
-    Jba = 2 * _band(N, 0, ones) - 2 * _band(N, -1, ones)
-    Jbb = -_band(N, 1, ones) + _band(N, -1, ones)
-    return float(N) * np.block([[Jaa, Jab], [Jba, Jbb]])
+@functools.lru_cache(maxsize=8)
+def _pattern(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """CSC pattern of the periodic block-tridiagonal flow-2 Jacobian.
+
+    Returns (order, indices, indptr, diag): stencil values stacked as a
+    (10, N) array in _STENCIL order become the CSC data vector as
+    ``values.ravel()[order]``, and ``diag`` holds the data slots of the
+    main diagonal.  For N >= 3 the 10 N stencil entries are distinct.
+    """
+    k = np.arange(N)
+    rows = np.concatenate([r * N + k for r, _, _ in _STENCIL]).astype(np.int32)
+    cols = np.concatenate([c * N + (k + sh) % N for _, c, sh in _STENCIL]).astype(np.int32)
+    order = np.lexsort((rows, cols))
+    indices = rows[order]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=2 * N))]).astype(np.int32)
+    diag = np.flatnonzero(indices == cols[order])
+    for arr in (order, indices, indptr, diag):
+        arr.flags.writeable = False
+    return order, indices, indptr, diag
 
 
-def flow2_jacobian(s: LatticeState, linear_part: np.ndarray | None = None) -> np.ndarray:
-    """Exact Jacobian of rhs_flow2 with respect to (a, b)."""
+def flow2_jacobian(s: LatticeState) -> csc_array:
+    """Exact Jacobian of rhs_flow2 with respect to (a, b), as a sparse CSC array.
+
+    The Jacobian is periodic block-tridiagonal with 10 N nonzeros; only
+    the values are computed here, the pattern is cached per N.
+    """
     N = s.N
     eps2 = 1.0 / N**2
     a, b = s.a, s.b
-    ap, am = np.roll(a, -1), np.roll(a, 1)
-    bp = np.roll(b, -1)
-    if linear_part is None:
-        linear_part = flow2_linear_jacobian(N)
-    # quadratic (and cubic 1/N^2) parts
-    Jaa = _band(N, 0, bp - b) + _band(N, 1, bp) + _band(N, -1, -b)
-    Jab = _band(N, 1, a + ap) + _band(N, 0, -(a + am))
-    Jba = _band(N, 0, -2 * b + 2 * a - 2 * eps2 * b * a) + _band(
-        N, -1, 2 * b - 2 * am + 2 * eps2 * b * am
-    )
-    Jbb = (
-        _band(N, 0, -2 * a + 2 * am + bp - np.roll(b, 1) + eps2 * (am**2 - a**2))
-        + _band(N, 1, b)
-        + _band(N, -1, -b)
-    )
-    nonlinear = float(N) * eps2 * np.block([[Jaa, Jab], [Jba, Jbb]])
-    return linear_part + nonlinear
+    am, ap = np.roll(a, 1), np.roll(a, -1)
+    bm, bp = np.roll(b, 1), np.roll(b, -1)
+    values = float(N) * np.stack([
+        # d(da_k) / d(a_{k-1}, a_k, a_{k+1}, b_k, b_{k+1})
+        1.0 - eps2 * b,
+        eps2 * (bp - b),
+        -1.0 + eps2 * bp,
+        -2.0 - eps2 * (a + am),
+        2.0 + eps2 * (a + ap),
+        # d(db_k) / d(a_{k-1}, a_k, b_{k-1}, b_k, b_{k+1})
+        -2.0 + eps2 * (2 * b - 2 * am + 2 * eps2 * b * am),
+        2.0 + eps2 * (-2 * b + 2 * a - 2 * eps2 * b * a),
+        1.0 - eps2 * b,
+        eps2 * (-2 * a + 2 * am + bp - bm + eps2 * (am**2 - a**2)),
+        -1.0 + eps2 * b,
+    ])
+    order, indices, indptr, _ = _pattern(N)
+    return csc_array((values.ravel()[order], indices, indptr), shape=(2 * N, 2 * N))
+
+
+# The CN linear solve goes through these two module-level names so that the
+# benchmark tracer (perfbench/tracer.py) can time factorization and solve.
+lu_factor = splu
+
+
+def lu_solve(lu, rhs: np.ndarray) -> np.ndarray:
+    return lu.solve(rhs)
 
 
 def step_cn(
     s: LatticeState,
     dt: float,
     cfg: SolverConfig | None = None,
-    linear_part: np.ndarray | None = None,
     residual_log: list | None = None,
 ) -> LatticeState:
     """Trapezoidal (Crank-Nicolson) step solved by Newton iteration.
 
-    Solves x' = x + dt/2 (rhs(x) + rhs(x')) with the exact Jacobian; the
-    linear stencil part can be passed in pre-assembled.  If ``residual_log``
-    is a list, the max-norm Newton residuals are appended to it.
+    Solves x' = x + dt/2 (rhs(x) + rhs(x')) with the exact sparse Jacobian;
+    each Newton iteration factors I - dt/2 J (10 N nonzeros) by SuperLU, so
+    a step costs O(N).  If ``residual_log`` is a list, the max-norm Newton
+    residuals are appended to it.
     """
     cfg = cfg or SolverConfig(dt=dt, t_end=dt)
     N = s.N
-    if linear_part is None:
-        linear_part = flow2_linear_jacobian(N)
+    diag = _pattern(N)[3]
     x0 = np.concatenate([s.a, s.b])
-    base = x0 + 0.5 * dt * _rhs_stacked(s)
+    base = x0 + 0.5 * dt * _rhs_raw(N, x0)
     x = x0.copy()
-    eye = np.eye(2 * N)
     res_norm = np.inf
     for _ in range(cfg.newton_max_iter):
         state = _unstack(N, x)
-        resid = x - base - 0.5 * dt * _rhs_stacked(state)
+        resid = x - base - 0.5 * dt * _rhs_raw(N, x)
         res_norm = float(np.max(np.abs(resid)))
         if residual_log is not None:
             residual_log.append(res_norm)
         if res_norm <= cfg.newton_tol:
             return state
-        J = eye - 0.5 * dt * flow2_jacobian(state, linear_part)
+        J = flow2_jacobian(state)
+        J.data *= -0.5 * dt
+        J.data[diag] += 1.0
         x = x - lu_solve(lu_factor(J), resid)
     raise NewtonError(
         f"Newton did not reach tol {cfg.newton_tol:g} in {cfg.newton_max_iter} iterations",
@@ -201,14 +234,21 @@ def step_cn(
 
 
 def linear_spectral_radius(N: int) -> float:
-    """Spectral radius of the linearized stencil (stability diagnostic)."""
-    return float(np.max(np.abs(np.linalg.eigvals(flow2_linear_jacobian(N)))))
+    """Spectral radius of the linearized stencil (stability diagnostic).
+
+    The linear stencil is block-circulant; on the Fourier mode theta_k =
+    2 pi k / N its 2x2 symbol has eigenvalues -i N (2 sin theta_k -+
+    4 sin(theta_k / 2)), so the radius is a maximum over N angles.
+    """
+    theta = 2.0 * np.pi * np.arange(N) / N
+    sym = 2.0 * np.sin(theta)
+    half = 4.0 * np.sin(0.5 * theta)
+    return float(N * max(np.max(np.abs(sym + half)), np.max(np.abs(sym - half))))
 
 
 def run(s0: LatticeState, cfg: SolverConfig) -> Trajectory:
     """Integrate and record (t, state, conserved report) snapshots."""
-    n_steps = int(round(cfg.t_end / cfg.dt)) if cfg.t_end > 0 else 0
-    linear_part = flow2_linear_jacobian(s0.N) if cfg.scheme == "cn" else None
+    n_steps = int(round(cfg.t_end / cfg.dt))
     samples = [(0.0, s0, conserved_report(s0, 0.0))]
     s = s0
     for step in range(1, n_steps + 1):
@@ -217,7 +257,7 @@ def run(s0: LatticeState, cfg: SolverConfig) -> Trajectory:
             if cfg.scheme == "rk4":
                 s = step_rk4(s, cfg.dt)
             else:
-                s = step_cn(s, cfg.dt, cfg, linear_part)
+                s = step_cn(s, cfg.dt, cfg)
         except BlowUpError as err:
             raise BlowUpError(
                 f"blow-up at step {step} (t = {t:g}): {err}", step=step, t=t

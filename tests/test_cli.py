@@ -133,6 +133,35 @@ def test_simulate_bad_init_usage(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (("--output-every", "0"), "output_every must be >= 1"),
+        (("--output-every", "-2"), "output_every must be >= 1"),
+        (("--dt", "0.003", "--t-end", "0.01"), "whole number of steps"),
+        (("--t-end", "-0.02"), "non-negative"),
+    ],
+)
+def test_simulate_bad_run_config_usage(capsys, tmp_path, extra, message):
+    code, out, _, err = _simulate(capsys, tmp_path, "bad", *extra)
+    assert code == 2
+    assert message in err and "Traceback" not in err
+    assert not (out / "config.txt").exists()
+
+
+@pytest.mark.parametrize("indices", [[0, 0, 2, 3, 4, 5, 6, 9], [0, 1, 2, 3, 4, 5, 6, 9]])
+def test_simulate_csv_init_bad_indices_usage(capsys, tmp_path, indices):
+    path = tmp_path / "init.csv"
+    path.write_text("n,a,b\n" + "".join(f"{n},0.5,0.25\n" for n in indices))
+    code, _, err = run_cli(
+        capsys,
+        "simulate", "--N", "8", "--dt", "0.002", "--t-end", "0.004",
+        "--init", f"csv:{path}", "--out", str(tmp_path / "x"),
+    )
+    assert code == 2
+    assert "exactly 0..N-1" in err
+
+
 # -- conserved ----------------------------------------------------------------------
 
 

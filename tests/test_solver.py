@@ -11,7 +11,6 @@ from todakdv.solver import (
     SolverConfig,
     compare_to_kdv,
     flow2_jacobian,
-    flow2_linear_jacobian,
     linear_spectral_radius,
     reference_kdv,
     run,
@@ -27,6 +26,13 @@ def test_config_validation():
         SolverConfig(dt=0.1, t_end=1.0, scheme="leapfrog")
     with pytest.raises(ValueError):
         SolverConfig(dt=0.1, t_end=1.0, newton_tol=-1)
+    with pytest.raises(ValueError):
+        SolverConfig(dt=0.1, t_end=1.0, output_every=0)
+    with pytest.raises(ValueError):
+        SolverConfig(dt=0.003, t_end=0.01)
+    with pytest.raises(ValueError):
+        SolverConfig(dt=1e-300, t_end=1e300)  # infinitely many steps
+    SolverConfig(dt=1e-3, t_end=1.0)  # 1000 steps up to float rounding
 
 
 def test_rk4_constant_state_unchanged():
@@ -53,9 +59,11 @@ def test_jacobian_matches_finite_differences():
     s = random_smooth_state(12, seed=3, amp=0.5)
     N = s.N
     J = flow2_jacobian(s)
+    assert J.format == "csc" and J.nnz == 10 * N
+    J = J.toarray()
     x0 = np.concatenate([s.a, s.b])
     h = 1e-7
-    for j in (0, 5, N, 2 * N - 1):
+    for j in range(2 * N):
         xp, xm = x0.copy(), x0.copy()
         xp[j] += h
         xm[j] -= h
@@ -64,6 +72,38 @@ def test_jacobian_matches_finite_differences():
             return np.concatenate([da, db])
         col = (f(xp) - f(xm)) / (2 * h)
         assert J[:, j] == pytest.approx(col, rel=1e-6, abs=1e-5)
+
+
+def test_spectral_radius_closed_form_matches_dense_eigenvalues():
+    for N in range(8, 65):
+        # at a = b = 0 the Jacobian is exactly the linear stencil
+        zero = LatticeState(N, np.zeros(N), np.zeros(N))
+        dense = np.max(np.abs(np.linalg.eigvals(flow2_jacobian(zero).toarray())))
+        assert linear_spectral_radius(N) == pytest.approx(dense, rel=1e-12), N
+
+
+def test_cn_step_matches_dense_newton():
+    N, dt = 256, 5e-3
+    s = random_smooth_state(N, seed=11, amp=2.0)
+    tol = 1e-13
+    cfg = SolverConfig(dt=dt, t_end=dt, newton_tol=tol)
+
+    def f(x):
+        da, db = rhs_flow2(LatticeState(N, x[:N], x[N:]))
+        return np.concatenate([da, db])
+
+    x0 = np.concatenate([s.a, s.b])
+    base = x0 + 0.5 * dt * f(x0)
+    x = x0.copy()
+    for _ in range(cfg.newton_max_iter):
+        resid = x - base - 0.5 * dt * f(x)
+        if np.max(np.abs(resid)) <= tol:
+            break
+        J = flow2_jacobian(LatticeState(N, x[:N], x[N:])).toarray()
+        x = x - np.linalg.solve(np.eye(2 * N) - 0.5 * dt * J, resid)
+    s1 = step_cn(s, dt, cfg)
+    assert np.max(np.abs(s1.a - x[:N])) <= 1e-12
+    assert np.max(np.abs(s1.b - x[N:])) <= 1e-12
 
 
 def test_cn_constant_fixed_point():

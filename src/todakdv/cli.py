@@ -4,7 +4,8 @@ Every run writes its exact configuration as a key=value file next to its
 outputs, and all CSV output is deterministic given the configuration.
 
 Exit codes: 0 success / verified, 1 verification failure, 2 usage error,
-3 numerical failure (blow-up or Newton breakdown).
+3 numerical failure (blow-up, Newton breakdown, float64 overflow of the
+conserved quantities).
 """
 
 from __future__ import annotations
@@ -168,6 +169,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    if not np.isfinite(args.lambda_max):
+        raise ValueError(f"--lambda-max must be finite, got {args.lambda_max}")
+    if not 0 < args.tol < np.inf:
+        raise ValueError(f"--tol must be positive and finite, got {args.tol}")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     if not args.g.startswith("builtin:"):

@@ -246,10 +246,18 @@ def linear_spectral_radius(N: int) -> float:
     return float(N * max(np.max(np.abs(sym + half)), np.max(np.abs(sym - half))))
 
 
+def _report(s: LatticeState, t: float) -> ConservedReport:
+    # a finite state can still have invariants beyond the float64 range
+    try:
+        return conserved_report(s, t)
+    except OverflowError as err:
+        raise BlowUpError(f"conserved quantities at t = {t:g} overflow float64", t=t) from err
+
+
 def run(s0: LatticeState, cfg: SolverConfig) -> Trajectory:
     """Integrate and record (t, state, conserved report) snapshots."""
     n_steps = int(round(cfg.t_end / cfg.dt))
-    samples = [(0.0, s0, conserved_report(s0, 0.0))]
+    samples = [(0.0, s0, _report(s0, 0.0))]
     s = s0
     for step in range(1, n_steps + 1):
         t = step * cfg.dt
@@ -267,7 +275,7 @@ def run(s0: LatticeState, cfg: SolverConfig) -> Trajectory:
                 f"Newton failure at step {step} (t = {t:g}): {err}", residual=err.residual
             ) from err
         if step % cfg.output_every == 0 or step == n_steps:
-            samples.append((t, s, conserved_report(s, t)))
+            samples.append((t, s, _report(s, t)))
     return Trajectory(samples)
 
 

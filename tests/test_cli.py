@@ -1,10 +1,12 @@
 import csv
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from todakdv import bloch
 from todakdv.cli import main, read_config, write_config
 
 GOLDEN = Path(__file__).parent / "golden" / "v1"
@@ -162,6 +164,20 @@ def test_simulate_csv_init_bad_indices_usage(capsys, tmp_path, indices):
     assert "exactly 0..N-1" in err
 
 
+@pytest.mark.parametrize("scheme", ["rk4", "cn"])
+def test_simulate_huge_state_overflow_exits_3(capsys, tmp_path, scheme):
+    # finite entries, but d_3 ~ (1e200 / N^2)^3 is beyond the float64 range
+    path = tmp_path / "init.csv"
+    path.write_text("n,a,b\n" + "".join(f"{n},{1e200 if n == 0 else 0.5},0.25\n" for n in range(8)))
+    code, _, err = run_cli(
+        capsys,
+        "simulate", "--N", "8", "--dt", "1e-4", "--t-end", "1e-4", "--scheme", scheme,
+        "--init", f"csv:{path}", "--out", str(tmp_path / "x"),
+    )
+    assert code == 3
+    assert err.splitlines() == ["numerical failure: conserved quantities at t = 0 overflow float64"]
+
+
 # -- conserved ----------------------------------------------------------------------
 
 
@@ -207,6 +223,37 @@ def test_spectrum_zero_potential_closed_form(capsys, tmp_path):
         # Wronskian/product determinants: roundoff scales with the entry size
         assert abs(detd - 1.0) < 1e-9 + 1e-12 * trd**2
         assert abs(detc - 1.0) < 1e-9 + 1e-12 * trc**2
+
+
+def _no_scan(*args, **kwargs):
+    raise AssertionError("the discriminant scan ran on invalid arguments")
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("--lambda-max", "nan"), ("--lambda-max", "inf"), ("--lambda-max", "-inf"),
+     ("--tol", "0"), ("--tol", "nan"), ("--tol", "inf")],
+)
+def test_spectrum_nonfinite_args_rejected_before_scan(capsys, tmp_path, monkeypatch, option, value):
+    # these reached the scan, which then did not finish: validation comes first
+    monkeypatch.setattr(bloch, "discriminant_scan", _no_scan)
+    code, _, err = run_cli(
+        capsys, "spectrum", "--N", "8", "--samples", "5", f"{option}={value}", "--out", str(tmp_path / "s"),
+    )
+    assert code == 2
+    assert err.startswith(f"error: {option} must be")
+
+
+def test_spectrum_negative_tol_usage_without_warning(capsys, tmp_path):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run_cli(
+            capsys, "spectrum", "--N", "8", "--samples", "3", "--lambda-max", "1",
+            "--tol", "-1", "--out", str(tmp_path / "s"),
+        )
+    assert code == 2
+    assert err.splitlines() == ["error: --tol must be positive and finite, got -1.0"]
+    assert not caught and "Warning" not in err
 
 
 def test_config_roundtrip(tmp_path):

@@ -1,8 +1,11 @@
 import math
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import exact_flow_rhs, random_fraction_state, random_smooth_state
 from todakdv.lattice import (
@@ -207,7 +210,7 @@ def test_conserved_d_zero_state():
 def test_conserved_d1_is_sum_A():
     s = random_smooth_state(24, seed=3)
     A, _ = s.to_AB()
-    assert conserved_d(s, 1, exact=False) == pytest.approx(np.sum(A), rel=1e-12)
+    assert conserved_d(s, 1) == pytest.approx(np.sum(A), rel=1e-12)
 
 
 def test_d_closed_form_identities_exact():
@@ -265,6 +268,47 @@ def test_exact_invariants_match_conserved_d():
     assert float(d1) == conserved_d(s, 1)
     assert float(d2) == conserved_d(s, 2)
     assert float(d3) == conserved_d(s, 3)
+
+
+def _fraction_AB(s):
+    """A, B built entry by entry as Fractions, with common denominator 1."""
+    eps2 = F(1, s.N**2)
+    return [2 + eps2 * F(x) for x in s.a.tolist()], [-1 + eps2 * F(x) for x in s.b.tolist()], 1
+
+
+def _signed(values):
+    return st.tuples(values, st.booleans()).map(lambda v: -v[0] if v[1] else v[0])
+
+
+_ENTRY_POOL = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 2.0**60, -(2.0**-60)]),
+    _signed(st.floats(min_value=5e-324, max_value=2.0**-1022)),  # subnormal
+    _signed(st.floats(min_value=2.0**-62, max_value=2.0**-58)),
+    _signed(st.floats(min_value=2.0**58, max_value=2.0**62)),
+    st.floats(min_value=-3.0, max_value=3.0),
+)
+
+
+@st.composite
+def _mixed_states(draw):
+    """Smooth states with some entries swapped for zeros, subnormals or 2^+-60 values."""
+    N = draw(st.integers(min_value=8, max_value=40))
+    smooth = random_smooth_state(N, seed=draw(st.integers(min_value=0, max_value=2**16)))
+    vals = np.concatenate([smooth.a, smooth.b])
+    for i in draw(st.lists(st.integers(min_value=0, max_value=2 * N - 1), max_size=2 * N)):
+        vals[i] = draw(_ENTRY_POOL)
+    return LatticeState(N, vals[:N], vals[N:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mixed_states())
+def test_scaled_integer_invariants_match_fraction_reference(s):
+    """The common-denominator int path equals the entrywise Fraction path exactly."""
+    A, B, _ = _fraction_AB(s)
+    assert exact_invariants(s) == _d_table_exact(A, B, s.N)
+    with mock.patch("todakdv.lattice._scaled_AB", _fraction_AB):
+        reference = conserved_report(s, 0.25)
+    assert conserved_report(s, 0.25) == reference
 
 
 # -- conserved combinations -----------------------------------------------------------

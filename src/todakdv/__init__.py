@@ -8,7 +8,7 @@ and Bloch spectra can be tracked against the symbolic predictions.
 
 from .diffpoly import DiffPoly, EpsSeries, Monomial, Rational
 from .hierarchy import (
-    build_ansatz,
+    AnsatzPair,
     extend_R,
     flow_rhs_combined,
     kdv_leading,

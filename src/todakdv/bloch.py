@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .lattice import LatticeState, Profile, init_from_profile
+from .lattice import Profile, init_from_profile
+from .solver import IntegrationError
 
 __all__ = [
     "Monodromy2x2",
@@ -57,30 +58,10 @@ class DiscriminantSample:
     det_continuous: float
 
 
-def monodromy_discrete(A: np.ndarray, B: np.ndarray, lam: float) -> Monodromy2x2:
-    """Transfer-matrix product over one period; det = prod(-B(n)) exactly."""
+def _discrete_entries(A, B, lams: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Entries (m11, m12, m21, m22) of the transfer-matrix product, per lambda."""
     A = np.asarray(A, float)
     B = np.asarray(B, float)
-    N = len(A)
-    eps2 = 1.0 / N**2
-    m11, m12, m21, m22 = 1.0, 0.0, 0.0, 1.0
-    for n in range(N):
-        t11 = A[n] - lam * eps2
-        t12 = B[n]
-        m11, m12, m21, m22 = (
-            t11 * m11 + t12 * m21,
-            t11 * m12 + t12 * m22,
-            m11,
-            m12,
-        )
-    return Monodromy2x2(m11, m12, m21, m22)
-
-
-def discrete_traces(A: np.ndarray, B: np.ndarray, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized monodromy traces and determinants over a lambda grid."""
-    A = np.asarray(A, float)
-    B = np.asarray(B, float)
-    lams = np.asarray(lams, float)
     N = len(A)
     eps2 = 1.0 / N**2
     ones = np.ones_like(lams)
@@ -94,31 +75,26 @@ def discrete_traces(A: np.ndarray, B: np.ndarray, lams: np.ndarray) -> tuple[np.
             m11,
             m12,
         )
+    return m11, m12, m21, m22
+
+
+def monodromy_discrete(A: np.ndarray, B: np.ndarray, lam: float) -> Monodromy2x2:
+    """Transfer-matrix product over one period; det = prod(-B(n)) exactly."""
+    return Monodromy2x2(*(float(m[0]) for m in _discrete_entries(A, B, np.array([lam], float))))
+
+
+def discrete_traces(A: np.ndarray, B: np.ndarray, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized monodromy traces and determinants over a lambda grid."""
+    m11, m12, m21, m22 = _discrete_entries(A, B, np.asarray(lams, float))
     return m11 + m22, m11 * m22 - m12 * m21
 
 
-def monodromy_continuous(g: Profile, lam: float, tol: float = 1e-10) -> Monodromy2x2:
-    """Period map of -psi'' + g psi = lambda psi on [0, 1]."""
-    def rhs(x, y):
-        pot = g(np.array([x]))[0] - lam
-        return [y[1], pot * y[0], y[3], pot * y[2]]
-
-    sol = solve_ivp(
-        rhs, (0.0, 1.0), [1.0, 0.0, 0.0, 1.0], method="DOP853", rtol=tol, atol=tol * 1e-2
-    )
-    if not sol.success:
-        raise RuntimeError(f"monodromy integration failed: {sol.message}")
-    y = sol.y[:, -1]
-    return Monodromy2x2(y[0], y[2], y[1], y[3])
-
-
-def continuous_traces(g: Profile, lams: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
-    """Traces/determinants of the Hill period map for all lambdas at once.
+def _continuous_entries(g: Profile, lams: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
+    """Entries (m11, m12, m21, m22) of the Hill period map on [0, 1], per lambda.
 
     All eigenvalue problems are stacked into one ODE system so the adaptive
     integrator is called a single time.
     """
-    lams = np.asarray(lams, float)
     L = len(lams)
 
     def rhs(x, y):
@@ -136,11 +112,20 @@ def continuous_traces(g: Profile, lams: np.ndarray, tol: float = 1e-10) -> tuple
     y0[3 * L :] = 1.0  # psi2 = 0, psi2' = 1
     sol = solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853", rtol=tol, atol=tol * 1e-2)
     if not sol.success:
-        raise RuntimeError(f"monodromy integration failed: {sol.message}")
-    Y = sol.y[:, -1].reshape(4, L)
-    trace = Y[0] + Y[3]
-    det = Y[0] * Y[3] - Y[2] * Y[1]
-    return trace, det
+        raise IntegrationError(f"monodromy integration failed: {sol.message}")
+    psi1, dpsi1, psi2, dpsi2 = sol.y[:, -1].reshape(4, L)
+    return psi1, psi2, dpsi1, dpsi2
+
+
+def monodromy_continuous(g: Profile, lam: float, tol: float = 1e-10) -> Monodromy2x2:
+    """Period map of -psi'' + g psi = lambda psi on [0, 1]."""
+    return Monodromy2x2(*(float(m[0]) for m in _continuous_entries(g, np.array([lam], float), tol)))
+
+
+def continuous_traces(g: Profile, lams: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+    """Traces/determinants of the Hill period map for all lambdas at once."""
+    m11, m12, m21, m22 = _continuous_entries(g, np.asarray(lams, float), tol)
+    return m11 + m22, m11 * m22 - m12 * m21
 
 
 def lattice_from_potential(g: Profile, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -162,8 +147,11 @@ def discriminant_scan(
     if len(lams) == 0:
         return []
     A, B = lattice_from_potential(g, N)
-    tr_d, det_d = discrete_traces(A, B, lams)
-    tr_c, det_c = continuous_traces(g, lams, tol=tol)
+    # a grid far beyond the potential overflows the transfer products, and the
+    # Hill integration then fails with an IntegrationError: no float warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        tr_d, det_d = discrete_traces(A, B, lams)
+        tr_c, det_c = continuous_traces(g, lams, tol=tol)
     return [
         DiscriminantSample(float(l), float(td), float(tc), float(dd), float(dc))
         for l, td, tc, dd, dc in zip(lams, tr_d, tr_c, det_d, det_c)

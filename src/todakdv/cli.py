@@ -5,13 +5,14 @@ outputs, and all CSV output is deterministic given the configuration.
 
 Exit codes: 0 success / verified, 1 verification failure, 2 usage error,
 3 numerical failure (blow-up, Newton breakdown, float64 overflow of the
-conserved quantities).
+conserved quantities, a failed adaptive ODE integration).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import sys
 from pathlib import Path
 
@@ -55,7 +56,7 @@ def cmd_verify(args) -> int:
             return 2
         coeffs = list(R.coeffs[: args.truncate_R])
         R = EpsSeries(coeffs, order_cap=args.order_cap)
-    ansatz = hierarchy.build_ansatz(R)
+    ansatz = hierarchy.AnsatzPair(R)
     res = hierarchy.residual(args.flow, ansatz)
     check_through = min(8, res.order_cap)
     print(f"flow {args.flow}: residual coefficients through eps^{res.order_cap}")
@@ -79,7 +80,7 @@ def cmd_expand(args) -> int:
         return 0
     if name in ("Z1", "Z2", "Z3", "Z4"):
         j = int(name[1])
-        ansatz = hierarchy.build_ansatz(hierarchy.standard_R(11))
+        ansatz = hierarchy.AnsatzPair(hierarchy.standard_R(11))
         print(hierarchy.flow_rhs_combined(j, ansatz).Z.render())
         return 0
     series = {"C1": lattice.C1_EXPANSION, "C2": lattice.C2_EXPANSION, "C3": lattice.C3_EXPANSION}[name]
@@ -127,7 +128,6 @@ def cmd_simulate(args) -> int:
             "init": args.init,
             "init_variant": args.init_variant,
             "output_every": args.output_every,
-            "seed": args.seed,
         },
     )
     rho = solver.linear_spectral_radius(args.N)
@@ -188,7 +188,6 @@ def cmd_spectrum(args) -> int:
             "lambda_max": args.lambda_max,
             "samples": args.samples,
             "tol": args.tol,
-            "seed": args.seed,
         },
     )
     rows = bloch.discriminant_scan(prof, args.N, lams, tol=args.tol)
@@ -204,6 +203,18 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
+def _read_snapshots(path: Path) -> list[lattice.LatticeState]:
+    """The states recorded in trajectory.csv, one per time, in file order."""
+    with open(path, newline="") as fh:
+        rd = csv.reader(fh)
+        next(rd)  # t,n,a,b
+        states = []
+        for _, rows in itertools.groupby(rd, key=lambda row: row[:1]):
+            a, b = np.array([[float(a), float(b)] for _, _, a, b in rows]).T
+            states.append(lattice.LatticeState(len(a), a, b))
+    return states
+
+
 def cmd_conserved(args) -> int:
     traj_dir = Path(args.traj)
     src = traj_dir / "conserved.csv"
@@ -213,17 +224,31 @@ def cmd_conserved(args) -> int:
         rows = [[float(x) for x in row] for row in rd]
     if header != list(lattice.ConservedReport.COLUMNS):
         raise ValueError(f"unexpected conserved.csv header {header}")
+    if any(len(row) != len(header) for row in rows):
+        raise ValueError(f"every row of {src} needs {len(header)} columns")
+    states = _read_snapshots(traj_dir / "trajectory.csv")
+    if not rows or len(states) != len(rows):
+        raise ValueError(
+            f"trajectory.csv has {len(states)} snapshots and conserved.csv {len(rows)} rows; "
+            "they must match and be nonzero"
+        )
+    # d1..d3 drift exactly from the %.17g snapshots: the d's stored in
+    # conserved.csv are rounded far above their drift.  C1..C3 as recorded.
+    d0 = lattice.exact_invariants(states[0])
+    drifts = [
+        [float(d - e) for d, e in zip(lattice.exact_invariants(state), d0)]
+        + [x - x0 for x, x0 in zip(row[4:], rows[0][4:])]
+        for state, row in zip(states, rows)
+    ]
     outdir = Path(args.out) if args.out else traj_dir
     outdir.mkdir(parents=True, exist_ok=True)
-    base = rows[0]
     with open(outdir / "drift.csv", "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["t"] + [f"{c}_drift" for c in header[1:]])
-        for row in rows:
-            wr.writerow([_fmt(row[0])] + [_fmt(row[i] - base[i]) for i in range(1, len(row))])
-    worst = [max(abs(row[i] - base[i]) for row in rows) for i in range(1, len(header))]
-    for name, w in zip(header[1:], worst):
-        print(f"max |{name} drift| = {w:.3e}")
+        for row, drift in zip(rows, drifts):
+            wr.writerow([_fmt(row[0])] + [_fmt(x) for x in drift])
+    for i, name in enumerate(header[1:]):
+        print(f"max |{name} drift| = {max(abs(drift[i]) for drift in drifts):.3e}")
     print(f"wrote {outdir}/drift.csv")
     return 0
 
@@ -255,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--init-variant", choices=("paper", "consistent"), default="consistent")
     s.add_argument("--out", required=True)
     s.add_argument("--output-every", type=int, default=16)
-    s.add_argument("--seed", type=int, default=0)
     s.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("spectrum", help="discriminant scan, discrete vs continuous")
@@ -265,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, default=2048)
     sp.add_argument("--tol", type=float, default=1e-10)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_spectrum)
 
     c = sub.add_parser("conserved", help="drift columns for a recorded trajectory")
@@ -280,7 +303,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (solver.BlowUpError, solver.NewtonError) as err:
+    except (solver.BlowUpError, solver.NewtonError, solver.IntegrationError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
     except (ValueError, FileNotFoundError) as err:

@@ -9,11 +9,6 @@ flows k = 1..4, and verifies exactly (rational arithmetic, zero tolerance)
 that the induced evolution satisfies the lattice equations through eps^8.
 The per-flow right sides Z_j(f) are recovered as eps-series whose leading
 terms are the KdV hierarchy.
-
-Two natural forms of the d-recursion exist.  The default ("continuant") is
-the transfer-matrix continuant, whose d_i(N) are the exact spectral
-invariants; the "site_local" form (second memory term taken at the same
-site) is kept behind a switch for comparison.
 """
 
 from __future__ import annotations
@@ -27,11 +22,11 @@ __all__ = [
     "DEFAULT_CAP",
     "standard_R",
     "AnsatzPair",
-    "build_ansatz",
     "FlowTable",
     "toda_rhs",
     "flow_rhs",
     "FlowEquation",
+    "FLOW_COMBOS",
     "flow_rhs_combined",
     "residual",
     "residual_A",
@@ -104,26 +99,19 @@ class AnsatzPair:
         return s
 
 
-def build_ansatz(R: EpsSeries) -> AnsatzPair:
-    return AnsatzPair(R)
-
-
 class FlowTable:
     """Memoized d_i(n) table over eps-series for one flow index k.
 
-    variant "continuant": d_i(n+1) = d_i(n) + A(n) d_{i-1}(n) + B(n) d_{i-2}(n-1)
-    variant "site_local":     d_i(n+1) = d_i(n) + A(n) d_{i-1}(n) + B(n) d_{i-2}(n)
-
-    Negative n uses the exact inverse relation.  Indices are restricted to the
-    window the flow construction needs; anything outside raises.
+    The continuant recursion
+        d_i(n+1) = d_i(n) + A(n) d_{i-1}(n) + B(n) d_{i-2}(n-1),
+    whose d_i(N) are the exact spectral invariants.  Negative n uses the exact
+    inverse relation.  Indices are restricted to the window the flow
+    construction needs; anything outside raises.
     """
 
-    def __init__(self, ansatz: AnsatzPair, k: int, variant: str = "continuant"):
-        if variant not in ("continuant", "site_local"):
-            raise ValueError(f"unknown d-recursion variant {variant!r}")
+    def __init__(self, ansatz: AnsatzPair, k: int):
         self.ansatz = ansatz
         self.k = k
-        self.variant = variant
         self._n_range = 2 * k + 2
         self._d: dict[tuple[int, int], EpsSeries] = {}
 
@@ -140,18 +128,17 @@ class FlowTable:
         got = self._d.get(key)
         if got is not None:
             return got
-        back = 1 if self.variant == "continuant" else 0
         if n > 0:
             val = (
                 self.d(i, n - 1)
                 + self.ansatz.A_of(n - 1) * self.d(i - 1, n - 1)
-                + self.ansatz.B_of(n - 1) * self.d(i - 2, n - 1 - back)
+                + self.ansatz.B_of(n - 1) * self.d(i - 2, n - 2)
             )
         else:
             val = (
                 self.d(i, n + 1)
                 - self.ansatz.A_of(n) * self.d(i - 1, n)
-                - self.ansatz.B_of(n) * self.d(i - 2, n - back)
+                - self.ansatz.B_of(n) * self.d(i - 2, n - 1)
             )
         self._d[key] = val
         return val
@@ -165,35 +152,32 @@ class FlowTable:
         return X
 
 
-def toda_rhs(
-    k: int,
-    ansatz: AnsatzPair,
-    variant: str = "continuant",
-    exploratory: bool = False,
-) -> tuple[EpsSeries, EpsSeries]:
+def toda_rhs(k: int, ansatz: AnsatzPair) -> tuple[EpsSeries, EpsSeries]:
     """Symbolic flow stencils (XZ, YZ) at the base site, scale factor N deferred.
 
     XZ is the right side of dA/dt and YZ of dB/dt, both divided by N; for
     k = 1 they are B(0)-B(1) and B(0)(A(0)-A(-1)).
     """
-    if not exploratory and not 1 <= k <= 4:
-        raise ValueError("flow index k must be in 1..4 (pass exploratory=True to go higher)")
-    if k < 1:
-        raise ValueError("flow index k must be >= 1")
+    if not 1 <= k <= 4:
+        raise ValueError("flow index k must be in 1..4")
     if k == 1:
         XZ = ansatz.B_of(0) - ansatz.B_of(1)
         YZ = ansatz.B_of(0) * (ansatz.A_of(0) - ansatz.A_of(-1))
         return XZ, YZ
-    table = FlowTable(ansatz, k, variant=variant)
+    table = FlowTable(ansatz, k)
     XZ = table.a(1, 0) * ansatz.B_of(1) - table.a(1, -1) * ansatz.B_of(0)
     YZ = ansatz.B_of(0) * (table.a(0, 0) - table.a(0, -1))
     return XZ, YZ
 
 
-def flow_rhs(k: int, ansatz: AnsatzPair, variant: str = "continuant") -> EpsSeries:
-    """Raw induced df/dt for the k-th flow: (XZ + YZ) / (2 eps^3)."""
-    XZ, YZ = toda_rhs(k, ansatz, variant=variant)
+def _induced(XZ: EpsSeries, YZ: EpsSeries) -> EpsSeries:
+    # the df/dt that the stencils (XZ, YZ) induce on the ansatz
     return (XZ + YZ).scale(F(1, 2)).eps_div(3)
+
+
+def flow_rhs(k: int, ansatz: AnsatzPair) -> EpsSeries:
+    """Raw induced df/dt for the k-th flow: (XZ + YZ) / (2 eps^3)."""
+    return _induced(*toda_rhs(k, ansatz))
 
 
 @dataclass(frozen=True)
@@ -204,61 +188,46 @@ class FlowEquation:
     Z: EpsSeries
 
 
-_COMBO = {
-    # Z_j = AA_j + sum(c_i * Z_i) over earlier recombined flows.
-    1: {},
-    2: {1: 2},
-    3: {1: -6, 2: 2},
-    4: {1: 20, 2: -6, 3: 2},
-}
+# Z_j = sum of c * AA_i over FLOW_COMBOS[j] = {i: c}, AA_i the raw i-th flow;
+# the numeric lattice flows (lattice.rhs_flow_k) recombine by the same table.
+FLOW_COMBOS = {1: {1: 1}, 2: {2: 1, 1: 2}, 3: {3: 1, 1: -2, 2: 2}, 4: {4: 1, 1: 4, 2: -2, 3: 2}}
 
 
-def flow_rhs_combined(j: int, ansatz: AnsatzPair, variant: str = "continuant") -> FlowEquation:
+def flow_rhs_combined(j: int, ansatz: AnsatzPair) -> FlowEquation:
     """The comprehensible linear combinations of the raw flows.
 
-    Cumulative: Z1 = AA1, Z2 = AA2 + 2 Z1, Z3 = AA3 - 6 Z1 + 2 Z2,
-    Z4 = AA4 + 20 Z1 - 6 Z2 + 2 Z3.  Unrolled these agree with the direct
-    combinations D_{.,2}+2D_{.,1}, D_{.,3}-2D_{.,1}+2D_{.,2}, and
-    D_{.,4}+4D_{.,1}-2D_{.,2}+2D_{.,3}.
+    Direct form (FLOW_COMBOS): Z2 = AA2 + 2 AA1, Z3 = AA3 - 2 AA1 + 2 AA2,
+    Z4 = AA4 + 4 AA1 - 2 AA2 + 2 AA3.  Cumulatively these are the paper's
+    Z1 = AA1, Z2 = AA2 + 2 Z1, Z3 = AA3 - 6 Z1 + 2 Z2,
+    Z4 = AA4 + 20 Z1 - 6 Z2 + 2 Z3.
     """
     if not 1 <= j <= 4:
         raise ValueError("flow index j must be in 1..4")
-    Z: dict[int, EpsSeries] = {}
-    for i in range(1, j + 1):
-        acc = flow_rhs(i, ansatz, variant=variant)
-        for lower, c in _COMBO[i].items():
-            acc = acc + Z[lower].scale(c)
-        Z[i] = acc
-    return FlowEquation(j, Z[j])
+    Z = EpsSeries.zero(ansatz.cap)
+    for i, c in FLOW_COMBOS[j].items():
+        Z = Z + flow_rhs(i, ansatz).scale(c)
+    return FlowEquation(j, Z)
 
 
-def residual(j: int, ansatz: AnsatzPair, variant: str = "continuant") -> EpsSeries:
+def residual(j: int, ansatz: AnsatzPair) -> EpsSeries:
     """B-equation defect of the ansatz under the induced j-th flow.
 
     Returns dt B(0) - YZ_j / eps where dt is taken along df/dt = AA_j.  With
     the six-term R this vanishes identically through eps^8 for j = 1..4.
     """
-    if not 1 <= j <= 4:
-        raise ValueError("flow index j must be in 1..4")
-    XZ, YZ = toda_rhs(j, ansatz, variant=variant)
-    AA = (XZ + YZ).scale(F(1, 2)).eps_div(3)
-    return ansatz.B_of(0).dt_along(AA) - YZ.eps_div(1)
+    XZ, YZ = toda_rhs(j, ansatz)
+    return ansatz.B_of(0).dt_along(_induced(XZ, YZ)) - YZ.eps_div(1)
 
 
-def residual_A(j: int, ansatz: AnsatzPair, variant: str = "continuant") -> EpsSeries:
+def residual_A(j: int, ansatz: AnsatzPair) -> EpsSeries:
     """A-equation defect; identically the negative of the B-equation defect."""
-    if not 1 <= j <= 4:
-        raise ValueError("flow index j must be in 1..4")
-    XZ, YZ = toda_rhs(j, ansatz, variant=variant)
-    AA = (XZ + YZ).scale(F(1, 2)).eps_div(3)
-    return ansatz.A_of(0).dt_along(AA) - XZ.eps_div(1)
+    XZ, YZ = toda_rhs(j, ansatz)
+    return ansatz.A_of(0).dt_along(_induced(XZ, YZ)) - XZ.eps_div(1)
 
 
 def kdv_leading(j: int, cap: int = DEFAULT_CAP) -> DiffPoly:
     """Lowest nonvanishing eps-coefficient of Z_j (for j=2 the KdV operator)."""
-    if not 1 <= j <= 4:
-        raise ValueError("flow index j must be in 1..4")
-    eq = flow_rhs_combined(j, build_ansatz(standard_R(cap)))
+    eq = flow_rhs_combined(j, AnsatzPair(standard_R(cap)))
     k0 = eq.Z.first_nonzero_order()
     if k0 is None:
         raise RuntimeError(f"Z_{j} vanished identically (cap too small?)")
@@ -355,7 +324,7 @@ def extend_R(
     if work_cap < 6:
         raise ValueError("extend_R needs cap >= 6")
     R_work = EpsSeries(list(R.coeffs), order_cap=work_cap)
-    res = residual(flow, build_ansatz(R_work))
+    res = residual(flow, AnsatzPair(R_work))
     q = res.first_nonzero_order()
     if q is None:
         return ExtendResult(status="flat", flow=flow, phi=DiffPoly.zero(), new_R=R_work)
@@ -374,7 +343,7 @@ def extend_R(
         coeffs = list(R_work.coeffs)
         coeffs[r_index] = coeffs[r_index] + phi
         R_new = EpsSeries(coeffs)
-        res_new = residual(flow, build_ansatz(R_new))
+        res_new = residual(flow, AnsatzPair(R_new))
         q_new = res_new.first_nonzero_order()
         if q_new is None or q_new > q:
             return ExtendResult(

@@ -24,6 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .diffpoly import DiffPoly, EpsSeries
+from .hierarchy import FLOW_COMBOS, standard_R
 
 __all__ = [
     "Profile",
@@ -187,8 +188,6 @@ def init_from_ansatz(profile: Profile, N: int, cap: int = 11) -> LatticeState:
     correction series on exact derivative jets of the profile, so the state
     satisfies the hierarchy asymptotics to the order the series carries.
     """
-    from .hierarchy import standard_R  # the symbolic half; only needed here
-
     R = standard_R(cap)
     x = np.arange(N) / N
     jets = profile.jet(x, max(R.max_order(), 0))
@@ -338,25 +337,18 @@ def toda_D(s: LatticeState, k: int) -> tuple[np.ndarray, np.ndarray]:
     return D1, D2
 
 
-_FLOW_COMBOS = {1: {1: 1}, 2: {2: 1, 1: 2}, 3: {3: 1, 1: -2, 2: 2}, 4: {4: 1, 1: 4, 2: -2, 3: 2}}
+def rhs_flow_k(s: LatticeState, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Recombined flow k right side in scaled variables: da/dt = N^2 * D_{1,.}, etc.
 
-
-def rhs_flow_k(s: LatticeState, k: int, combo: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Flow k right side in scaled variables: da/dt = N^2 * D_{1,.}, etc.
-
-    With combo=True the recombined flow is returned (for k = 2 this equals
-    rhs_flow2 exactly, up to float roundoff); combo=False gives the raw k-th
-    stencil alone.
+    The stencils are recombined by hierarchy.FLOW_COMBOS, so for k = 2 this
+    equals rhs_flow2 up to float roundoff; toda_D is the raw k-th stencil.
     """
     if not 1 <= k <= 4:
         raise ValueError("flow index k must be in 1..4")
     N2 = float(s.N) ** 2
-    if not combo:
-        D1, D2 = toda_D(s, k)
-        return N2 * D1, N2 * D2
     da = np.zeros(s.N)
     db = np.zeros(s.N)
-    for kk, c in _FLOW_COMBOS[k].items():
+    for kk, c in FLOW_COMBOS[k].items():
         D1, D2 = toda_D(s, kk)
         da += c * D1
         db += c * D2

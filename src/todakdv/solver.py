@@ -33,6 +33,7 @@ __all__ = [
     "Trajectory",
     "BlowUpError",
     "NewtonError",
+    "IntegrationError",
     "step_rk4",
     "step_cn",
     "flow2_jacobian",
@@ -60,6 +61,10 @@ class NewtonError(RuntimeError):
     def __init__(self, msg: str, residual: float):
         super().__init__(msg)
         self.residual = residual
+
+
+class IntegrationError(RuntimeError):
+    """An adaptive ODE integration (KdV reference, Hill monodromy) failed."""
 
 
 @dataclass(frozen=True)
@@ -328,7 +333,7 @@ def reference_kdv(
         return ReferenceSolution(x, u0, 0.0, eps)
     sol = solve_ivp(rhs, (0.0, t), u0, method="DOP853", rtol=rtol, atol=atol)
     if not sol.success:
-        raise RuntimeError(f"reference KdV integration failed: {sol.message}")
+        raise IntegrationError(f"reference KdV integration failed: {sol.message}")
     return ReferenceSolution(x, sol.y[:, -1], t, eps)
 
 
@@ -346,11 +351,12 @@ def compare_to_kdv(traj: Trajectory, f0: Profile, t: float, modes: int = 256) ->
     """Max-norm and L2 error of (a+b)/2 against the reference at time t.
 
     Uses the recorded snapshot nearest to t and evaluates the reference at
-    that snapshot's exact time.
+    that snapshot's exact time, on the least multiple of N that is at least
+    max(modes, 2 N) modes, so that the reference grid refines the lattice.
     """
     t_used, state = traj.state_at(t)
     N = state.N
-    ref = reference_kdv(f0, 1.0 / N, t_used, modes=max(modes, 2 * N))
+    ref = reference_kdv(f0, 1.0 / N, t_used, modes=N * max(2, -(-modes // N)))
     ref_vals = ref.on_lattice(N)
     lattice_vals = state.average()
     err = lattice_vals - ref_vals

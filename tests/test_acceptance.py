@@ -22,7 +22,7 @@ from todakdv.bloch import (
     lattice_from_potential,
 )
 from todakdv.diffpoly import DiffPoly, Monomial
-from todakdv.hierarchy import build_ansatz, flow_rhs_combined, residual, standard_R
+from todakdv.hierarchy import AnsatzPair, flow_rhs_combined, residual, standard_R
 from todakdv.lattice import (
     C1_EXPANSION,
     C2_EXPANSION,
@@ -51,7 +51,7 @@ def report(num: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def ansatz():
-    return build_ansatz(standard_R(11))
+    return AnsatzPair(standard_R(11))
 
 
 def _loglog_slope(eps_values, errs):

@@ -1,13 +1,18 @@
+import contextlib
 import csv
+import io
 import math
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from todakdv import bloch
+from todakdv import bloch, solver
 from todakdv.cli import main, read_config, write_config
+from todakdv.lattice import builtin_profile, exact_invariants, init_from_profile
 
 GOLDEN = Path(__file__).parent / "golden" / "v1"
 
@@ -197,6 +202,74 @@ def test_conserved_drift_on_constant_state(capsys, tmp_path):
             assert float(line.split("=")[1]) <= 1e-12
 
 
+def test_conserved_reports_exact_d_drift(capsys, tmp_path):
+    # the d's in conserved.csv are rounded far above their drift (which then
+    # read 0); the report differences exact invariants of the snapshots
+    out = tmp_path / "rk4"
+    code, *_ = run_cli(
+        capsys,
+        "simulate", "--N", "32", "--dt", "1e-3", "--t-end", "0.05", "--scheme", "rk4",
+        "--output-every", "10", "--out", str(out),
+    )
+    assert code == 0
+    traj = solver.run(
+        init_from_profile(builtin_profile("cos"), 32, "consistent_R"),
+        solver.SolverConfig(dt=1e-3, t_end=0.05, scheme="rk4", output_every=10),
+    )
+    d0 = exact_invariants(traj.samples[0][1])
+    expect = [[float(d - e) for d, e in zip(exact_invariants(s), d0)] for _, s, _ in traj.samples]
+    code, stdout, _ = run_cli(capsys, "conserved", "--traj", str(out))
+    assert code == 0
+    with open(out / "drift.csv") as fh:
+        rows = [[float(x) for x in r] for r in list(csv.reader(fh))[1:]]
+    assert [r[1:4] for r in rows] == expect
+    for i in range(3):
+        worst = max(abs(e[i]) for e in expect)
+        assert worst > 0
+        assert f"max |d{i + 1} drift| = {worst:.3e}" in stdout.splitlines()
+
+
+def test_conserved_needs_matching_trajectory(capsys, tmp_path):
+    code, out, *_ = _simulate(capsys, tmp_path, "run")
+    assert code == 0
+    traj = (out / "trajectory.csv").read_text().splitlines()
+    (out / "trajectory.csv").write_text("\n".join(traj[: 1 + 32]) + "\n")  # one snapshot
+    code, _, err = run_cli(capsys, "conserved", "--traj", str(out))
+    assert code == 2
+    assert "must match" in err and "Traceback" not in err
+    (out / "trajectory.csv").write_text("t,n,a,b\n0,0\n")
+    code, _, err = run_cli(capsys, "conserved", "--traj", str(out))
+    assert code == 2 and "Traceback" not in err
+    (out / "trajectory.csv").unlink()
+    code, _, err = run_cli(capsys, "conserved", "--traj", str(out))
+    assert code == 2
+    assert "trajectory.csv" in err
+    with open(out / "conserved.csv", "a") as fh:
+        fh.write("0.5,1\n")
+    code, _, err = run_cli(capsys, "conserved", "--traj", str(out))
+    assert code == 2
+    assert "needs 7 columns" in err
+
+
+def test_simulate_lattice_not_dividing_reference_grid(capsys, tmp_path):
+    # N = 24 does not divide the default 256 reference modes
+    code, out, stdout, _ = _simulate(capsys, tmp_path, "n24", "--N", "24")
+    assert code == 0
+    assert "comparison at t=0.02" in stdout
+    assert (out / "comparison.csv").exists()
+
+
+def test_reference_integration_failure_exits_3(capsys, tmp_path, monkeypatch):
+    class Failed:
+        success = False
+        message = "stub failure"
+
+    monkeypatch.setattr(solver, "solve_ivp", lambda *a, **k: Failed())
+    code, _, _, err = _simulate(capsys, tmp_path, "ref")
+    assert code == 3
+    assert err.splitlines() == ["numerical failure: reference KdV integration failed: stub failure"]
+
+
 # -- spectrum -----------------------------------------------------------------------
 
 
@@ -254,6 +327,49 @@ def test_spectrum_negative_tol_usage_without_warning(capsys, tmp_path):
     assert code == 2
     assert err.splitlines() == ["error: --tol must be positive and finite, got -1.0"]
     assert not caught and "Warning" not in err
+
+
+def test_spectrum_integration_failure_exits_3(capsys, tmp_path):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run_cli(
+            capsys, "spectrum", "--N", "8", "--samples", "5", "--lambda-max", "1e300",
+            "--out", str(tmp_path / "s"),
+        )
+    assert code == 3
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("numerical failure: monodromy integration failed:")
+    assert not caught
+
+
+_DT = st.sampled_from(["1e-3", "2e-3", "3e-3", "0", "-1e-3", "nan", "inf", "-inf"])
+_T_END = st.sampled_from(["0", "2e-3", "4e-3", "5e-3", "-2e-3", "nan", "inf"])
+_LAMBDA_MAX = st.sampled_from(["0", "10", "-30", "200", "1e300", "nan", "inf"])
+
+
+@st.composite
+def _cli_args(draw):
+    # --opt=value, so that argparse passes negative values on instead of
+    # taking "-2e-3" for an option
+    N = f"--N={draw(st.integers(min_value=0, max_value=48))}"
+    if draw(st.booleans()):
+        return ["simulate", N, f"--dt={draw(_DT)}", f"--t-end={draw(_T_END)}",
+                f"--scheme={draw(st.sampled_from(['rk4', 'cn']))}",
+                f"--output-every={draw(st.integers(min_value=-2, max_value=3))}"]
+    return ["spectrum", N, f"--lambda-max={draw(_LAMBDA_MAX)}",
+            f"--samples={draw(st.integers(min_value=0, max_value=16))}"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(argv=_cli_args())
+def test_cli_exit_codes_are_documented(tmp_path_factory, argv):
+    """Every run ends in exit 0/1/2/3 with no traceback, whatever the arguments."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--out", str(tmp_path_factory.mktemp("cli"))])
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue()
 
 
 def test_config_roundtrip(tmp_path):

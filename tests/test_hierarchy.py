@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from todakdv.diffpoly import DiffPoly, EpsSeries, Monomial
 from todakdv.hierarchy import (
+    AnsatzPair,
     FlowTable,
     ObstructionError,
-    build_ansatz,
     extend_R,
     flow_rhs,
     flow_rhs_combined,
@@ -26,7 +26,7 @@ T = DiffPoly.from_terms
 
 @pytest.fixture(scope="module")
 def ansatz():
-    return build_ansatz(standard_R(11))
+    return AnsatzPair(standard_R(11))
 
 
 @pytest.fixture(scope="module")
@@ -147,7 +147,7 @@ def test_ansatz_sum_is_R_independent(ansatz):
     target_base = (
         EpsSeries.const(1, cap) + EpsSeries.f(cap).eps_shift(2).scale(2)
     )
-    other = build_ansatz(EpsSeries.of_poly(DiffPoly.f(exp=3), cap))  # any other R
+    other = AnsatzPair(EpsSeries.of_poly(DiffPoly.f(exp=3), cap))  # any other R
     for n in (-2, -1, 0, 1, 2):
         expect = target_base.shift(n)
         assert ansatz.A_of(n) + ansatz.B_of(n) == expect
@@ -194,9 +194,7 @@ def test_toda_rhs_flow_index_validation(ansatz):
     with pytest.raises(ValueError):
         toda_rhs(5, ansatz)
     with pytest.raises(ValueError):
-        toda_rhs(0, ansatz, exploratory=True)
-    XZ, YZ = toda_rhs(5, ansatz, exploratory=True)  # allowed, no golden data
-    assert XZ.order_cap == ansatz.cap
+        toda_rhs(0, ansatz)
 
 
 def test_constant_profile_kills_first_flow(ansatz):
@@ -216,12 +214,13 @@ def test_flow2_raw_is_average_over_eps3(ansatz):
     assert flow_rhs(2, ansatz) == (XZ + YZ).scale(F(1, 2)).eps_div(3)
 
 
-def test_combination_unrolls_to_direct_form(ansatz):
+def test_combination_unrolls_to_direct_form(ansatz, Z):
+    # the code sums the direct form; the paper states the cumulative one
     AA = {j: flow_rhs(j, ansatz) for j in (1, 2, 3, 4)}
-    Z3 = flow_rhs_combined(3, ansatz).Z
-    assert Z3 == AA[3] + AA[2].scale(2) - AA[1].scale(2)
-    Z4 = flow_rhs_combined(4, ansatz).Z
-    assert Z4 == AA[4] + AA[1].scale(4) - AA[2].scale(2) + AA[3].scale(2)
+    assert Z[1] == AA[1]
+    assert Z[2] == AA[2] + Z[1].scale(2)
+    assert Z[3] == AA[3] - Z[1].scale(6) + Z[2].scale(2)
+    assert Z[4] == AA[4] + Z[1].scale(20) - Z[2].scale(6) + Z[3].scale(2)
 
 
 def test_flow_equations_match_printed_series(Z):
@@ -261,21 +260,8 @@ def test_A_residual_is_negative_of_B_residual(ansatz, j):
 
 def test_truncated_R_fails_at_eps4():
     R0 = EpsSeries(list(standard_R(11).coeffs[:1]), order_cap=11)
-    res = residual(1, build_ansatz(R0))
+    res = residual(1, AnsatzPair(R0))
     assert res.first_nonzero_order() == 4
-
-
-def test_site_local_recursion_variant(ansatz):
-    # the variants agree wherever only d_1, d_2 enter (flows 1 and 2) ...
-    assert flow_rhs_combined(2, ansatz, variant="site_local").Z == flow_rhs_combined(2, ansatz).Z
-    # ... and first part company at flow 3, where the site-local form even breaks
-    # the transport cancellation; the continuant form is the one
-    # whose residuals vanish.
-    Za3 = flow_rhs_combined(3, ansatz).Z
-    Zb3 = flow_rhs_combined(3, ansatz, variant="site_local").Z
-    assert Za3.first_nonzero_order() == 4
-    assert Zb3.first_nonzero_order() == 0
-    assert residual(3, ansatz, variant="site_local").first_nonzero_order() is not None
 
 
 # -- exact x-integration and series extension ------------------------------------------
@@ -336,7 +322,7 @@ def test_extend_full_R_continues_and_fixes_all_flows():
     out = extend_R(standard_R(11), flow=1)
     assert out.status == "extended" and out.order == 6
     assert not out.phi.is_zero()
-    ans = build_ansatz(out.new_R)
+    ans = AnsatzPair(out.new_R)
     for j in (1, 2, 3, 4):
         res = residual(j, ans)
         assert res.order_cap >= 9

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import itertools
+import re
 import sys
 from pathlib import Path
 
@@ -207,9 +208,13 @@ def _read_snapshots(path: Path) -> list[lattice.LatticeState]:
     """The states recorded in trajectory.csv, one per time, in file order."""
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
-        next(rd)  # t,n,a,b
+        if next(rd, None) != ["t", "n", "a", "b"]:
+            raise ValueError(f"expected header t,n,a,b in {path}")
         states = []
         for _, rows in itertools.groupby(rd, key=lambda row: row[:1]):
+            rows = list(rows)
+            if any(len(row) != 4 for row in rows):
+                raise ValueError(f"every row of {path} needs 4 columns t,n,a,b")
             a, b = np.array([[float(a), float(b)] for _, _, a, b in rows]).T
             states.append(lattice.LatticeState(len(a), a, b))
     return states
@@ -220,10 +225,10 @@ def cmd_conserved(args) -> int:
     src = traj_dir / "conserved.csv"
     with open(src, newline="") as fh:
         rd = csv.reader(fh)
-        header = next(rd)
+        header = next(rd, None)
         rows = [[float(x) for x in row] for row in rd]
     if header != list(lattice.ConservedReport.COLUMNS):
-        raise ValueError(f"unexpected conserved.csv header {header}")
+        raise ValueError(f"expected header {','.join(lattice.ConservedReport.COLUMNS)} in {src}")
     if any(len(row) != len(header) for row in rows):
         raise ValueError(f"every row of {src} needs {len(header)} columns")
     states = _read_snapshots(traj_dir / "trajectory.csv")
@@ -298,9 +303,29 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    # argparse takes a value such as -2e-3 or -inf for an option unless it
+    # is joined to its flag, so --t-end -2e-3 is passed on as --t-end=-2e-3
+    out: list[str] = []
+    for tok in argv:
+        if out and re.fullmatch(r"--\w[\w-]*", out[-1]) and tok.startswith("-") and _is_float(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
+def _is_float(tok: str) -> bool:
+    try:
+        float(tok)
+    except ValueError:
+        return False
+    return True
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (solver.BlowUpError, solver.NewtonError, solver.IntegrationError) as err:

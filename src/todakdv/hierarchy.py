@@ -72,7 +72,11 @@ def standard_R(cap: int = DEFAULT_CAP) -> EpsSeries:
 
 
 class AnsatzPair:
-    """Shifted ansatz series A_of(n), B_of(n) with memoized Taylor shifts."""
+    """Shifted ansatz series A_of(n), B_of(n) with memoized Taylor shifts.
+
+    ``zero`` and ``one`` are the base values of the recursions; FlowTable and
+    toda_rhs need only these, A_of, B_of and ring arithmetic.
+    """
 
     def __init__(self, R: EpsSeries):
         cap = R.order_cap
@@ -81,6 +85,8 @@ class AnsatzPair:
         eps3_R = R.eps_shift(3)
         self.cap = cap
         self.R = R
+        self.zero = EpsSeries.zero(cap)
+        self.one = EpsSeries.const(1, cap)
         self.base_A = EpsSeries.const(2, cap) + eps2_f - eps3_R
         self.base_B = EpsSeries.const(-1, cap) + eps2_f + eps3_R
         self._A: dict[int, EpsSeries] = {0: self.base_A}
@@ -100,7 +106,7 @@ class AnsatzPair:
 
 
 class FlowTable:
-    """Memoized d_i(n) table over eps-series for one flow index k.
+    """Memoized d_i(n) table for one flow index k, over the ansatz's values.
 
     The continuant recursion
         d_i(n+1) = d_i(n) + A(n) d_{i-1}(n) + B(n) d_{i-2}(n-1),
@@ -119,11 +125,11 @@ class FlowTable:
         if i > self.k + 1 or abs(n) > self._n_range:
             raise ValueError(f"d({i},{n}) outside table range for k={self.k}")
         if i < 0:
-            return EpsSeries.zero(self.ansatz.cap)
+            return self.ansatz.zero
         if i == 0:
-            return EpsSeries.const(1, self.ansatz.cap)
+            return self.ansatz.one
         if n == 0:
-            return EpsSeries.zero(self.ansatz.cap)
+            return self.ansatz.zero
         key = (i, n)
         got = self._d.get(key)
         if got is not None:
@@ -156,7 +162,8 @@ def toda_rhs(k: int, ansatz: AnsatzPair) -> tuple[EpsSeries, EpsSeries]:
     """Symbolic flow stencils (XZ, YZ) at the base site, scale factor N deferred.
 
     XZ is the right side of dA/dt and YZ of dB/dt, both divided by N; for
-    k = 1 they are B(0)-B(1) and B(0)(A(0)-A(-1)).
+    k = 1 they are B(0)-B(1) and B(0)(A(0)-A(-1)).  lattice.toda_D passes
+    an exact integer window in place of the ansatz.
     """
     if not 1 <= k <= 4:
         raise ValueError("flow index k must be in 1..4")
@@ -203,7 +210,7 @@ def flow_rhs_combined(j: int, ansatz: AnsatzPair) -> FlowEquation:
     """
     if not 1 <= j <= 4:
         raise ValueError("flow index j must be in 1..4")
-    Z = EpsSeries.zero(ansatz.cap)
+    Z = ansatz.zero
     for i, c in FLOW_COMBOS[j].items():
         Z = Z + flow_rhs(i, ansatz).scale(c)
     return FlowEquation(j, Z)

@@ -11,6 +11,10 @@ sixteen decimal orders, below float64 resolution.  Lattice values are dyadic,
 so A, B share one integer denominator D = 2^K N^2 and the recursions run on
 the Python ints A*D, B*D^2 (a conserved_report takes under 1 ms at N = 128
 and about 3 ms at N = 1024); only their results become Fractions.
+
+The hierarchy stencils toda_D are hierarchy.toda_rhs itself, run on the same
+exact ints at every site and rounded to float once; the flow-2 stepper
+kernels rhs_flow2_arrays and solver.flow2_jacobian are written out in float.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .diffpoly import DiffPoly, EpsSeries
-from .hierarchy import FLOW_COMBOS, standard_R
+from .hierarchy import FLOW_COMBOS, standard_R, toda_rhs
 
 __all__ = [
     "Profile",
@@ -223,125 +227,49 @@ def rhs_flow2_arrays(N: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, 
     return N * (L + eps2 * Fst), N * (M + eps2 * G)
 
 
-class _WindowTables:
-    """Vectorized d-recursion rebased at every site, split as d = z + eps^2 u.
+class _ExactWindow:
+    """A, B as exact ints at every site at once, the shape toda_rhs recurses on.
 
-    z is the zero-state table (A = 2, B = -1; integer scalars), u the exact
-    state-dependent correction (arrays over the base site m at offset j).
-    Rebasing keeps entries O(k^2) and the split removes the constant parts
-    before any subtraction, so the hierarchy stencils come out at full float
-    precision even though they live eps^2 below the raw d-values.
+    A_of(n)[m] = A(m+n)*D and B_of(n)[m] = B(m+n)*D^2 over the common
+    denominator D of _scaled_AB, as numpy object arrays of Python ints.
     """
 
-    def __init__(self, s: LatticeState, k: int):
-        self.N = s.N
-        self.eps2 = 1.0 / s.N**2
-        self.a, self.b = s.a, s.b
-        self.A, self.B = s.to_AB()
-        self.k = k
-        self._z: dict[tuple[int, int], int] = {}
-        self._u: dict[tuple[int, int], np.ndarray] = {}
-        self._zero = np.zeros(s.N)
+    zero, one = 0, 1
 
-    def z(self, i: int, j: int) -> int:
-        if i < 0:
-            return 0
-        if i == 0:
-            return 1
-        if j == 0:
-            return 0
-        key = (i, j)
-        got = self._z.get(key)
-        if got is not None:
-            return got
-        if j > 0:
-            val = self.z(i, j - 1) + 2 * self.z(i - 1, j - 1) - self.z(i - 2, j - 2)
-        else:
-            val = self.z(i, j + 1) - 2 * self.z(i - 1, j) + self.z(i - 2, j - 1)
-        self._z[key] = val
-        return val
+    def __init__(self, s: LatticeState):
+        A, B, self.D = _scaled_AB(s)
+        self._A = np.array(A, dtype=object)
+        self._B = np.array(B, dtype=object)
 
-    def u(self, i: int, j: int) -> np.ndarray:
-        if i <= 0 or j == 0:
-            return self._zero
-        key = (i, j)
-        got = self._u.get(key)
-        if got is not None:
-            return got
-        # A * d = 2 z + eps^2 (a z + A u);  B * d = -z + eps^2 (b z + B u)
-        if j > 0:
-            off = j - 1
-            val = (
-                self.u(i, j - 1)
-                + np.roll(self.a, -off) * self.z(i - 1, j - 1)
-                + np.roll(self.A, -off) * self.u(i - 1, j - 1)
-                + np.roll(self.b, -off) * self.z(i - 2, j - 2)
-                + np.roll(self.B, -off) * self.u(i - 2, j - 2)
-            )
-        else:
-            val = (
-                self.u(i, j + 1)
-                - np.roll(self.a, -j) * self.z(i - 1, j)
-                - np.roll(self.A, -j) * self.u(i - 1, j)
-                - np.roll(self.b, -j) * self.z(i - 2, j - 1)
-                - np.roll(self.B, -j) * self.u(i - 2, j - 1)
-            )
-        self._u[key] = val
-        return val
+    def A_of(self, n: int) -> np.ndarray:
+        return np.roll(self._A, -n)
 
-    def stencil_pieces(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """Centered a_1, a_0: returns (v1, v0) with a_p = a_p0 + eps^2 v_p."""
-        k = self.k
-        aa0: dict[int, int] = {}
-        v: dict[int, np.ndarray] = {}
-        for p in range(k - 1, -1, -1):
-            z_part = self.z(k - p, k) - self.z(k - p, 0)
-            u_part = self.u(k - p, k) - self.u(k - p, 0)
-            for r in range(p + 1, k):
-                zr = self.z(r - p, r)
-                ur = self.u(r - p, r)
-                # aa_r * d = aa0 z + eps^2 (aa0 u + v z + eps^2 v u)
-                z_part -= aa0[r] * zr
-                u_part = u_part - (aa0[r] * ur + v[r] * zr + self.eps2 * v[r] * ur)
-            aa0[p] = z_part
-            v[p] = u_part
-        return v[1], v[0], float(aa0[1])
+    def B_of(self, n: int) -> np.ndarray:
+        return np.roll(self._B, -n)
 
 
 def toda_D(s: LatticeState, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Numeric hierarchy stencils D_{1,k}(n), D_{2,k}(n) on the lattice.
 
     Same scale as the symbolic XZ, YZ times N: da/dt = N^2 D_{1,k} etc.
+    hierarchy.toda_rhs runs on the exact ints of every site; the recursions
+    are graded (A weight 1, B weight 2), so it returns D^(k+1) XZ and
+    D^(k+2) YZ, and each value is rounded to float once, correctly.
     """
-    if k < 1:
-        raise ValueError("flow index k must be >= 1")
-    N = s.N
-    eps2 = 1.0 / N**2
-    a, b = s.a, s.b
-    bp = np.roll(b, -1)
-    if k == 1:
-        # B - B(n+1) and B (A - A(n-1)) without the constant parts
-        D1 = N * eps2 * (b - bp)
-        diff_a = a - np.roll(a, 1)
-        D2 = N * eps2 * (-diff_a + eps2 * b * diff_a)
-        return D1, D2
-    tables = _WindowTables(s, k)
-    v1, v0, a1_const = tables.stencil_pieces()
-    v1m = np.roll(v1, 1)
-    v0m = np.roll(v0, 1)
-    # a_1 B(n+1) - B a_1(n-1) with a_1 = a1_const + eps^2 v1, B = -1 + eps^2 b
-    D1 = N * eps2 * (a1_const * (bp - b) + (v1m - v1) + eps2 * (v1 * bp - b * v1m))
-    # B (a_0 - a_0(n-1)); the constant part of a_0 cancels in the difference
-    dv0 = v0 - v0m
-    D2 = N * eps2 * (-dv0 + eps2 * b * dv0)
-    return D1, D2
+    window = _ExactWindow(s)
+    XZ, YZ = toda_rhs(k, window)
+    scale = window.D ** (k + 1)
+    D1 = [s.N * x / scale for x in XZ]
+    D2 = [s.N * y / (scale * window.D) for y in YZ]
+    return np.array(D1), np.array(D2)
 
 
 def rhs_flow_k(s: LatticeState, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Recombined flow k right side in scaled variables: da/dt = N^2 * D_{1,.}, etc.
 
-    The stencils are recombined by hierarchy.FLOW_COMBOS, so for k = 2 this
-    equals rhs_flow2 up to float roundoff; toda_D is the raw k-th stencil.
+    The exact stencils toda_D are recombined in float by
+    hierarchy.FLOW_COMBOS, so for k = 2 this equals rhs_flow2 up to float
+    roundoff; toda_D is the raw k-th stencil.
     """
     if not 1 <= k <= 4:
         raise ValueError("flow index k must be in 1..4")
@@ -591,10 +519,13 @@ def write_state_csv(path, s: LatticeState) -> None:
 def read_state_csv(path) -> LatticeState:
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
-        header = next(rd)
+        header = next(rd, [])
         if [h.strip() for h in header] != ["n", "a", "b"]:
             raise ValueError(f"expected header n,a,b in {path}")
-        rows = sorted((int(r[0]), float(r[1]), float(r[2])) for r in rd)
+        rows = list(rd)
+    if any(len(r) != 3 for r in rows):
+        raise ValueError(f"every row of {path} needs 3 columns n,a,b")
+    rows = sorted((int(n), float(a), float(b)) for n, a, b in rows)
     if [r[0] for r in rows] != list(range(len(rows))):
         raise ValueError(f"site indices n in {path} must be exactly 0..N-1, each once")
     a = np.array([r[1] for r in rows])

@@ -147,6 +147,7 @@ def test_simulate_bad_init_usage(capsys, tmp_path):
         (("--output-every", "-2"), "output_every must be >= 1"),
         (("--dt", "0.003", "--t-end", "0.01"), "whole number of steps"),
         (("--t-end", "-0.02"), "non-negative"),
+        (("--t-end", "-2e-3"), "non-negative"),
     ],
 )
 def test_simulate_bad_run_config_usage(capsys, tmp_path, extra, message):
@@ -156,17 +157,30 @@ def test_simulate_bad_run_config_usage(capsys, tmp_path, extra, message):
     assert not (out / "config.txt").exists()
 
 
-@pytest.mark.parametrize("indices", [[0, 0, 2, 3, 4, 5, 6, 9], [0, 1, 2, 3, 4, 5, 6, 9]])
+@pytest.mark.parametrize(
+    "indices",
+    [
+        [0, 0, 2, 3, 4, 5, 6, 9],
+        [0, 1, 2, 3, 4, 5, 6, 9],
+        pytest.param("", id="empty_file"),
+        pytest.param("n,a,b\n0,1.0\n", id="short_row"),
+    ],
+)
 def test_simulate_csv_init_bad_indices_usage(capsys, tmp_path, indices):
     path = tmp_path / "init.csv"
-    path.write_text("n,a,b\n" + "".join(f"{n},0.5,0.25\n" for n in indices))
+    if isinstance(indices, str):  # the file contents
+        path.write_text(indices)
+    else:
+        path.write_text("n,a,b\n" + "".join(f"{n},0.5,0.25\n" for n in indices))
     code, _, err = run_cli(
         capsys,
         "simulate", "--N", "8", "--dt", "0.002", "--t-end", "0.004",
         "--init", f"csv:{path}", "--out", str(tmp_path / "x"),
     )
     assert code == 2
-    assert "exactly 0..N-1" in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and str(path) in err
+    if not isinstance(indices, str):
+        assert "exactly 0..N-1" in err
 
 
 @pytest.mark.parametrize("scheme", ["rk4", "cn"])
@@ -240,15 +254,24 @@ def test_conserved_needs_matching_trajectory(capsys, tmp_path):
     (out / "trajectory.csv").write_text("t,n,a,b\n0,0\n")
     code, _, err = run_cli(capsys, "conserved", "--traj", str(out))
     assert code == 2 and "Traceback" not in err
+    assert "needs 4 columns" in err and str(out / "trajectory.csv") in err
     (out / "trajectory.csv").unlink()
     code, _, err = run_cli(capsys, "conserved", "--traj", str(out))
     assert code == 2
     assert "trajectory.csv" in err
+    conserved = (out / "conserved.csv").read_text()
     with open(out / "conserved.csv", "a") as fh:
         fh.write("0.5,1\n")
     code, _, err = run_cli(capsys, "conserved", "--traj", str(out))
     assert code == 2
     assert "needs 7 columns" in err
+    for name in ("conserved.csv", "trajectory.csv"):  # empty files
+        (out / "conserved.csv").write_text(conserved)
+        (out / name).write_text("")
+        code, _, err = run_cli(capsys, "conserved", "--traj", str(out))
+        assert code == 2
+        assert err.startswith("error: expected header") and str(out / name) in err
+        assert len(err.splitlines()) == 1
 
 
 def test_simulate_lattice_not_dividing_reference_grid(capsys, tmp_path):
@@ -350,15 +373,13 @@ _LAMBDA_MAX = st.sampled_from(["0", "10", "-30", "200", "1e300", "nan", "inf"])
 
 @st.composite
 def _cli_args(draw):
-    # --opt=value, so that argparse passes negative values on instead of
-    # taking "-2e-3" for an option
-    N = f"--N={draw(st.integers(min_value=0, max_value=48))}"
+    N = ["--N", str(draw(st.integers(min_value=0, max_value=48)))]
     if draw(st.booleans()):
-        return ["simulate", N, f"--dt={draw(_DT)}", f"--t-end={draw(_T_END)}",
-                f"--scheme={draw(st.sampled_from(['rk4', 'cn']))}",
-                f"--output-every={draw(st.integers(min_value=-2, max_value=3))}"]
-    return ["spectrum", N, f"--lambda-max={draw(_LAMBDA_MAX)}",
-            f"--samples={draw(st.integers(min_value=0, max_value=16))}"]
+        return ["simulate", *N, "--dt", draw(_DT), "--t-end", draw(_T_END),
+                "--scheme", draw(st.sampled_from(["rk4", "cn"])),
+                "--output-every", str(draw(st.integers(min_value=-2, max_value=3)))]
+    return ["spectrum", *N, "--lambda-max", draw(_LAMBDA_MAX),
+            "--samples", str(draw(st.integers(min_value=0, max_value=16)))]
 
 
 @settings(max_examples=30, deadline=None)

@@ -190,10 +190,14 @@ def test_toda_D_matches_exact_first_flow():
     N = 16
     aF, bF = random_fraction_state(N, seed=9)
     s = LatticeState(N, np.array([float(x) for x in aF]), np.array([float(x) for x in bF]))
-    daF, dbF = exact_flow_rhs(aF, bF, N, k=1)
+    # the oracle sees the exact values of the float state; toda_D rounds once
+    daF, dbF = exact_flow_rhs([F(x) for x in s.a], [F(x) for x in s.b], N, k=1)
     D1, D2 = toda_D(s, 1)
-    assert D1 * N**2 == pytest.approx([float(x) for x in daF], rel=1e-13)
-    assert D2 * N**2 == pytest.approx([float(x) for x in dbF], rel=1e-13)
+    assert (D1 * N**2).tolist() == [float(x) for x in daF]
+    assert (D2 * N**2).tolist() == [float(x) for x in dbF]
+    for k in (0, 5):
+        with pytest.raises(ValueError):
+            toda_D(s, k)
 
 
 # -- invariants -------------------------------------------------------------------------

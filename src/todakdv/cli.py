@@ -108,8 +108,6 @@ _VARIANTS = {"paper": "paper_25_26", "consistent": "consistent_R"}
 
 
 def cmd_simulate(args) -> int:
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     variant = _VARIANTS[args.init_variant]
     state0, profile = _parse_init(args.init, args.N, variant)
     cfg = solver.SolverConfig(
@@ -118,6 +116,8 @@ def cmd_simulate(args) -> int:
         scheme=args.scheme,
         output_every=args.output_every,
     )
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     write_config(
         outdir / "config.txt",
         {

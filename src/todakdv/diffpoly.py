@@ -9,6 +9,13 @@ coefficients are differential polynomials, truncated at a fixed order cap.
 All coefficients are exact rationals (``fractions.Fraction``): every identity
 checked downstream is an exact cancellation, so floating point would be
 useless here.  All values are immutable; every operation returns a new value.
+
+Work is not repeated.  The derivative of a monomial (``Monomial.x_terms``)
+and the product of two monomials (``Monomial.mul``) are computed once and
+memoized in module-level tables keyed by exponent tuples; the hierarchy
+checks reuse a few thousand of them many times over.  The Taylor shift
+differentiates only the triangle that survives truncation, and ``dt_along``
+forms one product per derivative order instead of one per monomial factor.
 """
 
 from __future__ import annotations
@@ -69,6 +76,15 @@ class Monomial:
         self._hash = hash(self._pairs)
 
     @staticmethod
+    def _of_dict(exponents: dict[int, int]) -> "Monomial":
+        """Unchecked constructor for internal callers: ``exponents`` maps
+        orders >= 0 to exponents >= 1."""
+        m = Monomial.__new__(Monomial)
+        m._pairs = pairs = tuple(sorted(exponents.items()))
+        m._hash = hash(pairs)
+        return m
+
+    @staticmethod
     def one() -> "Monomial":
         return _MONOMIAL_ONE
 
@@ -96,10 +112,31 @@ class Monomial:
         return self._pairs[-1][0] if self._pairs else -1
 
     def mul(self, other: "Monomial") -> "Monomial":
-        d = dict(self._pairs)
-        for k, e in other._pairs:
-            d[k] = d.get(k, 0) + e
-        return Monomial(d)
+        key = (self._pairs, other._pairs)
+        m = _MUL_MEMO.get(key)
+        if m is None:
+            d = dict(self._pairs)
+            for k, e in other._pairs:
+                d[k] = d.get(k, 0) + e
+            m = _MUL_MEMO[key] = Monomial._of_dict(d)
+        return m
+
+    def x_terms(self) -> tuple[tuple["Monomial", int], ...]:
+        """d/dx of this monomial as (monomial, multiplier) pairs, one per
+        factor f^(k)^e: e * f^(k)^(e-1) * f^(k+1) * rest."""
+        terms = _X_MEMO.get(self._pairs)
+        if terms is None:
+            out = []
+            for order, exp in self._pairs:
+                lowered = dict(self._pairs)
+                if exp == 1:
+                    del lowered[order]
+                else:
+                    lowered[order] = exp - 1
+                lowered[order + 1] = lowered.get(order + 1, 0) + 1
+                out.append((Monomial._of_dict(lowered), exp))
+            terms = _X_MEMO[self._pairs] = tuple(out)
+        return terms
 
     def sort_key(self):
         """Canonical term order: compare (order, exponent) pairs from the
@@ -133,6 +170,11 @@ class Monomial:
 
 
 _MONOMIAL_ONE = Monomial()
+# Memo tables of the monomial calculus, keyed by the factors' pair tuples
+# (hashed in C).  A whole verify of flows 1-4 plus an extend_R chain leaves
+# a few thousand entries.
+_MUL_MEMO: dict[tuple[tuple, tuple], Monomial] = {}
+_X_MEMO: dict[tuple, tuple[tuple[Monomial, int], ...]] = {}
 
 
 class DiffPoly:
@@ -262,14 +304,7 @@ class DiffPoly:
         """d/dx as a derivation with d/dx f^(k) = f^(k+1)."""
         d: dict[Monomial, Fraction] = {}
         for mono, coeff in self._terms.items():
-            for order, exp in mono.pairs:
-                lowered = dict(mono.pairs)
-                if exp == 1:
-                    del lowered[order]
-                else:
-                    lowered[order] = exp - 1
-                lowered[order + 1] = lowered.get(order + 1, 0) + 1
-                m = Monomial(lowered)
+            for m, exp in mono.x_terms():
                 c = coeff * exp
                 acc = d.get(m)
                 s = c if acc is None else acc + c
@@ -499,17 +534,20 @@ class EpsSeries:
         """Taylor shift: the series evaluated at x + n*eps.
 
         Returns sum_{i=0..cap} (n eps)^i / i! * (d/dx)^i of self, truncated.
+        Only the triangle that survives truncation is computed: (d/dx)^i is
+        taken of coefficients 0..cap-i.  The derivative-order guard runs on
+        every coefficient the shift keeps; a coefficient it discards is never
+        differentiated, so it cannot raise DerivativeOrderError.
         """
+        if n == 0:
+            return self
         cap = self.order_cap
         acc = list(self._coeffs)
-        deriv = self
+        level = self._coeffs
         for i in range(1, cap + 1):
-            deriv = deriv.x_derive()
+            level = [self._check_order(c.x_derive()) for c in level[: cap + 1 - i]]
             w = Fraction(n**i, factorial(i))
-            if not w:
-                break
-            for j in range(cap + 1 - i):
-                c = deriv._coeffs[j]
+            for j, c in enumerate(level):
                 if not c.is_zero():
                     acc[i + j] = acc[i + j] + c.scale(w)
         return EpsSeries(acc)
@@ -518,34 +556,41 @@ class EpsSeries:
         """Time derivative induced by df/dt = h.
 
         Acts as a derivation with dt(f^(k)) = (d/dx)^k h and dt(eps) = 0; in
-        particular dt commutes with d/dx.
+        particular dt commutes with d/dx.  Coefficient k contributes
+        sum over orders r of (d poly_k / d f^(r)) * (d/dx)^r h, shifted by
+        eps^k, so (d/dx)^r h is needed only through eps^(cap-k).
         """
         cap = min(self.order_cap, h.order_cap)
         h = h.truncate(cap)
         h_derivs: list[EpsSeries] = [h]
-
-        def h_deriv(k: int) -> EpsSeries:
-            while len(h_derivs) <= k:
-                h_derivs.append(h_derivs[-1].x_derive())
-            return h_derivs[k]
-
-        out = EpsSeries.zero(cap)
+        out = [_DIFFPOLY_ZERO] * (cap + 1)
         for k in range(cap + 1):
             poly = self._coeffs[k]
             if poly.is_zero():
                 continue
-            part = EpsSeries.zero(cap)
-            for mono, coeff in poly.terms.items():
-                for order, exp in mono.pairs:
-                    rest = dict(mono.pairs)
+            # d poly / d f^(r) for each order r; distinct monomials have
+            # distinct partials, so nothing cancels here
+            partials: dict[int, dict[Monomial, Fraction]] = {}
+            for mono, coeff in poly._terms.items():
+                for order, exp in mono._pairs:
+                    rest = dict(mono._pairs)
                     if exp == 1:
                         del rest[order]
                     else:
                         rest[order] = exp - 1
-                    factor = DiffPoly({Monomial(rest): coeff * exp})
-                    part = part + h_deriv(order).mul_poly(factor)
-            out = out + part.eps_shift(k)
-        return out
+                    terms = partials.setdefault(order, {})
+                    terms[Monomial._of_dict(rest)] = coeff * exp
+            for order, terms in partials.items():
+                while len(h_derivs) <= order:
+                    h_derivs.append(h_derivs[-1].x_derive())
+                partial = DiffPoly.__new__(DiffPoly)
+                partial._terms = terms
+                hd = h_derivs[order]._coeffs
+                for j in range(cap + 1 - k):
+                    c = hd[j]
+                    if not c.is_zero():
+                        out[k + j] = out[k + j] + c * partial
+        return EpsSeries(out)
 
     def drop_derivatives(self) -> "EpsSeries":
         return EpsSeries([c.drop_derivatives() for c in self._coeffs])

@@ -120,6 +120,7 @@ class FlowTable:
         self.k = k
         self._n_range = 2 * k + 2
         self._d: dict[tuple[int, int], EpsSeries] = {}
+        self._a: dict[tuple[int, int], EpsSeries] = {}
 
     def d(self, i: int, n: int) -> EpsSeries:
         if i > self.k + 1 or abs(n) > self._n_range:
@@ -150,11 +151,16 @@ class FlowTable:
         return val
 
     def a(self, p: int, n: int) -> EpsSeries:
-        """Descending recursion a_p(n) for the k-th flow stencils."""
+        """Descending recursion a_p(n) for the k-th flow stencils, memoized."""
+        key = (p, n)
+        X = self._a.get(key)
+        if X is not None:
+            return X
         k = self.k
         X = self.d(k - p, n + k) - self.d(k - p, n)
         for r in range(p + 1, k):
             X = X - self.a(r, n) * self.d(r - p, n + r)
+        self._a[key] = X
         return X
 
 
@@ -283,7 +289,6 @@ class ExtendResult:
     """Outcome of one correction-series extension step."""
 
     status: str  # "extended" | "obstruction" | "flat"
-    flow: int
     order: int | None = None  # index of the new R coefficient, if any
     phi: DiffPoly | None = None
     new_R: EpsSeries | None = None
@@ -306,7 +311,7 @@ class ExtendResult:
 
 def extend_R(
     R: EpsSeries,
-    flow: int = 1,
+    *,
     known_through: int | None = None,
     cap: int | None = None,
 ) -> ExtendResult:
@@ -314,9 +319,12 @@ def extend_R(
 
     Rebuilds the ansatz from ``R`` (assumed valid through eps-index
     ``known_through``; default: its highest nonzero coefficient), locates the
-    first nonvanishing residual order q, and solves 2 phi' = residual_q by
-    exact integration.  The sign convention is self-calibrating: the candidate
-    is accepted only if the rebuilt residual defect moves past q.
+    first nonvanishing flow-1 residual order q, and solves 2 phi' = residual_q
+    by exact integration.  The sign convention is self-calibrating: the
+    candidate is accepted only if the rebuilt residual defect moves past q.
+    The normalization 2 phi' = defect is the flow-1 linearization, so the
+    flow-1 residual is the one to extend against; the extended R then fixes
+    the residuals of flows 2-4 as well.
 
     With the default cap the working window always reaches the first expected
     defect order.  An explicit smaller ``cap`` is honored as-is; if the
@@ -331,17 +339,16 @@ def extend_R(
     if work_cap < 6:
         raise ValueError("extend_R needs cap >= 6")
     R_work = EpsSeries(list(R.coeffs), order_cap=work_cap)
-    res = residual(flow, AnsatzPair(R_work))
+    res = residual(1, AnsatzPair(R_work))
     q = res.first_nonzero_order()
     if q is None:
-        return ExtendResult(status="flat", flow=flow, phi=DiffPoly.zero(), new_R=R_work)
+        return ExtendResult(status="flat", phi=DiffPoly.zero(), new_R=R_work)
     defect = res.coeff(q)
     try:
         half = integrate_total_derivative(defect).scale(F(1, 2))
     except ObstructionError as err:
         return ExtendResult(
             status="obstruction",
-            flow=flow,
             remainder=err.remainder,
             first_defect_order=q,
         )
@@ -350,12 +357,11 @@ def extend_R(
         coeffs = list(R_work.coeffs)
         coeffs[r_index] = coeffs[r_index] + phi
         R_new = EpsSeries(coeffs)
-        res_new = residual(flow, AnsatzPair(R_new))
+        res_new = residual(1, AnsatzPair(R_new))
         q_new = res_new.first_nonzero_order()
         if q_new is None or q_new > q:
             return ExtendResult(
                 status="extended",
-                flow=flow,
                 order=r_index,
                 phi=phi,
                 new_R=R_new,
@@ -363,7 +369,6 @@ def extend_R(
             )
     return ExtendResult(
         status="obstruction",
-        flow=flow,
         remainder=defect,
         first_defect_order=q,
     )

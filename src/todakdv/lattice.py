@@ -523,6 +523,8 @@ def read_state_csv(path) -> LatticeState:
         if [h.strip() for h in header] != ["n", "a", "b"]:
             raise ValueError(f"expected header n,a,b in {path}")
         rows = list(rd)
+    if not rows:
+        raise ValueError(f"{path} has a header but no site rows")
     if any(len(r) != 3 for r in rows):
         raise ValueError(f"every row of {path} needs 3 columns n,a,b")
     rows = sorted((int(n), float(a), float(b)) for n, a, b in rows)

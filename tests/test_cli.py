@@ -155,6 +155,7 @@ def test_simulate_bad_run_config_usage(capsys, tmp_path, extra, message):
     assert code == 2
     assert message in err and "Traceback" not in err
     assert not (out / "config.txt").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -164,6 +165,7 @@ def test_simulate_bad_run_config_usage(capsys, tmp_path, extra, message):
         [0, 1, 2, 3, 4, 5, 6, 9],
         pytest.param("", id="empty_file"),
         pytest.param("n,a,b\n0,1.0\n", id="short_row"),
+        pytest.param("n,a,b\n", id="header_only"),
     ],
 )
 def test_simulate_csv_init_bad_indices_usage(capsys, tmp_path, indices):
@@ -179,6 +181,7 @@ def test_simulate_csv_init_bad_indices_usage(capsys, tmp_path, indices):
     )
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and str(path) in err
+    assert not (tmp_path / "x").exists()
     if not isinstance(indices, str):
         assert "exactly 0..N-1" in err
 

@@ -120,6 +120,15 @@ def test_shift_is_truncated_exponential(p, n):
     assert p.shift(n) == acc
 
 
+def test_shift_discards_untouched_high_coefficients():
+    # (d/dx) f'' eps would break the order guard of cap 1, but the shift
+    # truncates that term away, so it is never formed
+    p = EpsSeries.of_poly(f(2), 1, eps_power=1)
+    assert p.shift(1) == p
+    with pytest.raises(DerivativeOrderError):
+        p.x_derive()
+
+
 @given(series(4, flat_polys), st.integers(-2, 2), st.integers(-2, 2))
 @settings(max_examples=25, deadline=None)
 def test_shift_composes_additively(p, n, m):
@@ -162,6 +171,34 @@ def test_x_derive_is_derivation(p, q):
 @settings(max_examples=25, deadline=None)
 def test_dt_along_is_derivation(p, q, h):
     assert (p * q).dt_along(h) == p.dt_along(h) * q + p * q.dt_along(h)
+
+
+def _dt_along_reference(p, h):
+    # the definition, term by term: one h^(r) * (d mono / d f^(r)) product
+    # per monomial and factor, shifted by eps^k
+    cap = min(p.order_cap, h.order_cap)
+    h_derivs = [h.truncate(cap)]
+    out = EpsSeries.zero(cap)
+    for k in range(cap + 1):
+        part = EpsSeries.zero(cap)
+        for mono, coeff in p.coeff(k).terms.items():
+            for order, exp in mono.pairs:
+                rest = dict(mono.pairs)
+                rest[order] = exp - 1
+                while len(h_derivs) <= order:
+                    h_derivs.append(h_derivs[-1].x_derive())
+                factor = DiffPoly({Monomial(rest): coeff * exp})
+                part = part + h_derivs[order].mul_poly(factor)
+        out = out + part.eps_shift(k)
+    return out
+
+
+# polys reach f(3) at every eps index, so derivative orders above the eps
+# index (whose high h^(r) coefficients the grouped product drops) occur
+@given(series(4), st.integers(3, 5).flatmap(series))
+@settings(max_examples=40, deadline=None)
+def test_dt_along_matches_per_monomial_definition(p, h):
+    assert p.dt_along(h) == _dt_along_reference(p, h)
 
 
 @given(series(4, low_polys), series(4, low_polys))

@@ -302,24 +302,24 @@ def test_integrate_obstructions(bad):
 
 def test_extend_recovers_first_two_corrections():
     zero_R = EpsSeries.zero(11)
-    out = extend_R(zero_R, flow=1)
+    out = extend_R(zero_R)
     assert out.status == "extended" and out.order == 0
     assert out.phi == DiffPoly.f(1, coeff=F(-1, 4))
-    out2 = extend_R(out.new_R, flow=1)
+    out2 = extend_R(out.new_R)
     assert out2.status == "extended" and out2.order == 1
     assert out2.phi == DiffPoly.f(exp=2, coeff=F(-1, 8))
 
 
 def test_extend_flat_window_returns_canonical_zero():
     # at cap 11 the residual window ends at eps^8, before the next defect
-    out = extend_R(standard_R(11), flow=1, cap=11)
+    out = extend_R(standard_R(11), cap=11)
     assert out.status == "flat"
     assert out.phi == DiffPoly.zero()
     assert out.new_R.truncate(5) == standard_R(11).truncate(5)
 
 
 def test_extend_full_R_continues_and_fixes_all_flows():
-    out = extend_R(standard_R(11), flow=1)
+    out = extend_R(standard_R(11))
     assert out.status == "extended" and out.order == 6
     assert not out.phi.is_zero()
     ans = AnsatzPair(out.new_R)
@@ -328,6 +328,26 @@ def test_extend_full_R_continues_and_fixes_all_flows():
         assert res.order_cap >= 9
         for k in range(10):
             assert res.coeff(k).is_zero(), (j, k)
+
+
+# Taylor coefficients of tanh(x) = sum_m t_m x^(2m+1)
+TANH = [F(1), F(-1, 3), F(2, 15), F(-17, 315), F(62, 2835), F(-1382, 155925)]
+
+
+def test_extended_R_linear_part_is_tanh():
+    # the degree-1 part of R is -tanh(eps d/dx / 4) / eps applied to f:
+    # -t_(k/2) / 4^(k+1) * f^(k+1) for even k, nothing for odd k
+    R = EpsSeries(list(standard_R(11).coeffs[:6]), order_cap=11)
+    for order in range(6, 11):
+        out = extend_R(R)
+        assert out.status == "extended" and out.order == order
+        R = out.new_R
+    for k in range(11):
+        linear = {m: c for m, c in R.coeff(k).terms.items() if m.degree() == 1}
+        if k % 2:
+            assert linear == {}, k
+        else:
+            assert linear == {Monomial.f(k + 1): -TANH[k // 2] / 4 ** (k + 1)}, k
 
 
 # -- numeric cross-check against the lattice stencils -----------------------------------

@@ -9,10 +9,17 @@ so the eigenvalue relation propagates by the transfer matrix
 monodromy and its trace the Floquet discriminant.  The continuous side is
 Hill's operator -psi'' + g psi integrated over one period by an adaptive
 high-order scheme.  Real spectral bands are where |trace| <= 2.
+
+A scan keeps its result in columns: ``discriminant_scan`` returns one
+``DiscriminantTable`` of five float arrays (lambda, the two traces, the two
+determinants), built from the vectorized monodromies without a per-sample
+object.  All lambdas of a Hill scan are stacked into one ODE system, and the
+integrator keeps only its state at x = 1, the period map, not the trajectory.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +31,7 @@ from .solver import IntegrationError
 __all__ = [
     "Monodromy2x2",
     "DiscriminantSample",
+    "DiscriminantTable",
     "monodromy_discrete",
     "discrete_traces",
     "monodromy_continuous",
@@ -51,11 +59,41 @@ class Monodromy2x2:
 
 @dataclass(frozen=True)
 class DiscriminantSample:
+    """One row of a scan; ``band_distance`` still accepts a sequence of these."""
+
     lam: float
     trace_discrete: float
     trace_continuous: float
     det_discrete: float
     det_continuous: float
+
+
+@dataclass(frozen=True, eq=False)
+class DiscriminantTable:
+    """Discrete vs continuous discriminants over a lambda grid, one array per column."""
+
+    lam: np.ndarray
+    trace_discrete: np.ndarray
+    trace_continuous: np.ndarray
+    det_discrete: np.ndarray
+    det_continuous: np.ndarray
+
+    def __post_init__(self):
+        if len({len(self.lam), len(self.trace_discrete), len(self.trace_continuous),
+                len(self.det_discrete), len(self.det_continuous)}) != 1:
+            raise ValueError("DiscriminantTable columns must have equal lengths")
+
+    def __len__(self) -> int:
+        return len(self.lam)
+
+    @classmethod
+    def from_samples(cls, samples: Sequence[DiscriminantSample]) -> DiscriminantTable:
+        rows = np.array(
+            [(s.lam, s.trace_discrete, s.trace_continuous, s.det_discrete, s.det_continuous)
+             for s in samples],
+            float,
+        ).reshape(-1, 5)
+        return cls(*rows.T)
 
 
 def _discrete_entries(A, B, lams: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -110,10 +148,11 @@ def _continuous_entries(g: Profile, lams: np.ndarray, tol: float) -> tuple[np.nd
     y0 = np.zeros(4 * L)
     y0[:L] = 1.0  # psi1 = 1, psi1' = 0
     y0[3 * L :] = 1.0  # psi2 = 0, psi2' = 1
-    sol = solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853", rtol=tol, atol=tol * 1e-2)
+    # t_eval=(1,) keeps only the period map; without it every step's state is stored
+    sol = solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853", t_eval=(1.0,), rtol=tol, atol=tol * 1e-2)
     if not sol.success:
         raise IntegrationError(f"monodromy integration failed: {sol.message}")
-    psi1, dpsi1, psi2, dpsi2 = sol.y[:, -1].reshape(4, L)
+    psi1, dpsi1, psi2, dpsi2 = sol.y[:, 0].reshape(4, L)
     return psi1, psi2, dpsi1, dpsi2
 
 
@@ -139,23 +178,18 @@ def lattice_from_potential(g: Profile, N: int) -> tuple[np.ndarray, np.ndarray]:
     return state.to_AB()
 
 
-def discriminant_scan(
-    g: Profile, N: int, lams: np.ndarray, tol: float = 1e-10
-) -> list[DiscriminantSample]:
+def discriminant_scan(g: Profile, N: int, lams: np.ndarray, tol: float = 1e-10) -> DiscriminantTable:
     """Tabulate discrete vs continuous discriminants over a lambda grid."""
     lams = np.asarray(lams, float)
     if len(lams) == 0:
-        return []
+        return DiscriminantTable(lams, lams, lams, lams, lams)
     A, B = lattice_from_potential(g, N)
     # a grid far beyond the potential overflows the transfer products, and the
     # Hill integration then fails with an IntegrationError: no float warnings
     with np.errstate(over="ignore", invalid="ignore"):
         tr_d, det_d = discrete_traces(A, B, lams)
         tr_c, det_c = continuous_traces(g, lams, tol=tol)
-    return [
-        DiscriminantSample(float(l), float(td), float(tc), float(dd), float(dc))
-        for l, td, tc, dd, dc in zip(lams, tr_d, tr_c, det_d, det_c)
-    ]
+    return DiscriminantTable(lams, tr_d, tr_c, det_d, det_c)
 
 
 @dataclass(frozen=True)
@@ -173,30 +207,29 @@ def _directed_hausdorff(xs: np.ndarray, ys: np.ndarray) -> float:
 
 
 def _narrow_band(mask: np.ndarray) -> bool:
-    runs = []
-    count = 0
-    for m in mask:
-        if m:
-            count += 1
-        elif count:
-            runs.append(count)
-            count = 0
-    if count:
-        runs.append(count)
-    return any(r < 3 for r in runs)
+    """Whether some run of True in the mask is shorter than 3."""
+    # +1 where a run starts, -1 one past where it ends
+    steps = np.diff(np.asarray(mask, np.int8), prepend=0, append=0)
+    lengths = np.flatnonzero(steps == -1) - np.flatnonzero(steps == 1)
+    return bool(np.any(lengths < 3))
 
 
-def band_distance(samples: list[DiscriminantSample], K: float) -> BandDistanceResult:
+def band_distance(
+    table: DiscriminantTable | Sequence[DiscriminantSample], K: float
+) -> BandDistanceResult:
     """Hausdorff distance between discrete and continuous band sets on [-K, K].
 
     Bands are the grid points with |trace| <= 2.  A band resolved by fewer
     than 3 grid points sets the warning flag; so does an empty side.
     """
-    lams = np.array([s.lam for s in samples])
-    sel = np.abs(lams) <= K
-    lams = lams[sel]
-    tr_d = np.array([s.trace_discrete for s in samples])[sel]
-    tr_c = np.array([s.trace_continuous for s in samples])[sel]
+    if not isinstance(table, DiscriminantTable):
+        # The benchmark's spectrum check still passes DiscriminantSamples; the
+        # sample class and this conversion go once it reads the table instead.
+        table = DiscriminantTable.from_samples(table)
+    sel = np.abs(table.lam) <= K
+    lams = table.lam[sel]
+    tr_d = table.trace_discrete[sel]
+    tr_c = table.trace_continuous[sel]
     mask_d = np.abs(tr_d) <= 2.0
     mask_c = np.abs(tr_c) <= 2.0
     warning = _narrow_band(mask_d) or _narrow_band(mask_c)

@@ -15,7 +15,7 @@ from conftest import random_smooth_state
 from test_hierarchy import R_COEFFS, Z_COEFFS, Z_NONZERO_ORDERS
 
 from todakdv.bloch import (
-    DiscriminantSample,
+    DiscriminantTable,
     band_distance,
     continuous_traces,
     discrete_traces,
@@ -263,15 +263,12 @@ def test_criterion_8_spectra():
     K = 15.0
     lams = np.linspace(-K, K, 300001)
     tr_c, _ = continuous_traces(prof, lams)
+    zeros = np.zeros_like(lams)
     dists = []
     for N in Ns:
         A, B = lattice_from_potential(prof, N)
         tr_d, _ = discrete_traces(A, B, lams)
-        samples = [
-            DiscriminantSample(float(l), float(td), float(tc), 0.0, 0.0)
-            for l, td, tc in zip(lams, tr_d, tr_c)
-        ]
-        dists.append(band_distance(samples, K).distance)
+        dists.append(band_distance(DiscriminantTable(lams, tr_d, tr_c, zeros, zeros), K).distance)
     ok2 = all(dists[i + 1] < dists[i] for i in range(3))
     report(
         8,

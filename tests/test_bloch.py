@@ -1,11 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from todakdv import bloch
 from todakdv.bloch import (
     BandDistanceResult,
     DiscriminantSample,
+    DiscriminantTable,
+    _narrow_band,
     band_distance,
     continuous_traces,
     discrete_traces,
@@ -97,8 +104,28 @@ def test_continuous_traces_vectorized_matches_scalar():
         assert det == pytest.approx(M.det(), abs=1e-8)
 
 
-def test_discriminant_scan_empty_grid():
-    assert discriminant_scan(builtin_profile("zero"), 16, np.array([])) == []
+def test_continuous_traces_keep_only_the_period_map():
+    # every stored step state of 4 x 16384 unknowns costs 0.5 MB; a stored
+    # trajectory of this scan peaks near 50 MB
+    lams = np.linspace(-200, 200, 16384)
+    g = builtin_profile("cos")
+    tracemalloc.start()
+    try:
+        continuous_traces(g, lams)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 25e6
+
+
+def _no_integration(*args, **kwargs):
+    raise AssertionError("an integrator ran on an empty grid")
+
+
+def test_discriminant_scan_empty_grid(monkeypatch):
+    monkeypatch.setattr(bloch, "solve_ivp", _no_integration)
+    monkeypatch.setattr(bloch, "_discrete_entries", _no_integration)
+    assert len(discriminant_scan(builtin_profile("zero"), 16, np.array([]))) == 0
 
 
 def test_discriminant_scan_zero_potential_convergence():
@@ -106,9 +133,9 @@ def test_discriminant_scan_zero_potential_convergence():
     lam = 50.0
     errs = []
     for N in (32, 64, 128):
-        rows = discriminant_scan(zero, N, np.array([lam]))
-        errs.append(abs(rows[0].trace_discrete - 2 * math.cos(math.sqrt(lam))))
-        assert rows[0].det_discrete == pytest.approx(1.0, rel=1e-12)
+        table = discriminant_scan(zero, N, np.array([lam]))
+        errs.append(abs(table.trace_discrete[0] - 2 * math.cos(math.sqrt(lam))))
+        assert table.det_discrete[0] == pytest.approx(1.0, rel=1e-12)
     slopes = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert all(1.7 <= s <= 2.3 for s in slopes)
 
@@ -120,12 +147,10 @@ def test_lattice_from_potential_zero_is_free():
 
 
 def _synthetic(lams, band_d, band_c):
-    rows = []
-    for lam in lams:
-        td = 0.0 if band_d[0] <= lam <= band_d[1] else 3.0
-        tc = 0.0 if band_c[0] <= lam <= band_c[1] else 3.0
-        rows.append(DiscriminantSample(lam, td, tc, 1.0, 1.0))
-    return rows
+    td = np.where((band_d[0] <= lams) & (lams <= band_d[1]), 0.0, 3.0)
+    tc = np.where((band_c[0] <= lams) & (lams <= band_c[1]), 0.0, 3.0)
+    ones = np.ones_like(lams)
+    return DiscriminantTable(lams, td, tc, ones, ones)
 
 
 def test_band_distance_identical_is_zero():
@@ -157,3 +182,45 @@ def test_band_distance_truncates_to_K():
     rows = _synthetic(lams, (0, 1), (2, 3))
     out = band_distance(rows, 1.5)  # continuous band lies outside |lam| <= K
     assert math.isinf(out.distance)
+
+
+def test_band_distance_accepts_samples():
+    # the benchmark's spectrum check still passes a list of DiscriminantSamples
+    lams = np.linspace(0, 4, 41)
+    table = _synthetic(lams, (1.0, 1.1), (1.0, 2.0))
+    samples = [DiscriminantSample(*row) for row in zip(
+        table.lam.tolist(), table.trace_discrete.tolist(), table.trace_continuous.tolist(),
+        table.det_discrete.tolist(), table.det_continuous.tolist())]
+    assert band_distance(samples, 4.0) == band_distance(table, 4.0)
+    assert band_distance([], 4.0) == BandDistanceResult(0.0, True)
+
+
+def test_discriminant_table_rejects_ragged_columns():
+    with pytest.raises(ValueError):
+        DiscriminantTable(np.zeros(3), np.zeros(3), np.zeros(2), np.zeros(3), np.zeros(3))
+
+
+def _narrow_band_loop(mask):
+    runs = []
+    count = 0
+    for m in mask:
+        if m:
+            count += 1
+        elif count:
+            runs.append(count)
+            count = 0
+    if count:
+        runs.append(count)
+    return any(r < 3 for r in runs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        arrays(bool, st.integers(0, 40)),
+        st.integers(0, 6).map(lambda n: np.ones(n, bool)),
+        st.integers(0, 6).map(lambda n: np.zeros(n, bool)),
+    )
+)
+def test_narrow_band_matches_run_length_loop(mask):
+    assert _narrow_band(mask) == _narrow_band_loop(mask)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from todakdv import bloch, solver
-from todakdv.cli import main, read_config, write_config
+from todakdv.cli import FMT, _write_spectrum_csv, main, read_config, write_config
 from todakdv.lattice import builtin_profile, exact_invariants, init_from_profile
 
 GOLDEN = Path(__file__).parent / "golden" / "v1"
@@ -322,6 +322,27 @@ def test_spectrum_zero_potential_closed_form(capsys, tmp_path):
         # Wronskian/product determinants: roundoff scales with the entry size
         assert abs(detd - 1.0) < 1e-9 + 1e-12 * trd**2
         assert abs(detc - 1.0) < 1e-9 + 1e-12 * trc**2
+
+
+def _spectrum_csv_reference(path, table):
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["lambda", "trace_discrete", "trace_continuous", "det_discrete", "det_continuous"])
+        for row in zip(table.lam, table.trace_discrete, table.trace_continuous,
+                       table.det_discrete, table.det_continuous):
+            wr.writerow([FMT % x for x in row])
+
+
+_AWKWARD = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e308, 0.1, -2.0, 1 / 3, 4.0e-17]
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2, len(_AWKWARD)])
+def test_spectrum_csv_writer_matches_csv_module(tmp_path, rows):
+    cols = [np.roll(np.array(_AWKWARD), shift)[:rows] for shift in range(5)]
+    table = bloch.DiscriminantTable(*cols)
+    _write_spectrum_csv(tmp_path / "new.csv", table)
+    _spectrum_csv_reference(tmp_path / "ref.csv", table)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def _no_scan(*args, **kwargs):

@@ -15,6 +15,7 @@ import csv
 import itertools
 import re
 import sys
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 import numpy as np
@@ -40,10 +41,6 @@ def read_config(path: Path) -> dict:
             k, _, v = line.partition("=")
             out[k] = v
     return out
-
-
-def _fmt(x: float) -> str:
-    return FMT % x
 
 
 # ---------------------------------------------------------------------------
@@ -138,48 +135,52 @@ def cmd_simulate(args) -> int:
     )
     traj = solver.run(state0, cfg)
 
-    with open(outdir / "trajectory.csv", "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["t", "n", "a", "b"])
-        for t, s, _ in traj.samples:
-            for n in range(s.N):
-                wr.writerow([_fmt(t), n, _fmt(s.a[n]), _fmt(s.b[n])])
-    with open(outdir / "conserved.csv", "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(lattice.ConservedReport.COLUMNS)
-        for _, _, rep in traj.samples:
-            wr.writerow([_fmt(v) for v in rep.row()])
+    _write_csv(
+        outdir / "trajectory.csv",
+        ["t", "n", "a", "b"],
+        (np.column_stack((np.full(s.N, t), np.arange(s.N), s.a, s.b)) for t, s, _ in traj.samples),
+        row_format=f"{FMT},%d,{FMT},{FMT}",
+    )
+    _write_csv(
+        outdir / "conserved.csv",
+        lattice.ConservedReport.COLUMNS,
+        [np.array([rep.row() for _, _, rep in traj.samples])],
+    )
     lattice.write_state_csv(outdir / "state.csv", traj.samples[-1][1])  # restartable
     if profile is not None:
         rep = solver.compare_to_kdv(traj, profile, args.t_end)
-        with open(outdir / "comparison.csv", "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["x", "lattice", "reference", "error"])
-            for i in range(len(rep.x)):
-                wr.writerow(
-                    [
-                        _fmt(rep.x[i]),
-                        _fmt(rep.lattice[i]),
-                        _fmt(rep.reference[i]),
-                        _fmt(rep.lattice[i] - rep.reference[i]),
-                    ]
-                )
+        _write_csv(
+            outdir / "comparison.csv",
+            ["x", "lattice", "reference", "error"],
+            [np.column_stack((rep.x, rep.lattice, rep.reference, rep.lattice - rep.reference))],
+        )
         print(f"comparison at t={rep.t:g}: max err {rep.max_err:.3e}, l2 err {rep.l2_err:.3e}")
     print(f"wrote {outdir}/trajectory.csv, conserved.csv ({len(traj.samples)} snapshots)")
     return 0
 
 
-_SPECTRUM_ROW = ",".join([FMT] * 5) + "\r\n"  # the line terminator csv.writer emits
+def _write_csv(
+    path: Path, header: Sequence[str], blocks: Iterable[np.ndarray], row_format: str | None = None
+) -> None:
+    """Write the rows of each 2-D block with one %-format per field, FMT by default.
+
+    The file is byte for byte what csv.writer writes for the formatted
+    fields: none of them needs quoting, and csv.writer ends lines in \\r\\n.
+    """
+    row = (row_format or ",".join([FMT] * len(header))) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for block in blocks:
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _write_spectrum_csv(path: Path, table: bloch.DiscriminantTable) -> None:
-    """The scan as CSV, byte for byte what csv.writer with FMT per field writes."""
-    columns = np.column_stack(
-        (table.lam, table.trace_discrete, table.trace_continuous, table.det_discrete, table.det_continuous)
+    _write_csv(
+        path,
+        ["lambda", "trace_discrete", "trace_continuous", "det_discrete", "det_continuous"],
+        [np.column_stack((table.lam, table.trace_discrete, table.trace_continuous,
+                          table.det_discrete, table.det_continuous))],
     )
-    with open(path, "w", newline="") as fh:
-        fh.write("lambda,trace_discrete,trace_continuous,det_discrete,det_continuous\r\n")
-        fh.write((_SPECTRUM_ROW * len(table)) % tuple(columns.ravel().tolist()))
 
 
 def cmd_spectrum(args) -> int:
@@ -187,12 +188,16 @@ def cmd_spectrum(args) -> int:
         raise ValueError(f"--lambda-max must be finite, got {args.lambda_max}")
     if not 0 < args.tol < np.inf:
         raise ValueError(f"--tol must be positive and finite, got {args.tol}")
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    if args.N < 8:
+        raise ValueError(f"--N must be >= 8, got {args.N}")
+    if args.samples < 0:
+        raise ValueError(f"--samples must be >= 0, got {args.samples}")
     if not args.g.startswith("builtin:"):
         raise ValueError("--g must be builtin:<name>")
     prof = lattice.builtin_profile(args.g.split(":", 1)[1])
     lams = np.linspace(-args.lambda_max, args.lambda_max, args.samples)
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     write_config(
         outdir / "config.txt",
         {
@@ -253,11 +258,11 @@ def cmd_conserved(args) -> int:
     ]
     outdir = Path(args.out) if args.out else traj_dir
     outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / "drift.csv", "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["t"] + [f"{c}_drift" for c in header[1:]])
-        for row, drift in zip(rows, drifts):
-            wr.writerow([_fmt(row[0])] + [_fmt(x) for x in drift])
+    _write_csv(
+        outdir / "drift.csv",
+        ["t"] + [f"{c}_drift" for c in header[1:]],
+        [np.column_stack(([row[0] for row in rows], drifts))],
+    )
     for i, name in enumerate(header[1:]):
         print(f"max |{name} drift| = {max(abs(drift[i]) for drift in drifts):.3e}")
     print(f"wrote {outdir}/drift.csv")

@@ -151,9 +151,16 @@ class LatticeState:
         return 0.5 * (self.a + self.b)
 
 
+def periodic_neighbours(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x(k-1), x(k+1)) with indices mod N, as two views of one padded copy."""
+    padded = np.concatenate((x[-1:], x, x[:1]))
+    return padded[:-2], padded[2:]
+
+
 def _delta(c: np.ndarray, N: int) -> np.ndarray:
     # central difference: N*(c(k+1) - c(k-1))/2
-    return 0.5 * N * (np.roll(c, -1) - np.roll(c, 1))
+    cm, cp = periodic_neighbours(c)
+    return 0.5 * N * (cp - cm)
 
 
 def init_from_profile(profile: Profile | np.ndarray, N: int, variant: str = "consistent_R") -> LatticeState:
@@ -213,10 +220,8 @@ def rhs_flow2(s: LatticeState) -> tuple[np.ndarray, np.ndarray]:
 def rhs_flow2_arrays(N: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Array form of rhs_flow2 (no state validation; used inside steppers)."""
     eps2 = 1.0 / N**2
-    ap = np.roll(a, -1)  # a(k+1)
-    am = np.roll(a, 1)   # a(k-1)
-    bp = np.roll(b, -1)
-    bm = np.roll(b, 1)
+    am, ap = periodic_neighbours(a)
+    bm, bp = periodic_neighbours(b)
     L = 2.0 * bp - 2.0 * b - ap + am
     M = 2.0 * a - 2.0 * am - bp + bm
     Fst = bp * a + bp * ap - b * a - b * am

@@ -2,8 +2,10 @@
 
 Explicit RK4 and implicit Crank-Nicolson (trapezoidal) steppers for the
 second-flow lattice equations.  The implicit step is a Newton iteration on
-the exact Jacobian, a periodic block-tridiagonal CSC matrix with 10 N
-nonzeros (pattern cached per N) factored by SuperLU, so one step costs O(N).
+the exact Jacobian, 10 N stencil values of a periodic block-tridiagonal
+matrix.  In interleaved (a_0, b_0, a_1, ...) order I - dt/2 J is a band of
+width 3 plus 6 periodic corner entries; LAPACK factors the band and a rank-4
+Woodbury correction takes in the corners, so one step costs O(N).
 The explicit stability diagnostic ``linear_spectral_radius`` is the closed
 form of the block-circulant stencil symbol, also O(N).  The reference KdV
 oracle integrates the scaled equation df/dt = eps^2 (-1/4 f''' + 3 f f')
@@ -12,19 +14,19 @@ pseudo-spectrally and shares no code with the lattice right side.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.sparse import csc_array
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgesv
 
 from .lattice import (
     ConservedReport,
     LatticeState,
     Profile,
     conserved_report,
+    periodic_neighbours,
     rhs_flow2_arrays,
 )
 
@@ -37,6 +39,7 @@ __all__ = [
     "step_rk4",
     "step_cn",
     "flow2_jacobian",
+    "Flow2Jacobian",
     "run",
     "linear_spectral_radius",
     "ReferenceSolution",
@@ -113,10 +116,6 @@ def _rhs_raw(N: int, x: np.ndarray) -> np.ndarray:
     return np.concatenate([da, db])
 
 
-def _unstack(N: int, x: np.ndarray) -> LatticeState:
-    return LatticeState(N, x[:N].copy(), x[N:].copy())
-
-
 def step_rk4(s: LatticeState, dt: float) -> LatticeState:
     """Classical four-stage step of the second-flow right side."""
     x0 = np.concatenate([s.a, s.b])
@@ -129,51 +128,55 @@ def step_rk4(s: LatticeState, dt: float) -> LatticeState:
         x1 = x0 + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     if not np.all(np.isfinite(x1)):
         raise BlowUpError("explicit step produced a non-finite state")
-    return _unstack(N, x1)
+    return LatticeState(N, x1[:N], x1[N:])
 
 
 # Stencil offsets of the flow-2 Jacobian, one entry per (row block, column
 # block, column shift): row k of block (r, c) depends on column k + shift of
-# the c half.  flow2_jacobian fills the values in this order.
+# the c half.  flow2_jacobian fills the values in this order, and both the
+# dense and the band layout below are derived from it.
 _STENCIL = (
     (0, 0, -1), (0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1),
     (1, 0, -1), (1, 0, 0), (1, 1, -1), (1, 1, 0), (1, 1, 1),
 )
 
 
-@functools.lru_cache(maxsize=8)
-def _pattern(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """CSC pattern of the periodic block-tridiagonal flow-2 Jacobian.
+class _Iterate(NamedTuple):
+    """A Newton iterate as the (N, a, b) that flow2_jacobian reads, unvalidated."""
 
-    Returns (order, indices, indptr, diag): stencil values stacked as a
-    (10, N) array in _STENCIL order become the CSC data vector as
-    ``values.ravel()[order]``, and ``diag`` holds the data slots of the
-    main diagonal.  For N >= 3 the 10 N stencil entries are distinct.
+    N: int
+    a: np.ndarray
+    b: np.ndarray
+
+
+@dataclass(frozen=True)
+class Flow2Jacobian:
+    """Exact Jacobian of rhs_flow2 as its stencil values.
+
+    ``values[e, k]`` is the entry of row k of block r in column k + shift of
+    block c, for (r, c, shift) = _STENCIL[e] and indices mod N.
     """
-    k = np.arange(N)
-    rows = np.concatenate([r * N + k for r, _, _ in _STENCIL]).astype(np.int32)
-    cols = np.concatenate([c * N + (k + sh) % N for _, c, sh in _STENCIL]).astype(np.int32)
-    order = np.lexsort((rows, cols))
-    indices = rows[order]
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=2 * N))]).astype(np.int32)
-    diag = np.flatnonzero(indices == cols[order])
-    for arr in (order, indices, indptr, diag):
-        arr.flags.writeable = False
-    return order, indices, indptr, diag
+
+    values: np.ndarray  # (10, N)
+
+    def toarray(self) -> np.ndarray:
+        """The dense 2N x 2N matrix in stacked (a, b) order."""
+        N = self.values.shape[1]
+        k = np.arange(N)
+        dense = np.zeros((2 * N, 2 * N))
+        for v, (r, c, sh) in zip(self.values, _STENCIL):
+            dense[r * N + k, c * N + (k + sh) % N] = v
+        return dense
 
 
-def flow2_jacobian(s: LatticeState) -> csc_array:
-    """Exact Jacobian of rhs_flow2 with respect to (a, b), as a sparse CSC array.
-
-    The Jacobian is periodic block-tridiagonal with 10 N nonzeros; only
-    the values are computed here, the pattern is cached per N.
-    """
+def flow2_jacobian(s: LatticeState | _Iterate) -> Flow2Jacobian:
+    """Exact Jacobian of rhs_flow2 with respect to (a, b), 10 N stencil values."""
     N = s.N
     eps2 = 1.0 / N**2
     a, b = s.a, s.b
-    am, ap = np.roll(a, 1), np.roll(a, -1)
-    bm, bp = np.roll(b, 1), np.roll(b, -1)
-    values = float(N) * np.stack([
+    am, ap = periodic_neighbours(a)
+    bm, bp = periodic_neighbours(b)
+    return Flow2Jacobian(float(N) * np.array([
         # d(da_k) / d(a_{k-1}, a_k, a_{k+1}, b_k, b_{k+1})
         1.0 - eps2 * b,
         eps2 * (bp - b),
@@ -186,18 +189,59 @@ def flow2_jacobian(s: LatticeState) -> csc_array:
         1.0 - eps2 * b,
         eps2 * (-2 * a + 2 * am + bp - bm + eps2 * (am**2 - a**2)),
         -1.0 + eps2 * b,
-    ])
-    order, indices, indptr, _ = _pattern(N)
-    return csc_array((values.ravel()[order], indices, indptr), shape=(2 * N, 2 * N))
+    ]))
+
+
+# Band layout.  In the interleaved order (a_0, b_0, a_1, b_1, ...) stencil
+# entry (r, c, shift) of row k couples unknown 2k + r to 2(k + shift) + c, so
+# I - dt/2 J is banded with kl = ku = 3: in LAPACK band storage (10 rows, the
+# top 3 left free for the fill-in of pivoting) the entry sits in band row
+# 6 + r - c - 2 shift.  The 6 entries whose shift wraps round the period
+# leave the band; they lie in the rows and columns _CORNERS.
+_KL = _KU = 3
+_CORNERS = np.array([0, 1, -2, -1])
 
 
 # The CN linear solve goes through these two module-level names so that the
 # benchmark tracer (perfbench/tracer.py) can time factorization and solve.
-lu_factor = splu
+def lu_factor(J: Flow2Jacobian, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Factor I - dt/2 J: banded LU of all but the corners, Woodbury for these.
+
+    With B the band part and W the 4 x 4 corner block in the rows and
+    columns E = _CORNERS, (B + E W E^T)^-1 r = y - G y[E] for y = B^-1 r and
+    G = B^-1 E (I + W (B^-1 E)[E])^-1 W.  Raises numpy.linalg.LinAlgError if
+    B or the 4 x 4 capacitance I + W (B^-1 E)[E] is singular.
+    """
+    N = J.values.shape[1]
+    scaled = (-0.5 * dt) * J.values
+    bandT = np.zeros((N, 2, 2 * _KL + _KU + 1))  # [site, c, band row]: the band transposed
+    W = np.zeros((4, 4))
+    for v, (r, c, sh) in zip(scaled, _STENCIL):
+        lo, hi = max(sh, 0), N + min(sh, 0)  # column sites k + shift that do not wrap
+        bandT[lo:hi, c, _KL + _KU + r - c - 2 * sh] = v[lo - sh : hi - sh]
+        if sh:  # row k = 0 (shift -1) or N - 1 (shift +1) wraps: a corner, in
+            # _CORNERS slot r + 1 + shift of the rows and c + 1 - shift of the columns
+            W[r + 1 + sh, c + 1 - sh] = v[0 if sh < 0 else N - 1]
+    bandT[:, :, _KL + _KU] += 1.0
+    lub, piv, info = dgbtrf(bandT.reshape(2 * N, -1).T, _KL, _KU, overwrite_ab=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"band factor is singular at pivot {info}")
+    E = np.zeros((2 * N, 4), order="F")
+    E[_CORNERS, np.arange(4)] = 1.0
+    Z, _ = dgbtrs(lub, _KL, _KU, E, piv, overwrite_b=1)
+    _, _, K, info = dgesv(np.eye(4) + W @ Z[_CORNERS], W)
+    if info > 0:
+        raise np.linalg.LinAlgError("corner capacitance matrix is singular")
+    return lub, piv, Z @ K
 
 
-def lu_solve(lu, rhs: np.ndarray) -> np.ndarray:
-    return lu.solve(rhs)
+def lu_solve(lu: tuple[np.ndarray, np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray:
+    """Solve (I - dt/2 J) x = rhs with the lu_factor result; stacked (a, b) order."""
+    lub, piv, G = lu
+    N = len(rhs) // 2
+    y, _ = dgbtrs(lub, _KL, _KU, rhs.reshape(2, N).T.ravel(), piv, overwrite_b=1)
+    y -= G @ y[_CORNERS]
+    return y.reshape(N, 2).T.ravel()
 
 
 def step_cn(
@@ -208,30 +252,30 @@ def step_cn(
 ) -> LatticeState:
     """Trapezoidal (Crank-Nicolson) step solved by Newton iteration.
 
-    Solves x' = x + dt/2 (rhs(x) + rhs(x')) with the exact sparse Jacobian;
-    each Newton iteration factors I - dt/2 J (10 N nonzeros) by SuperLU, so
-    a step costs O(N).  If ``residual_log`` is a list, the max-norm Newton
-    residuals are appended to it.
+    Solves x' = x + dt/2 (rhs(x) + rhs(x')) with the exact Jacobian; each
+    Newton iteration factors I - dt/2 J by a LAPACK banded LU (bandwidth 3
+    in interleaved order) with a rank-4 correction for the periodic
+    corners, so a step costs O(N).  If ``residual_log`` is a list, the
+    max-norm Newton residuals are appended to it.
     """
     cfg = cfg or SolverConfig(dt=dt, t_end=dt)
     N = s.N
-    diag = _pattern(N)[3]
     x0 = np.concatenate([s.a, s.b])
     base = x0 + 0.5 * dt * _rhs_raw(N, x0)
-    x = x0.copy()
+    x = x0
     res_norm = np.inf
     for _ in range(cfg.newton_max_iter):
-        state = _unstack(N, x)
         resid = x - base - 0.5 * dt * _rhs_raw(N, x)
         res_norm = float(np.max(np.abs(resid)))
         if residual_log is not None:
             residual_log.append(res_norm)
         if res_norm <= cfg.newton_tol:
-            return state
-        J = flow2_jacobian(state)
-        J.data *= -0.5 * dt
-        J.data[diag] += 1.0
-        x = x - lu_solve(lu_factor(J), resid)
+            return LatticeState(N, x[:N], x[N:])
+        try:
+            lu = lu_factor(flow2_jacobian(_Iterate(N, x[:N], x[N:])), dt)
+        except np.linalg.LinAlgError as err:
+            raise NewtonError(f"Newton matrix I - dt/2 J is singular: {err}", residual=res_norm) from err
+        x = x - lu_solve(lu, resid)
     raise NewtonError(
         f"Newton did not reach tol {cfg.newton_tol:g} in {cfg.newton_max_iter} iterations",
         residual=res_norm,

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from todakdv import bloch, solver
-from todakdv.cli import FMT, _write_spectrum_csv, main, read_config, write_config
+from todakdv.cli import FMT, _write_csv, _write_spectrum_csv, main, read_config, write_config
 from todakdv.lattice import builtin_profile, exact_invariants, init_from_profile
 
 GOLDEN = Path(__file__).parent / "golden" / "v1"
@@ -343,6 +343,35 @@ def test_spectrum_csv_writer_matches_csv_module(tmp_path, rows):
     _write_spectrum_csv(tmp_path / "new.csv", table)
     _spectrum_csv_reference(tmp_path / "ref.csv", table)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("rows", [0, 1, len(_AWKWARD)])
+def test_trajectory_csv_writer_matches_csv_module(tmp_path, rows):
+    # the trajectory.csv layout: FMT floats around an integer site index
+    t, a, b = (np.roll(np.array(_AWKWARD), shift)[:rows] for shift in range(3))
+    n = np.arange(rows) * 7919
+    blocks = [np.column_stack((t, n, a, b))[i : i + 3] for i in range(0, rows, 3)]
+    _write_csv(tmp_path / "new.csv", ["t", "n", "a", "b"], blocks, row_format=f"{FMT},%d,{FMT},{FMT}")
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["t", "n", "a", "b"])
+        for row in zip(t, n, a, b):
+            wr.writerow([FMT % row[0], int(row[1]), FMT % row[2], FMT % row[3]])
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "option, value", [("--g", "foo"), ("--g", "builtin:nope"), ("--samples", "-1"), ("--N", "0")]
+)
+def test_spectrum_bad_args_leave_no_output(capsys, tmp_path, monkeypatch, option, value):
+    monkeypatch.setattr(bloch, "discriminant_scan", _no_scan)
+    argv = ["spectrum", "--N", "8", "--samples", "5", "--out", str(tmp_path / "s"), option, value]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "s").exists()
+    if option == "--N":
+        assert err.startswith("error: --N must be >= 8")
 
 
 def _no_scan(*args, **kwargs):

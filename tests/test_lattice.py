@@ -25,6 +25,7 @@ from todakdv.lattice import (
     read_state_csv,
     render_integral_series,
     rhs_flow2,
+    rhs_flow2_arrays,
     rhs_flow_k,
     toda_D,
     write_state_csv,
@@ -313,6 +314,25 @@ def test_scaled_integer_invariants_match_fraction_reference(s):
     with mock.patch("todakdv.lattice._scaled_AB", _fraction_AB):
         reference = conserved_report(s, 0.25)
     assert conserved_report(s, 0.25) == reference
+
+
+@settings(max_examples=40, deadline=None)
+@given(_mixed_states())
+def test_rhs_flow2_arrays_matches_roll_formula(s):
+    """The padded-copy neighbours give the np.roll stencil bit for bit."""
+    N, a, b = s.N, s.a, s.b
+    eps2 = 1.0 / N**2
+    ap, am, bp, bm = np.roll(a, -1), np.roll(a, 1), np.roll(b, -1), np.roll(b, 1)
+    L = 2.0 * bp - 2.0 * b - ap + am
+    M = 2.0 * a - 2.0 * am - bp + bm
+    Fst = bp * a + bp * ap - b * a - b * am
+    G = (
+        -2.0 * b * a + 2.0 * b * am + a**2 - am**2 + b * bp - b * bm
+        + eps2 * (-b * a**2 + b * am**2)
+    )
+    da, db = rhs_flow2_arrays(N, a, b)
+    assert da.tobytes() == (N * (L + eps2 * Fst)).tobytes()
+    assert db.tobytes() == (N * (M + eps2 * G)).tobytes()
 
 
 # -- conserved combinations -----------------------------------------------------------

@@ -2,16 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from conftest import random_smooth_state
+from todakdv import solver
+from todakdv.cli import main
 from todakdv.lattice import LatticeState, builtin_profile, init_from_profile, rhs_flow2
 from todakdv.solver import (
     BlowUpError,
+    Flow2Jacobian,
     NewtonError,
     SolverConfig,
     compare_to_kdv,
     flow2_jacobian,
     linear_spectral_radius,
+    lu_factor,
+    lu_solve,
     reference_kdv,
     run,
     step_cn,
@@ -58,9 +66,13 @@ def test_rk4_one_step_taylor():
 def test_jacobian_matches_finite_differences():
     s = random_smooth_state(12, seed=3, amp=0.5)
     N = s.N
-    J = flow2_jacobian(s)
-    assert J.format == "csc" and J.nnz == 10 * N
-    J = J.toarray()
+    J = flow2_jacobian(s).toarray()
+    k = np.arange(N)
+    pattern = np.zeros((2 * N, 2 * N), dtype=bool)
+    for r, c, sh in solver._STENCIL:
+        pattern[r * N + k, c * N + (k + sh) % N] = True
+    assert pattern.sum() == 10 * N
+    assert np.array_equal(J != 0, pattern)
     x0 = np.concatenate([s.a, s.b])
     h = 1e-7
     for j in range(2 * N):
@@ -104,6 +116,58 @@ def test_cn_step_matches_dense_newton():
     s1 = step_cn(s, dt, cfg)
     assert np.max(np.abs(s1.a - x[:N])) <= 1e-12
     assert np.max(np.abs(s1.b - x[N:])) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    N=st.integers(min_value=8, max_value=300),
+    dt=st.floats(min_value=1e-5, max_value=0.1),
+    sign=st.sampled_from([-1.0, 1.0]),
+    amp=st.floats(min_value=0.0, max_value=3.0),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_banded_solve_matches_dense(N, dt, sign, amp, seed):
+    """lu_solve(lu_factor(J, dt), r) solves (I - dt/2 J) x = r.
+
+    The dense reference is Householder QR, which is backward stable.
+    Gaussian elimination with partial pivoting (np.linalg.solve) is not on
+    this periodic matrix: at N = 276, dt = -7.9e-3, amp = 1.19 its element
+    growth was 6e19 and its answer wrong in the first digit.
+    """
+    dt *= sign
+    J = flow2_jacobian(random_smooth_state(N, seed=seed, amp=amp))
+    r = np.random.default_rng(seed).normal(size=2 * N)
+    q, upper = np.linalg.qr(np.eye(2 * N) - 0.5 * dt * J.toarray())
+    expected = solve_triangular(upper, q.T @ r)
+    got = lu_solve(lu_factor(J, dt), r)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def _singular_jacobian(s):
+    # I - dt/2 J with this J has a zero diagonal and nothing else in the band
+    dt = 1e-3
+    values = np.zeros((len(solver._STENCIL), s.N))
+    values[solver._STENCIL.index((0, 0, 0))] = 2.0 / dt
+    values[solver._STENCIL.index((1, 1, 0))] = 2.0 / dt
+    return Flow2Jacobian(values)
+
+
+def test_singular_band_factor_is_newton_error(monkeypatch):
+    monkeypatch.setattr(solver, "flow2_jacobian", _singular_jacobian)
+    s = random_smooth_state(16, seed=12)
+    with pytest.raises(NewtonError, match="singular") as exc:
+        step_cn(s, 1e-3)
+    assert exc.value.residual > 0
+
+
+def test_singular_band_factor_exits_3_with_message(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(solver, "flow2_jacobian", _singular_jacobian)
+    code = main(["simulate", "--N", "16", "--dt", "1e-3", "--t-end", "2e-3", "--scheme", "cn",
+                 "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("numerical failure: Newton failure at step 1") and "singular" in err
+    assert "Traceback" not in err
 
 
 def test_cn_constant_fixed_point():

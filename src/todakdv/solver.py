@@ -3,23 +3,23 @@
 Explicit RK4 and implicit Crank-Nicolson (trapezoidal) steppers for the
 second-flow lattice equations.  The implicit step is a Newton iteration on
 the exact Jacobian, 10 N stencil values of a periodic block-tridiagonal
-matrix.  In interleaved (a_0, b_0, a_1, ...) order I - dt/2 J is a band of
-width 3 plus 6 periodic corner entries; LAPACK factors the band and a rank-4
-Woodbury correction takes in the corners, so one step costs O(N).
-The explicit stability diagnostic ``linear_spectral_radius`` is the closed
-form of the block-circulant stencil symbol, also O(N).  The reference KdV
-oracle integrates the scaled equation df/dt = eps^2 (-1/4 f''' + 3 f f')
-pseudo-spectrally and shares no code with the lattice right side.
+matrix; with the sites folded as 0, N-1, 1, N-2, ... I - dt/2 J is a plain
+LAPACK band without corners, so one step costs O(N).  The explicit stability
+diagnostic ``linear_spectral_radius`` is the closed form of the
+block-circulant stencil symbol, also O(N).  The reference KdV oracle solves
+the scaled df/dt = eps^2 (-1/4 f''' + 3 f f') pseudo-spectrally with a
+Fourier integrating factor and shares no code with the lattice right side.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dgesv
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .lattice import (
     ConservedReport,
@@ -192,56 +192,52 @@ def flow2_jacobian(s: LatticeState | _Iterate) -> Flow2Jacobian:
     ]))
 
 
-# Band layout.  In the interleaved order (a_0, b_0, a_1, b_1, ...) stencil
-# entry (r, c, shift) of row k couples unknown 2k + r to 2(k + shift) + c, so
-# I - dt/2 J is banded with kl = ku = 3: in LAPACK band storage (10 rows, the
-# top 3 left free for the fill-in of pivoting) the entry sits in band row
-# 6 + r - c - 2 shift.  The 6 entries whose shift wraps round the period
-# leave the band; they lie in the rows and columns _CORNERS.
-_KL = _KU = 3
-_CORNERS = np.array([0, 1, -2, -1])
+# Band layout.  Stencil entry (r, c, shift) couples unknown (r, k) to
+# (c, k + shift mod N).  In the folded site order 0, N-1, 1, N-2, ... periodic
+# neighbours are at most 2 positions apart (odd N too), so with a and b
+# interleaved I - dt/2 J is a plain band, kl = ku = 5, in LAPACK band storage
+# whose top _KL rows are left free for the fill-in of pivoting.
+_KL = _KU = 5
+_LDAB = 2 * _KL + _KU + 1
+
+
+@functools.cache
+def _band_layout(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """(index, fold): ``values[e, k]`` goes to flat position ``index[e, k]``
+    of the (2N, _LDAB) transposed band, and unknown q of the folded
+    interleaved order is unknown ``fold[q]`` of the stacked (a, b) order."""
+    p = np.arange(N)
+    sites = np.where(p % 2, N - 1 - p // 2, p // 2)  # 0, N-1, 1, N-2, ...
+    pos = np.argsort(sites)
+    r, c, sh = np.array(_STENCIL).T[:, :, None]
+    row, col = 2 * pos + r, 2 * pos[(p + sh) % N] + c
+    index = col * _LDAB + _KL + _KU + row - col
+    fold = (sites[:, None] + N * np.arange(2)).ravel()
+    index.flags.writeable = fold.flags.writeable = False
+    return index, fold
 
 
 # The CN linear solve goes through these two module-level names so that the
 # benchmark tracer (perfbench/tracer.py) can time factorization and solve.
 def lu_factor(J: Flow2Jacobian, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Factor I - dt/2 J: banded LU of all but the corners, Woodbury for these.
-
-    With B the band part and W the 4 x 4 corner block in the rows and
-    columns E = _CORNERS, (B + E W E^T)^-1 r = y - G y[E] for y = B^-1 r and
-    G = B^-1 E (I + W (B^-1 E)[E])^-1 W.  Raises numpy.linalg.LinAlgError if
-    B or the 4 x 4 capacitance I + W (B^-1 E)[E] is singular.
-    """
+    """Banded LU of I - dt/2 J in _band_layout order; LinAlgError if singular."""
     N = J.values.shape[1]
-    scaled = (-0.5 * dt) * J.values
-    bandT = np.zeros((N, 2, 2 * _KL + _KU + 1))  # [site, c, band row]: the band transposed
-    W = np.zeros((4, 4))
-    for v, (r, c, sh) in zip(scaled, _STENCIL):
-        lo, hi = max(sh, 0), N + min(sh, 0)  # column sites k + shift that do not wrap
-        bandT[lo:hi, c, _KL + _KU + r - c - 2 * sh] = v[lo - sh : hi - sh]
-        if sh:  # row k = 0 (shift -1) or N - 1 (shift +1) wraps: a corner, in
-            # _CORNERS slot r + 1 + shift of the rows and c + 1 - shift of the columns
-            W[r + 1 + sh, c + 1 - sh] = v[0 if sh < 0 else N - 1]
-    bandT[:, :, _KL + _KU] += 1.0
-    lub, piv, info = dgbtrf(bandT.reshape(2 * N, -1).T, _KL, _KU, overwrite_ab=1)
+    index, fold = _band_layout(N)
+    band = np.zeros((2 * N, _LDAB))  # the band transposed: [column, band row]
+    np.put(band, index, (-0.5 * dt) * J.values)
+    band[:, _KL + _KU] += 1.0
+    lub, piv, info = dgbtrf(band.T, _KL, _KU, overwrite_ab=1)
     if info > 0:
         raise np.linalg.LinAlgError(f"band factor is singular at pivot {info}")
-    E = np.zeros((2 * N, 4), order="F")
-    E[_CORNERS, np.arange(4)] = 1.0
-    Z, _ = dgbtrs(lub, _KL, _KU, E, piv, overwrite_b=1)
-    _, _, K, info = dgesv(np.eye(4) + W @ Z[_CORNERS], W)
-    if info > 0:
-        raise np.linalg.LinAlgError("corner capacitance matrix is singular")
-    return lub, piv, Z @ K
+    return lub, piv, fold
 
 
 def lu_solve(lu: tuple[np.ndarray, np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray:
     """Solve (I - dt/2 J) x = rhs with the lu_factor result; stacked (a, b) order."""
-    lub, piv, G = lu
-    N = len(rhs) // 2
-    y, _ = dgbtrs(lub, _KL, _KU, rhs.reshape(2, N).T.ravel(), piv, overwrite_b=1)
-    y -= G @ y[_CORNERS]
-    return y.reshape(N, 2).T.ravel()
+    lub, piv, fold = lu
+    x = np.empty_like(rhs)
+    x[fold] = dgbtrs(lub, _KL, _KU, rhs[fold], piv, overwrite_b=1)[0]
+    return x
 
 
 def step_cn(
@@ -253,10 +249,9 @@ def step_cn(
     """Trapezoidal (Crank-Nicolson) step solved by Newton iteration.
 
     Solves x' = x + dt/2 (rhs(x) + rhs(x')) with the exact Jacobian; each
-    Newton iteration factors I - dt/2 J by a LAPACK banded LU (bandwidth 3
-    in interleaved order) with a rank-4 correction for the periodic
-    corners, so a step costs O(N).  If ``residual_log`` is a list, the
-    max-norm Newton residuals are appended to it.
+    Newton iteration factors I - dt/2 J by a LAPACK banded LU (kl = ku = 5
+    in the folded order of _band_layout), so a step costs O(N).  If
+    ``residual_log`` is a list, the max-norm Newton residuals are appended.
     """
     cfg = cfg or SolverConfig(dt=dt, t_end=dt)
     N = s.N
@@ -329,7 +324,7 @@ def run(s0: LatticeState, cfg: SolverConfig) -> Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# independent KdV reference (pseudo-spectral, adaptive high-order explicit)
+# independent KdV reference (pseudo-spectral, integrating factor, DOP853)
 
 
 @dataclass(frozen=True)
@@ -356,29 +351,33 @@ def reference_kdv(
 ) -> ReferenceSolution:
     """Solve df/dt = eps^2 (-1/4 f''' + 3 f f') on [0, 1], spectrally in x.
 
-    Derivatives are exact in Fourier space; time stepping is adaptive
-    eighth-order explicit (DOP853) at tight tolerance.  Deliberately shares
-    no code with the lattice stencils.
+    Derivatives are exact in Fourier space, and a Fourier integrating factor
+    takes the stiff dispersive term exactly: adaptive eighth-order DOP853 at
+    tight tolerance steps w = exp(eps^2 t/4 d^3/dx^3) f, which only 3 f f'
+    moves.  Deliberately shares no code with the lattice stencils.
     """
     M = modes
     x = np.arange(M) / M
     u0 = f0.samples(M)
-    kfreq = 2.0 * np.pi * np.fft.rfftfreq(M, d=1.0 / M)
-    ik = 1j * kfreq
-    eps2 = eps * eps
-
-    def rhs(_t, u):
-        uhat = np.fft.rfft(u)
-        ux = np.fft.irfft(ik * uhat, n=M)
-        uxxx = np.fft.irfft(ik**3 * uhat, n=M)
-        return eps2 * (-0.25 * uxxx + 3.0 * u * ux)
-
     if t == 0.0:
         return ReferenceSolution(x, u0, 0.0, eps)
+    kfreq = 2.0 * np.pi * np.fft.rfftfreq(M, d=1.0 / M)
+    eps2 = eps * eps
+    omega = 0.25 * eps2 * kfreq**3  # f^ = exp(i omega t) w^
+    if M % 2 == 0:
+        omega[-1] = 0.0  # irfft drops the derivatives of the Nyquist mode
+
+    def rhs(t_, w):
+        phase = np.exp(1j * omega * t_)
+        uhat = phase * np.fft.rfft(w)
+        u, ux = np.fft.irfft(uhat, n=M), np.fft.irfft(1j * kfreq * uhat, n=M)
+        return np.fft.irfft(phase.conj() * np.fft.rfft(3.0 * eps2 * u * ux), n=M)
+
     sol = solve_ivp(rhs, (0.0, t), u0, method="DOP853", rtol=rtol, atol=atol)
     if not sol.success:
         raise IntegrationError(f"reference KdV integration failed: {sol.message}")
-    return ReferenceSolution(x, sol.y[:, -1], t, eps)
+    u = np.fft.irfft(np.exp(1j * omega * t) * np.fft.rfft(sol.y[:, -1]), n=M)
+    return ReferenceSolution(x, u, t, eps)
 
 
 @dataclass(frozen=True)

@@ -285,6 +285,19 @@ def test_simulate_lattice_not_dividing_reference_grid(capsys, tmp_path):
     assert (out / "comparison.csv").exists()
 
 
+def test_simulate_long_comparison_finishes(capsys, tmp_path):
+    # the reference must not step the stiff dispersive term explicitly: on
+    # 256 modes up to t = 1, DOP853 did not finish within a minute
+    out = tmp_path / "long"
+    code, stdout, _ = run_cli(
+        capsys, "simulate", "--N", "16", "--dt", "0.5", "--t-end", "1",
+        "--init", "builtin:cos2", "--out", str(out),
+    )
+    assert code == 0
+    assert "comparison at t=1" in stdout
+    assert (out / "comparison.csv").exists()
+
+
 def test_reference_integration_failure_exits_3(capsys, tmp_path, monkeypatch):
     class Failed:
         success = False

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 from scipy.linalg import solve_triangular
 
 from conftest import random_smooth_state
@@ -126,6 +127,9 @@ def test_cn_step_matches_dense_newton():
     amp=st.floats(min_value=0.0, max_value=3.0),
     seed=st.integers(min_value=0, max_value=2**16),
 )
+# the smallest even and odd rings, where the two joints of the fold are closest
+@example(N=8, dt=0.05, sign=1.0, amp=2.0, seed=3)
+@example(N=9, dt=0.05, sign=-1.0, amp=2.0, seed=4)
 def test_banded_solve_matches_dense(N, dt, sign, amp, seed):
     """lu_solve(lu_factor(J, dt), r) solves (I - dt/2 J) x = r.
 
@@ -280,6 +284,27 @@ def test_reference_short_time_taylor():
         ref = reference_kdv(prof, eps, t, modes=M)
         errs.append(np.max(np.abs(ref.values - (f0 + t * rhs0))))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
+
+
+def _reference_direct(prof, eps, t, M):
+    # the dispersive term stepped explicitly by DOP853, without the integrating factor
+    ik = 2j * np.pi * np.fft.rfftfreq(M, d=1.0 / M)
+
+    def rhs(_t, u):
+        uhat = np.fft.rfft(u)
+        ux, uxxx = np.fft.irfft(ik * uhat, n=M), np.fft.irfft(ik**3 * uhat, n=M)
+        return eps**2 * (-0.25 * uxxx + 3.0 * u * ux)
+
+    return solve_ivp(rhs, (0.0, t), prof.samples(M), method="DOP853", rtol=1e-11, atol=1e-13).y[:, -1]
+
+
+# M = 4 puts the second mode of cos2 on the Nyquist frequency
+@pytest.mark.parametrize("name, N, t, M", [("cos", 64, 0.05, 128), ("cos2", 32, 0.05, 63),
+                                           ("cos2", 32, 0.2, 64), ("cos2", 8, 0.5, 4)])
+def test_reference_matches_direct_integration(name, N, t, M):
+    prof = builtin_profile(name)
+    ref = reference_kdv(prof, 1.0 / N, t, modes=M)
+    assert np.max(np.abs(ref.values - _reference_direct(prof, 1.0 / N, t, M))) <= 1e-11
 
 
 def test_reference_subsampling():

@@ -195,6 +195,7 @@ def cmd_spectrum(args) -> int:
     if not args.g.startswith("builtin:"):
         raise ValueError("--g must be builtin:<name>")
     prof = lattice.builtin_profile(args.g.split(":", 1)[1])
+    bloch.lattice_from_potential(prof, args.N)  # rejects non-finite lattice data before --out exists
     lams = np.linspace(-args.lambda_max, args.lambda_max, args.samples)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

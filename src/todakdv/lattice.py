@@ -8,9 +8,11 @@ integral expansions.
 
 The invariants are exact: the C-combinations cancel them down by up to
 sixteen decimal orders, below float64 resolution.  Lattice values are dyadic,
-so A, B share one integer denominator D = 2^K N^2 and the recursions run on
-the Python ints A*D, B*D^2 (a conserved_report takes under 1 ms at N = 128
-and about 3 ms at N = 1024); only their results become Fractions.
+so A, B share one integer denominator D = 2^K N^2.  The continuant
+invariants are symmetric functions of the sites, so they are evaluated in
+closed form from a few power sums over the Python ints A*D, B*D^2; each
+reported value is one int numerator over one int denominator, rounded to
+float once.  The site-by-site recursions are kept as test oracles.
 
 The hierarchy stencils toda_D are hierarchy.toda_rhs itself, run on the same
 exact ints at every site and rounded to float once; the flow-2 stepper
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -106,7 +109,10 @@ def builtin_profile(tag: str) -> Profile:
     if tag == "zero":
         return _const_profile(0.0)
     if tag.startswith("const:"):
-        return _const_profile(float(tag.split(":", 1)[1]))
+        kappa = float(tag.split(":", 1)[1])
+        if not math.isfinite(kappa):
+            raise ValueError(f"const profile needs a finite kappa, got {kappa}")
+        return _const_profile(kappa)
     if tag == "cos":
         return _cosine_profile("cos", [(1.0, 1.0)])
     if tag == "cos2":
@@ -180,16 +186,19 @@ def init_from_profile(profile: Profile | np.ndarray, N: int, variant: str = "con
     if c.shape != (N,):
         raise ValueError("profile samples must have shape (N,)")
     eps = 1.0 / N
-    d1 = _delta(c, N)
-    d3 = _delta(_delta(d1, N), N)
-    improved = d1 - (eps**2 / 6.0) * d3
-    if variant == "paper_25_26":
-        corr = (eps**2 / 4.0) * improved + (eps**3 / 8.0) * c**2 - (eps**4 / 192.0) * d3
-    elif variant == "consistent_R":
-        corr = (eps / 4.0) * improved + (eps**2 / 8.0) * c**2 - (eps**3 / 192.0) * d3
-    else:
-        raise ValueError(f"unknown init variant {variant!r}")
-    return LatticeState(N, c + corr, c - corr)
+    # huge or non-finite samples give inf/nan here: LatticeState reports them
+    with np.errstate(over="ignore", invalid="ignore"):
+        d1 = _delta(c, N)
+        d3 = _delta(_delta(d1, N), N)
+        improved = d1 - (eps**2 / 6.0) * d3
+        if variant == "paper_25_26":
+            corr = (eps**2 / 4.0) * improved + (eps**3 / 8.0) * c**2 - (eps**4 / 192.0) * d3
+        elif variant == "consistent_R":
+            corr = (eps / 4.0) * improved + (eps**2 / 8.0) * c**2 - (eps**3 / 192.0) * d3
+        else:
+            raise ValueError(f"unknown init variant {variant!r}")
+        a, b = c + corr, c - corr
+    return LatticeState(N, a, b)
 
 
 def init_from_ansatz(profile: Profile, N: int, cap: int = 11) -> LatticeState:
@@ -295,40 +304,39 @@ def rhs_flow_k(s: LatticeState, k: int) -> tuple[np.ndarray, np.ndarray]:
 def _scaled_AB(s: LatticeState) -> tuple[list[int], list[int], int]:
     """A*D and B*D^2 as Python ints over one common denominator D = 2^K N^2.
 
-    Float entries are dyadic, p/q with q a power of two, so the largest q
-    (2^K) divides every other: A*D = 2D + p 2^K/q, B*D^2 = (-D + p 2^K/q) D.
+    Every float is m 2^E with m an odd int (or 0); 2^K is the largest
+    denominator 2^-E, so x 2^K = m << (K + E) for every entry and
+    A*D = 2D + a 2^K, B*D^2 = (b 2^K - D) D.
     """
-    ratios = [x.as_integer_ratio() for x in s.a.tolist() + s.b.tolist()]
-    K = max(q for _, q in ratios).bit_length() - 1
+    mant, expo = np.frexp(np.concatenate((s.a, s.b)))
+    m = np.ldexp(mant, 53).astype(np.int64)
+    low = np.maximum(np.frexp((m & -m).astype(float))[1] - 1, 0)  # trailing zero bits
+    E = np.where(m == 0, 0, expo - 53 + low)
+    K = max(0, -int(E.min()))
     D = s.N**2 << K
-    nums = [p << (K + 1 - q.bit_length()) for p, q in ratios]  # p 2^K / q
-    return [2 * D + x for x in nums[: s.N]], [(x - D) * D for x in nums[s.N :]], D
+    nums = list(map(operator.lshift, (m >> low).tolist(), (K + E).tolist()))
+    A = list(map((2 * D).__add__, nums[: s.N]))
+    B = list(map(D.__mul__, map((-D).__add__, nums[s.N :])))
+    return A, B, D
 
 
-def _d_table_exact(A: Sequence, B: Sequence, N: int) -> tuple:
-    """d_1(N), d_2(N), d_3(N) by the forward recursion (exact arithmetic).
+def _invariant_ints(A: list[int], B: list[int]) -> tuple[int, int, int, int]:
+    """D1, D2, D3 and the site-local cubic L3 in closed form from power sums.
 
-    d_3 needs d_1(-1) = -A(N-1) from the inverse relation with periodic data.
-    Graded (A weight 1, B weight 2): on A*D, B*D^2 it returns D^k d_k.
+    With p_k = sum A^k, e2 = (p1^2 - p2)/2 and e3 = (p1^3 - 3 p1 p2 + 2 p3)/6:
+    d_1 = p1, d_2 = e2 + sum B, L3 = e3 + p1 sum B - sum A(n) B(n) and
+    d_3 = L3 - sum A(n-1) B(n).  Graded (A weight 1, B weight 2): on
+    A*D, B*D^2 it returns D^k d_k and D^3 L3, and both divisions are exact.
     """
-    d1 = d2 = d3 = 0
-    d1_prev = -A[N - 1]  # d_1(-1)
-    for n in range(N):
-        d3 = d3 + A[n] * d2 + B[n] * d1_prev
-        d2 = d2 + A[n] * d1 + B[n]
-        d1_prev = d1
-        d1 = d1 + A[n]
-    return d1, d2, d3
-
-
-def _d3_generating_product(A: Sequence, B: Sequence) -> object:
-    """[z^3] of prod_n (1 + z A(n) + z^2 B(n)), the site-local cubic (graded)."""
-    c0, c1, c2, c3 = 1, 0, 0, 0
-    for An, Bn in zip(A, B):
-        c3 = c3 + c2 * An + c1 * Bn
-        c2 = c2 + c1 * An + c0 * Bn
-        c1 = c1 + c0 * An
-    return c3
+    A2 = list(map(operator.mul, A, A))
+    p1, p2, p3 = sum(A), sum(A2), sum(map(operator.mul, A2, A))
+    q1 = sum(B)
+    s0 = sum(map(operator.mul, A, B))
+    s1 = sum(map(operator.mul, A[-1:] + A[:-1], B))
+    e2 = (p1 * p1 - p2) // 2
+    e3 = (p1**3 - 3 * p1 * p2 + 2 * p3) // 6
+    L3 = e3 + p1 * q1 - s0
+    return p1, e2 + q1, L3 - s1, L3
 
 
 def conserved_d(s: LatticeState, i: int) -> float:
@@ -341,13 +349,14 @@ def conserved_d(s: LatticeState, i: int) -> float:
 def exact_invariants(s: LatticeState) -> tuple[Fraction, Fraction, Fraction]:
     """d_1, d_2, d_3 as exact rationals.
 
-    The recursion runs on the ints A*D, B*D^2 of _scaled_AB and returns
-    D^k d_k; only the three results become Fractions (about 0.3 ms at
-    N = 128, 2.3 ms at N = 1024).  Use it to difference invariants along
-    trajectories, where the drift sits far below float64 granularity.
+    The closed forms of _invariant_ints run on the ints A*D, B*D^2 of
+    _scaled_AB and return D^k d_k; only the three results become Fractions.
+    Use it to difference invariants along trajectories, where the drift
+    sits far below float64 granularity.
     """
     A, B, D = _scaled_AB(s)
-    return tuple(Fraction(d, D**k) for k, d in enumerate(_d_table_exact(A, B, s.N), 1))
+    D1, D2, D3, _ = _invariant_ints(A, B)
+    return Fraction(D1, D), Fraction(D2, D**2), Fraction(D3, D**3)
 
 
 @dataclass(frozen=True)
@@ -374,33 +383,36 @@ def conserved_report(s: LatticeState, t: float = 0.0) -> ConservedReport:
     C1 = (eps d_1 - 2) / eps^2 expands to int f + eps^2/8 int f^2 + ...
     C2 = -4/3 (v - (2-eps)/eps w - w^2/2), with w = d_1 - 2/eps and
          v = d_2 - 2/eps^2 + 3/eps, expands to eps^3 int f^2 + ...
-    C3 subtracts the full divergent part of the site-local cubic (computed
-    as a generating product) and expands to
+    C3 subtracts the full divergent part of the site-local cubic L3 (the z^3
+    coefficient of prod_n (1 + z A(n) + z^2 B(n))) and expands to
     eps^5 (-7/12 int f^3 + 1/8 int f f'').  C1 and C2 are exactly conserved;
     C3 is conserved to the order of the asymptotics, as is the cubic it uses.
+
+    Over the ints of _invariant_ints, W = D w and V = D^2 v, so each value
+    is one int numerator over one int denominator, rounded to float once by
+    int true division (correctly rounded; OverflowError beyond float64).
     """
     A, B, D = _scaled_AB(s)
-    eps = Fraction(1, s.N)
-    d1, d2, d3 = (Fraction(d, D**k) for k, d in enumerate(_d_table_exact(A, B, s.N), 1))
-    d3_local = Fraction(_d3_generating_product(A, B), D**3)
-    w = d1 - 2 / eps
-    v = d2 - 2 / eps**2 + 3 / eps
-    C1 = w / eps
-    C2 = Fraction(-4, 3) * (v - (2 - eps) / eps * w - w * w / 2)
-    P = (
-        Fraction(4, 3) / eps**3
-        - 6 / eps**2
-        + Fraction(14, 3) / eps
-        - 2 * w / eps**2
-        + (w + 2 * v - 2 * w * w) / eps
-        - w**3 / 3
-        + w * w
-        + w
-        + w * v
-        - 2 * v
-    )
-    C3 = P - d3_local
-    return ConservedReport(t, float(d1), float(d2), float(d3), float(C1), float(C2), float(C3))
+    D1, D2, D3, L3 = _invariant_ints(A, B)
+    N = s.N
+    DD = D * D
+    DDD = DD * D
+    W = D1 - 2 * N * D
+    V = D2 - (2 * N * N - 3 * N) * DD
+    C1 = N * W / D
+    C2 = -4 * (2 * V - 2 * (2 * N - 1) * W * D - W * W) / (6 * DD)
+    C3 = (
+        (4 * N**3 - 18 * N**2 + 14 * N) * DDD
+        - 6 * N**2 * W * DD
+        + 3 * N * (W * DD + 2 * V * D - 2 * W * W * D)
+        - W**3
+        + 3 * W * W * D
+        + 3 * W * DD
+        + 3 * W * V
+        - 6 * V * D
+        - 3 * L3
+    ) / (3 * DDD)
+    return ConservedReport(t, D1 / D, D2 / DD, D3 / DDD, C1, C2, C3)
 
 
 # ---------------------------------------------------------------------------

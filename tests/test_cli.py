@@ -148,12 +148,17 @@ def test_simulate_bad_init_usage(capsys, tmp_path):
         (("--dt", "0.003", "--t-end", "0.01"), "whole number of steps"),
         (("--t-end", "-0.02"), "non-negative"),
         (("--t-end", "-2e-3"), "non-negative"),
+        (("--init", "builtin:const:inf"), "finite kappa"),
+        (("--init", "builtin:const:1e200"), "state entries must be finite"),
     ],
 )
 def test_simulate_bad_run_config_usage(capsys, tmp_path, extra, message):
-    code, out, _, err = _simulate(capsys, tmp_path, "bad", *extra)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, _, err = _simulate(capsys, tmp_path, "bad", *extra)
     assert code == 2
     assert message in err and "Traceback" not in err
+    assert len(err.splitlines()) == 1 and not caught
     assert not (out / "config.txt").exists()
     assert not out.exists()
 
@@ -374,14 +379,19 @@ def test_trajectory_csv_writer_matches_csv_module(tmp_path, rows):
 
 
 @pytest.mark.parametrize(
-    "option, value", [("--g", "foo"), ("--g", "builtin:nope"), ("--samples", "-1"), ("--N", "0")]
+    "option, value",
+    [("--g", "foo"), ("--g", "builtin:nope"), ("--samples", "-1"), ("--N", "0"),
+     ("--g", "builtin:const:inf"), ("--g", "builtin:const:nan"), ("--g", "builtin:const:1e200")],
 )
 def test_spectrum_bad_args_leave_no_output(capsys, tmp_path, monkeypatch, option, value):
     monkeypatch.setattr(bloch, "discriminant_scan", _no_scan)
     argv = ["spectrum", "--N", "8", "--samples", "5", "--out", str(tmp_path / "s"), option, value]
-    code, _, err = run_cli(capsys, *argv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+    assert len(err.splitlines()) == 1 and not caught
     assert not (tmp_path / "s").exists()
     if option == "--N":
         assert err.startswith("error: --N must be >= 8")

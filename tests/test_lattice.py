@@ -1,6 +1,6 @@
 import math
+import warnings
 from fractions import Fraction as F
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,9 +12,10 @@ from todakdv.lattice import (
     C1_EXPANSION,
     C2_EXPANSION,
     C3_EXPANSION,
+    ConservedReport,
     LatticeState,
-    _d3_generating_product,
-    _d_table_exact,
+    _invariant_ints,
+    _scaled_AB,
     asymptotic_C,
     builtin_profile,
     conserved_d,
@@ -51,6 +52,18 @@ def test_builtin_profiles():
     assert cos2(x) == pytest.approx(np.cos(TWO_PI * x) + 0.5 * np.cos(2 * TWO_PI * x))
     with pytest.raises(ValueError):
         builtin_profile("sawtooth")
+    for kappa in ("inf", "-inf", "nan"):
+        with pytest.raises(ValueError, match="finite kappa"):
+            builtin_profile(f"const:{kappa}")
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan, 1e200])
+def test_init_from_profile_rejects_nonfinite_without_warning(value):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="state entries must be finite"):
+            init_from_profile(np.full(16, value), 16)
+    assert not caught
 
 
 # -- initialization ----------------------------------------------------------------
@@ -204,6 +217,32 @@ def test_toda_D_matches_exact_first_flow():
 # -- invariants -------------------------------------------------------------------------
 
 
+def _d_table_exact(A, B, N):
+    """d_1(N), d_2(N), d_3(N) by the forward continuant recursion (test oracle).
+
+    d_3 needs d_1(-1) = -A(N-1) from the inverse relation with periodic data.
+    Graded (A weight 1, B weight 2): on A*D, B*D^2 it returns D^k d_k.
+    """
+    d1 = d2 = d3 = 0
+    d1_prev = -A[N - 1]  # d_1(-1)
+    for n in range(N):
+        d3 = d3 + A[n] * d2 + B[n] * d1_prev
+        d2 = d2 + A[n] * d1 + B[n]
+        d1_prev = d1
+        d1 = d1 + A[n]
+    return d1, d2, d3
+
+
+def _d3_generating_product(A, B):
+    """[z^3] of prod_n (1 + z A(n) + z^2 B(n)), the site-local cubic (test oracle)."""
+    c0, c1, c2, c3 = 1, 0, 0, 0
+    for An, Bn in zip(A, B):
+        c3 = c3 + c2 * An + c1 * Bn
+        c2 = c2 + c1 * An + c0 * Bn
+        c1 = c1 + c0 * An
+    return c3
+
+
 def test_conserved_d_zero_state():
     N = 32
     s = LatticeState(N, np.zeros(N), np.zeros(N))
@@ -276,9 +315,34 @@ def test_exact_invariants_match_conserved_d():
 
 
 def _fraction_AB(s):
-    """A, B built entry by entry as Fractions, with common denominator 1."""
+    """A, B built entry by entry as Fractions."""
     eps2 = F(1, s.N**2)
-    return [2 + eps2 * F(x) for x in s.a.tolist()], [-1 + eps2 * F(x) for x in s.b.tolist()], 1
+    return [2 + eps2 * F(x) for x in s.a.tolist()], [-1 + eps2 * F(x) for x in s.b.tolist()]
+
+
+def _fraction_report(s, t):
+    """ConservedReport from entrywise Fractions, the recursions and the C-formulas in eps."""
+    A, B = _fraction_AB(s)
+    eps = F(1, s.N)
+    d1, d2, d3 = _d_table_exact(A, B, s.N)
+    w = d1 - 2 / eps
+    v = d2 - 2 / eps**2 + 3 / eps
+    C1 = w / eps
+    C2 = F(-4, 3) * (v - (2 - eps) / eps * w - w * w / 2)
+    P = (
+        F(4, 3) / eps**3
+        - 6 / eps**2
+        + F(14, 3) / eps
+        - 2 * w / eps**2
+        + (w + 2 * v - 2 * w * w) / eps
+        - w**3 / 3
+        + w * w
+        + w
+        + w * v
+        - 2 * v
+    )
+    C3 = P - _d3_generating_product(A, B)
+    return ConservedReport(t, float(d1), float(d2), float(d3), float(C1), float(C2), float(C3))
 
 
 def _signed(values):
@@ -309,11 +373,22 @@ def _mixed_states(draw):
 @given(_mixed_states())
 def test_scaled_integer_invariants_match_fraction_reference(s):
     """The common-denominator int path equals the entrywise Fraction path exactly."""
-    A, B, _ = _fraction_AB(s)
+    A, B = _fraction_AB(s)
     assert exact_invariants(s) == _d_table_exact(A, B, s.N)
-    with mock.patch("todakdv.lattice._scaled_AB", _fraction_AB):
-        reference = conserved_report(s, 0.25)
-    assert conserved_report(s, 0.25) == reference
+    assert conserved_report(s, 0.25) == _fraction_report(s, 0.25)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mixed_states())
+def test_invariant_kernel_matches_recursions(s):
+    """The closed-form power sums give the recursions' graded ints exactly."""
+    A, B, D = _scaled_AB(s)
+    D1, D2, D3, L3 = _invariant_ints(A, B)
+    assert (D1, D2, D3) == _d_table_exact(A, B, s.N)
+    assert L3 == _d3_generating_product(A, B)
+    FA, FB = _fraction_AB(s)
+    assert [x * D for x in FA] == A and [x * D * D for x in FB] == B
+    assert D == s.N**2 * max(F(x).denominator for x in s.a.tolist() + s.b.tolist())
 
 
 @settings(max_examples=40, deadline=None)

@@ -101,11 +101,11 @@ def _discrete_entries(A, B, lams: np.ndarray) -> tuple[np.ndarray, ...]:
     A = np.asarray(A, float)
     B = np.asarray(B, float)
     N = len(A)
-    eps2 = 1.0 / N**2
+    lam_eps2 = lams * (1.0 / N**2)
     ones = np.ones_like(lams)
     m11, m12, m21, m22 = ones.copy(), 0.0 * ones, 0.0 * ones, ones.copy()
     for n in range(N):
-        t11 = A[n] - lams * eps2
+        t11 = A[n] - lam_eps2
         t12 = B[n]
         m11, m12, m21, m22 = (
             t11 * m11 + t12 * m21,

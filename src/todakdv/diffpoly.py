@@ -6,22 +6,27 @@ is a finite rational-coefficient combination of monomials; an
 :class:`EpsSeries` is a power series in the small parameter eps = 1/N whose
 coefficients are differential polynomials, truncated at a fixed order cap.
 
-All coefficients are exact rationals (``fractions.Fraction``): every identity
-checked downstream is an exact cancellation, so floating point would be
-useless here.  All values are immutable; every operation returns a new value.
+All coefficients are exact rationals: every identity checked downstream is
+an exact cancellation, so floating point would be useless here.  A DiffPoly
+holds int numerators over one positive int denominator in lowest terms, so
+the kernels do int arithmetic only and reduce each result with one gcd;
+``fractions.Fraction`` is the boundary type, taken by the constructors and
+returned by ``terms``, ``coeff`` and ``sorted_terms``.  Every series
+coefficient is built in one dict over one common denominator.  All values
+are immutable; every operation returns a new value.
 
-Work is not repeated.  The derivative of a monomial (``Monomial.x_terms``)
-and the product of two monomials (``Monomial.mul``) are computed once and
-memoized in module-level tables keyed by exponent tuples; the hierarchy
-checks reuse a few thousand of them many times over.  The Taylor shift
-differentiates only the triangle that survives truncation, and ``dt_along``
-forms one product per derivative order instead of one per monomial factor.
+Work is not repeated.  Monomials made by the kernels are interned, and the
+derivatives (``Monomial.x_terms``, ``Monomial.partials``) and products
+(``Monomial.mul``) of monomials are memoized in module-level tables keyed by
+exponent tuples.  The Taylor shift differentiates only the triangle that
+survives truncation, and ``dt_along`` forms one product per derivative order
+instead of one per monomial factor.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 Rational = Fraction
@@ -77,11 +82,14 @@ class Monomial:
 
     @staticmethod
     def _of_dict(exponents: dict[int, int]) -> "Monomial":
-        """Unchecked constructor for internal callers: ``exponents`` maps
-        orders >= 0 to exponents >= 1."""
-        m = Monomial.__new__(Monomial)
-        m._pairs = pairs = tuple(sorted(exponents.items()))
-        m._hash = hash(pairs)
+        """Unchecked, interned constructor for internal callers: ``exponents``
+        maps orders >= 0 to exponents >= 1.  Kernel dict lookups hit by identity."""
+        pairs = tuple(sorted(exponents.items()))
+        m = _INTERNED.get(pairs)
+        if m is None:
+            m = _INTERNED[pairs] = Monomial.__new__(Monomial)
+            m._pairs = pairs
+            m._hash = hash(pairs)
         return m
 
     @staticmethod
@@ -121,21 +129,28 @@ class Monomial:
             m = _MUL_MEMO[key] = Monomial._of_dict(d)
         return m
 
+    def partials(self) -> tuple[tuple[int, int, "Monomial"], ...]:
+        """d/d f^(k) of this monomial as (k, multiplier, monomial) triples,
+        one per factor f^(k)^e: e * f^(k)^(e-1) * rest."""
+        out = _PARTIALS_MEMO.get(self._pairs)
+        if out is None:
+            # rest: this monomial with one factor f^(order) taken out
+            out = _PARTIALS_MEMO[self._pairs] = tuple(
+                (order, exp, Monomial._of_dict(
+                    {k: e - (k == order) for k, e in self._pairs if k != order or e > 1}))
+                for order, exp in self._pairs
+            )
+        return out
+
     def x_terms(self) -> tuple[tuple["Monomial", int], ...]:
         """d/dx of this monomial as (monomial, multiplier) pairs, one per
         factor f^(k)^e: e * f^(k)^(e-1) * f^(k+1) * rest."""
         terms = _X_MEMO.get(self._pairs)
         if terms is None:
-            out = []
-            for order, exp in self._pairs:
-                lowered = dict(self._pairs)
-                if exp == 1:
-                    del lowered[order]
-                else:
-                    lowered[order] = exp - 1
-                lowered[order + 1] = lowered.get(order + 1, 0) + 1
-                out.append((Monomial._of_dict(lowered), exp))
-            terms = _X_MEMO[self._pairs] = tuple(out)
+            terms = _X_MEMO[self._pairs] = tuple(
+                (rest.mul(Monomial._of_dict({order + 1: 1})), exp)
+                for order, exp, rest in self.partials()
+            )
         return terms
 
     def sort_key(self):
@@ -157,14 +172,7 @@ class Monomial:
             return "1"
         out = []
         for order, exp in self._pairs:
-            if order == 0:
-                name = "f"
-            elif order == 1:
-                name = "f'"
-            elif order == 2:
-                name = "f''"
-            else:
-                name = f"f({order})"
+            name = {0: "f", 1: "f'", 2: "f''"}.get(order, f"f({order})")
             out.append(name if exp == 1 else f"{name}^{exp}")
         return " * ".join(out)
 
@@ -174,27 +182,85 @@ _MONOMIAL_ONE = Monomial()
 # (hashed in C).  A whole verify of flows 1-4 plus an extend_R chain leaves
 # a few thousand entries.
 _MUL_MEMO: dict[tuple[tuple, tuple], Monomial] = {}
+_INTERNED: dict[tuple, Monomial] = {}
 _X_MEMO: dict[tuple, tuple[tuple[Monomial, int], ...]] = {}
+_PARTIALS_MEMO: dict[tuple, tuple[tuple[int, int, Monomial], ...]] = {}
+
+
+def _poly(num: dict[Monomial, int], den: int) -> "DiffPoly":
+    """The polynomial with numerators ``num`` over ``den`` > 0, in lowest
+    terms: zero numerators are dropped and one gcd reduces the rest."""
+    if 0 in num.values():
+        num = {m: c for m, c in num.items() if c}
+    if not num:
+        return _DIFFPOLY_ZERO
+    g = gcd(den, *num.values())
+    if g != 1:
+        den //= g
+        num = {m: c // g for m, c in num.items()}
+    out = DiffPoly.__new__(DiffPoly)
+    out._num = num
+    out._den = den
+    return out
+
+
+def _linear_sum(terms: Iterable[tuple[int | Fraction, "DiffPoly"]]) -> "DiffPoly":
+    """Sum of w * p over (w, p) pairs with int or Fraction weights w, built
+    in one dict over the lcm of the denominators and reduced once."""
+    terms = [(w, p) for w, p in terms if w and p._num]
+    if not terms:
+        return _DIFFPOLY_ZERO
+    if len(terms) == 1 and terms[0][0] == 1:
+        return terms[0][1]
+    den = lcm(*[w.denominator * p._den for w, p in terms])
+    num: dict[Monomial, int] = {}
+    get = num.get
+    for w, p in terms:
+        s = w.numerator * (den // (w.denominator * p._den))
+        for m, c in p._num.items():
+            num[m] = get(m, 0) + c * s
+    return _poly(num, den)
+
+
+def _product_sum(pairs: Iterable[tuple["DiffPoly", "DiffPoly"]]) -> "DiffPoly":
+    """Sum of p * q over (p, q) pairs, accumulated like ``_linear_sum``."""
+    pairs = [(p, q) for p, q in pairs if p._num and q._num]
+    if not pairs:
+        return _DIFFPOLY_ZERO
+    den = lcm(*[p._den * q._den for p, q in pairs])
+    num: dict[Monomial, int] = {}
+    get = num.get
+    for p, q in pairs:
+        s = den // (p._den * q._den)
+        q_terms = q._num.items()
+        for m1, c1 in p._num.items():
+            c1 *= s
+            for m2, c2 in q_terms:
+                m = m1.mul(m2)
+                num[m] = get(m, 0) + c1 * c2
+    return _poly(num, den)
 
 
 class DiffPoly:
-    """Differential polynomial: finite map Monomial -> nonzero Fraction."""
+    """Differential polynomial: finite map Monomial -> nonzero rational.
 
-    __slots__ = ("_terms",)
+    Stored as ``_num``, Monomial -> nonzero int, over one int ``_den`` > 0
+    with gcd(_den, *_num.values()) == 1, so equal polynomials have equal
+    fields.  Coefficients enter and leave as ``Fraction``.
+    """
+
+    __slots__ = ("_num", "_den")
 
     def __init__(self, terms: Mapping[Monomial, Fraction] | Iterable[tuple[Monomial, Fraction]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
         d: dict[Monomial, Fraction] = {}
         for mono, coeff in items:
-            c = _as_rational(coeff)
-            if c:
-                acc = d.get(mono)
-                c = c if acc is None else acc + c
-                if c:
-                    d[mono] = c
-                else:
-                    del d[mono]
-        self._terms = d
+            d[mono] = d.get(mono, 0) + _as_rational(coeff)
+        d = {m: c for m, c in d.items() if c}
+        # over the lcm of lowest-terms denominators no common factor is left
+        den = lcm(*[c.denominator for c in d.values()])
+        self._num = {m: c.numerator * (den // c.denominator) for m, c in d.items()}
+        self._den = den
 
     # -- constructors -------------------------------------------------
 
@@ -219,115 +285,80 @@ class DiffPoly:
 
     @property
     def terms(self) -> dict[Monomial, Fraction]:
-        return dict(self._terms)
+        den = self._den
+        return {m: Fraction(c, den) for m, c in self._num.items()}
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def coeff(self, mono: Monomial) -> Fraction:
-        return self._terms.get(mono, Fraction(0))
+        return Fraction(self._num.get(mono, 0), self._den)
 
     def max_order(self) -> int:
-        return max((m.max_order() for m in self._terms), default=-1)
+        return max((m.max_order() for m in self._num), default=-1)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._num)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, DiffPoly) and self._terms == other._terms
+        return isinstance(other, DiffPoly) and self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((self._den, frozenset(self._num.items())))
 
     # -- ring operations ------------------------------------------------
 
     def __add__(self, other: "DiffPoly") -> "DiffPoly":
         if not isinstance(other, DiffPoly):
             return NotImplemented
-        if not self._terms:
-            return other
-        if not other._terms:
-            return self
-        d = dict(self._terms)
-        for m, c in other._terms.items():
-            acc = d.get(m)
-            s = c if acc is None else acc + c
-            if s:
-                d[m] = s
-            else:
-                del d[m]
-        out = DiffPoly.__new__(DiffPoly)
-        out._terms = d
-        return out
+        return _linear_sum(((1, self), (1, other)))
 
     def __neg__(self) -> "DiffPoly":
-        out = DiffPoly.__new__(DiffPoly)
-        out._terms = {m: -c for m, c in self._terms.items()}
-        return out
+        return _linear_sum(((-1, self),))
 
     def __sub__(self, other: "DiffPoly") -> "DiffPoly":
-        return self + (-other)
+        if not isinstance(other, DiffPoly):
+            return NotImplemented
+        return _linear_sum(((1, self), (-1, other)))
 
     def __mul__(self, other) -> "DiffPoly":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, DiffPoly):
             return NotImplemented
-        d: dict[Monomial, Fraction] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                m = m1.mul(m2)
-                c = c1 * c2
-                acc = d.get(m)
-                s = c if acc is None else acc + c
-                if s:
-                    d[m] = s
-                elif acc is not None:
-                    del d[m]
-        out = DiffPoly.__new__(DiffPoly)
-        out._terms = d
-        return out
+        return _product_sum(((self, other),))
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "DiffPoly":
-        c = _as_rational(c)
-        if not c:
-            return _DIFFPOLY_ZERO
-        out = DiffPoly.__new__(DiffPoly)
-        out._terms = {m: c0 * c for m, c0 in self._terms.items()}
-        return out
+        return _linear_sum(((_as_rational(c), self),))
 
     # -- calculus --------------------------------------------------------
 
     def x_derive(self) -> "DiffPoly":
         """d/dx as a derivation with d/dx f^(k) = f^(k+1)."""
-        d: dict[Monomial, Fraction] = {}
-        for mono, coeff in self._terms.items():
+        num: dict[Monomial, int] = {}
+        get = num.get
+        for mono, c in self._num.items():
             for m, exp in mono.x_terms():
-                c = coeff * exp
-                acc = d.get(m)
-                s = c if acc is None else acc + c
-                if s:
-                    d[m] = s
-                elif acc is not None:
-                    del d[m]
-        out = DiffPoly.__new__(DiffPoly)
-        out._terms = d
-        return out
+                num[m] = get(m, 0) + c * exp
+        return _poly(num, self._den)
 
     def drop_derivatives(self) -> "DiffPoly":
         """Substitute f' = f'' = ... = 0, keeping the pure-f part."""
-        return DiffPoly({m: c for m, c in self._terms.items() if m.max_order() <= 0})
+        return _poly({m: c for m, c in self._num.items() if m.max_order() <= 0}, self._den)
 
     def evaluate(self, derivs: Sequence) -> float:
         """Substitute numeric values [f, f', f'', ...] and evaluate in floats.
 
         Entries may be scalars or equal-shaped numpy arrays (pointwise jets).
+        Terms are summed in insertion order; each coefficient is rounded
+        once, by int true division, exactly as ``float(Fraction)`` rounds.
         """
+        den = self._den
         total = 0.0
-        for mono, coeff in self._terms.items():
-            val = float(coeff)
+        for mono, c in self._num.items():
+            val = c / den
             for order, exp in mono.pairs:
                 if order >= len(derivs):
                     raise ValueError(
@@ -340,10 +371,10 @@ class DiffPoly:
     # -- display ---------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        return sorted(self._terms.items(), key=lambda t: t[0].sort_key(), reverse=True)
+        return sorted(self.terms.items(), key=lambda t: t[0].sort_key(), reverse=True)
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._num:
             return "0"
         parts = []
         for mono, coeff in self.sorted_terms():
@@ -426,10 +457,7 @@ class EpsSeries:
         return all(c.is_zero() for c in self._coeffs)
 
     def first_nonzero_order(self) -> int | None:
-        for k, c in enumerate(self._coeffs):
-            if not c.is_zero():
-                return k
-        return None
+        return next((k for k, c in enumerate(self._coeffs) if c._num), None)
 
     def max_order(self) -> int:
         return max((c.max_order() for c in self._coeffs), default=-1)
@@ -442,20 +470,15 @@ class EpsSeries:
 
     # -- arithmetic -----------------------------------------------------------
 
-    def _common_cap(self, other: "EpsSeries") -> int:
-        return min(self.order_cap, other.order_cap)
-
     def __add__(self, other: "EpsSeries") -> "EpsSeries":
         if not isinstance(other, EpsSeries):
             return NotImplemented
-        cap = self._common_cap(other)
-        return EpsSeries([self._coeffs[k] + other._coeffs[k] for k in range(cap + 1)])
+        return EpsSeries([p + q for p, q in zip(self._coeffs, other._coeffs)])
 
     def __sub__(self, other: "EpsSeries") -> "EpsSeries":
         if not isinstance(other, EpsSeries):
             return NotImplemented
-        cap = self._common_cap(other)
-        return EpsSeries([self._coeffs[k] - other._coeffs[k] for k in range(cap + 1)])
+        return EpsSeries([p - q for p, q in zip(self._coeffs, other._coeffs)])
 
     def __neg__(self) -> "EpsSeries":
         return EpsSeries([-c for c in self._coeffs])
@@ -465,18 +488,11 @@ class EpsSeries:
             return self.scale(other)
         if not isinstance(other, EpsSeries):
             return NotImplemented
-        cap = self._common_cap(other)
-        out = [_DIFFPOLY_ZERO] * (cap + 1)
-        for i in range(cap + 1):
-            ci = self._coeffs[i]
-            if ci.is_zero():
-                continue
-            for j in range(cap + 1 - i):
-                cj = other._coeffs[j]
-                if cj.is_zero():
-                    continue
-                out[i + j] = out[i + j] + ci * cj
-        return EpsSeries(out)
+        a, b = self._coeffs, other._coeffs
+        return EpsSeries([
+            _product_sum((a[i], b[k - i]) for i in range(k + 1))
+            for k in range(min(len(a), len(b)))
+        ])
 
     __rmul__ = __mul__
 
@@ -490,11 +506,7 @@ class EpsSeries:
         """Multiply by eps^k (k >= 0), truncating at the cap."""
         if k < 0:
             raise ValueError("eps_shift expects k >= 0; use eps_div to lower")
-        cap = self.order_cap
-        out = [_DIFFPOLY_ZERO] * (cap + 1)
-        for i in range(cap + 1 - k):
-            out[i + k] = self._coeffs[i]
-        return EpsSeries(out)
+        return EpsSeries([_DIFFPOLY_ZERO] * k + list(self._coeffs), order_cap=self.order_cap)
 
     def eps_div(self, k: int) -> "EpsSeries":
         """Divide exactly by eps^k.  The dropped low coefficients must vanish.
@@ -542,15 +554,14 @@ class EpsSeries:
         if n == 0:
             return self
         cap = self.order_cap
-        acc = list(self._coeffs)
+        parts = [[(1, c)] for c in self._coeffs]
         level = self._coeffs
         for i in range(1, cap + 1):
             level = [self._check_order(c.x_derive()) for c in level[: cap + 1 - i]]
             w = Fraction(n**i, factorial(i))
             for j, c in enumerate(level):
-                if not c.is_zero():
-                    acc[i + j] = acc[i + j] + c.scale(w)
-        return EpsSeries(acc)
+                parts[i + j].append((w, c))
+        return EpsSeries([_linear_sum(p) for p in parts])
 
     def dt_along(self, h: "EpsSeries") -> "EpsSeries":
         """Time derivative induced by df/dt = h.
@@ -563,34 +574,23 @@ class EpsSeries:
         cap = min(self.order_cap, h.order_cap)
         h = h.truncate(cap)
         h_derivs: list[EpsSeries] = [h]
-        out = [_DIFFPOLY_ZERO] * (cap + 1)
+        pairs: list[list] = [[] for _ in range(cap + 1)]
         for k in range(cap + 1):
             poly = self._coeffs[k]
-            if poly.is_zero():
-                continue
-            # d poly / d f^(r) for each order r; distinct monomials have
-            # distinct partials, so nothing cancels here
-            partials: dict[int, dict[Monomial, Fraction]] = {}
-            for mono, coeff in poly._terms.items():
-                for order, exp in mono._pairs:
-                    rest = dict(mono._pairs)
-                    if exp == 1:
-                        del rest[order]
-                    else:
-                        rest[order] = exp - 1
-                    terms = partials.setdefault(order, {})
-                    terms[Monomial._of_dict(rest)] = coeff * exp
-            for order, terms in partials.items():
+            # numerators of d poly / d f^(r) per order r; distinct monomials
+            # have distinct partials, so nothing cancels here
+            partials: dict[int, dict[Monomial, int]] = {}
+            for mono, c in poly._num.items():
+                for order, exp, rest in mono.partials():
+                    partials.setdefault(order, {})[rest] = c * exp
+            for order, num in partials.items():
                 while len(h_derivs) <= order:
                     h_derivs.append(h_derivs[-1].x_derive())
-                partial = DiffPoly.__new__(DiffPoly)
-                partial._terms = terms
+                partial = _poly(num, poly._den)
                 hd = h_derivs[order]._coeffs
                 for j in range(cap + 1 - k):
-                    c = hd[j]
-                    if not c.is_zero():
-                        out[k + j] = out[k + j] + c * partial
-        return EpsSeries(out)
+                    pairs[k + j].append((hd[j], partial))
+        return EpsSeries([_product_sum(p) for p in pairs])
 
     def drop_derivatives(self) -> "EpsSeries":
         return EpsSeries([c.drop_derivatives() for c in self._coeffs])

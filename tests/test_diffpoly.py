@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -223,6 +223,203 @@ def test_evaluate_examples():
     assert phi3.evaluate([0.0, 4.0]) == -1.0
     with pytest.raises(ValueError):
         p.evaluate([2.0, 0.0])
+
+
+# -- Fraction-dict reference kernels ---------------------------------------------
+#
+# The kernels as they were written over {Monomial: Fraction} dicts, one
+# Fraction operation per term and one accumulator copy per series product.
+# Monomial products and derivatives are rebuilt from the pairs here, so the
+# oracle shares neither the memo tables nor the interning of the engine.
+
+
+def _acc(d, m, c):
+    s = d.get(m, 0) + c
+    if s:
+        d[m] = s
+    else:
+        d.pop(m, None)
+
+
+def _ref_add(a, b):
+    d = dict(a)
+    for m, c in b.items():
+        _acc(d, m, c)
+    return d
+
+
+def _ref_neg(a):
+    return {m: -c for m, c in a.items()}
+
+
+def _ref_scale(a, w):
+    return {m: c * w for m, c in a.items()} if w else {}
+
+
+def _ref_mul(a, b):
+    d = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            exps = dict(m1.pairs)
+            for k, e in m2.pairs:
+                exps[k] = exps.get(k, 0) + e
+            _acc(d, Monomial(exps), c1 * c2)
+    return d
+
+
+def _ref_x_derive(a):
+    d = {}
+    for mono, c in a.items():
+        for order, exp in mono.pairs:
+            exps = dict(mono.pairs)
+            exps[order] = exp - 1
+            exps[order + 1] = exps.get(order + 1, 0) + 1
+            _acc(d, Monomial(exps), c * exp)
+    return d
+
+
+def _ref_series_mul(a, b):
+    cap = min(len(a), len(b)) - 1
+    out = [{} for _ in range(cap + 1)]
+    for i in range(cap + 1):
+        for j in range(cap + 1 - i):
+            out[i + j] = _ref_add(out[i + j], _ref_mul(a[i], b[j]))
+    return out
+
+
+def _ref_shift(a, n):
+    cap = len(a) - 1
+    acc = list(a)
+    level = a
+    for i in range(1, cap + 1):
+        level = [_ref_x_derive(c) for c in level[: cap + 1 - i]]
+        w = F(n**i, factorial(i))
+        for j, c in enumerate(level):
+            acc[i + j] = _ref_add(acc[i + j], _ref_scale(c, w))
+    return acc
+
+
+def _ref_dt_along(a, h):
+    cap = min(len(a), len(h)) - 1
+    h_derivs = [h[: cap + 1]]
+    out = [{} for _ in range(cap + 1)]
+    for k in range(cap + 1):
+        for mono, c in a[k].items():
+            for order, exp in mono.pairs:
+                rest = dict(mono.pairs)
+                rest[order] = exp - 1
+                while len(h_derivs) <= order:
+                    h_derivs.append([_ref_x_derive(p) for p in h_derivs[-1]])
+                factor = {Monomial(rest): c * exp}
+                for j in range(cap + 1 - k):
+                    out[k + j] = _ref_add(out[k + j], _ref_mul(h_derivs[order][j], factor))
+    return out
+
+
+def _fraction_terms(p):
+    terms = p.terms
+    assert all(type(c) is F for c in terms.values())
+    return terms
+
+
+def _series_terms(s):
+    return [_fraction_terms(c) for c in s.coeffs]
+
+
+weights = st.one_of(rationals, st.integers(-3, 3), st.builds(F, st.integers(-50, 50), st.integers(1, 60)))
+
+
+@st.composite
+def cancelling_pairs(draw):
+    # q = r - p term for term, so p + q keeps only r and p * q, p - q mix
+    # cancelling and surviving terms
+    p, r = draw(polys), draw(polys)
+    return p, DiffPoly(_ref_add(_ref_neg(p.terms), r.terms))
+
+
+@given(st.one_of(st.tuples(polys, polys), cancelling_pairs()), weights)
+@settings(max_examples=150, deadline=None)
+def test_diffpoly_kernels_match_fraction_oracle(pq, w):
+    p, q = pq
+    a, b = p.terms, q.terms
+    assert _fraction_terms(p * q) == _ref_mul(a, b)
+    assert _fraction_terms(p + q) == _ref_add(a, b)
+    assert _fraction_terms(p - q) == _ref_add(a, _ref_neg(b))
+    assert _fraction_terms(-p) == _ref_neg(a)
+    assert _fraction_terms(p.scale(w)) == _ref_scale(a, w)
+    assert _fraction_terms(p * w) == _ref_scale(a, w)
+    assert _fraction_terms(p.x_derive()) == _ref_x_derive(a)
+    assert (p - p).terms == {} and (p + (-p)).is_zero()
+
+
+@given(series(4), st.integers(3, 6).flatmap(series), st.integers(-3, 3))
+@settings(max_examples=60, deadline=None)
+def test_series_kernels_match_fraction_oracle(p, q, n):
+    a, b = _series_terms(p), _series_terms(q)
+    assert _series_terms(p * q) == _ref_series_mul(a, b)
+    assert _series_terms(p.shift(n)) == _ref_shift(a, n)
+    assert _series_terms(q.shift(n)) == _ref_shift(b, n)
+    assert _series_terms(p.dt_along(q)) == _ref_dt_along(a, b)
+    assert _series_terms(q.dt_along(p)) == _ref_dt_along(b, a)
+    assert _series_terms(p.shift(n).shift(-n)) == a
+
+
+def _assert_canonical(p):
+    # one positive denominator, no zero numerator, nothing left to cancel
+    assert p._den > 0 and 0 not in p._num.values()
+    assert gcd(p._den, *p._num.values()) == 1
+    terms = p.terms
+    assert len(terms) == len(p)
+    for m, c in terms.items():
+        assert type(c) is F and c != 0 and p.coeff(m) == c
+    listed = p.sorted_terms()
+    assert dict(listed) == terms and all(type(c) is F for _, c in listed)
+
+
+def test_canonical_form_examples():
+    m = Monomial({0: 1})
+    half, two_quarters = DiffPoly({m: F(1, 2)}), DiffPoly({m: F(2, 4)})
+    assert half == two_quarters and hash(half) == hash(two_quarters)
+    p = DiffPoly.from_terms((F(2, 3), [(0, 2)]), (F(-5, 6), [(1, 1)]), (4, []))
+    q = DiffPoly.from_terms((F(1, 6), [(0, 2)]), (F(7, 10), [(2, 1)]))
+    rebuilt = [
+        p + q - q,
+        p.scale(3).scale(F(1, 3)),
+        p.scale(F(9, 4)).scale(F(4, 9)),
+        -(-p),
+        DiffPoly(reversed(list(p.terms.items()))),
+        DiffPoly([(mono, c / 2) for mono, c in p.terms.items()] * 2),
+    ]
+    for r in rebuilt:
+        assert r == p and hash(r) == hash(p)
+        _assert_canonical(r)
+    assert p.coeff(Monomial.one()) == 4 and type(p.coeff(Monomial.one())) is F
+    assert p.coeff(Monomial({5: 1})) == 0 and type(p.coeff(Monomial({5: 1}))) is F
+    assert EpsSeries([p, q], order_cap=3) == EpsSeries([q + p - q, q], order_cap=3)
+    zero = p - p
+    assert zero == DiffPoly.zero() and hash(zero) == hash(DiffPoly.zero()) and len(zero) == 0
+
+
+@given(st.one_of(st.tuples(polys, polys), cancelling_pairs()), weights)
+@settings(max_examples=60, deadline=None)
+def test_kernel_results_are_canonical(pq, w):
+    p, q = pq
+    for r in (p * q, p + q, p - q, p.scale(w), p.x_derive(), p - p, (p * q).drop_derivatives()):
+        _assert_canonical(r)
+
+
+def test_floats_are_rejected():
+    m = Monomial({0: 1})
+    with pytest.raises(TypeError):
+        DiffPoly({m: 0.5})
+    with pytest.raises(TypeError):
+        DiffPoly.const(1.0)
+    with pytest.raises(TypeError):
+        f().scale(0.5)
+    with pytest.raises(TypeError):
+        f() * 0.5
+    with pytest.raises(TypeError):
+        EpsSeries.f(2) * 0.5
 
 
 # -- series bookkeeping ----------------------------------------------------------

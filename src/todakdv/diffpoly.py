@@ -172,7 +172,14 @@ class Monomial:
             return "1"
         out = []
         for order, exp in self._pairs:
-            name = {0: "f", 1: "f'", 2: "f''"}.get(order, f"f({order})")
+            if order == 0:
+                name = "f"
+            elif order == 1:
+                name = "f'"
+            elif order == 2:
+                name = "f''"
+            else:
+                name = f"f({order})"
             out.append(name if exp == 1 else f"{name}^{exp}")
         return " * ".join(out)
 
@@ -255,7 +262,9 @@ class DiffPoly:
         items = terms.items() if isinstance(terms, Mapping) else terms
         d: dict[Monomial, Fraction] = {}
         for mono, coeff in items:
-            d[mono] = d.get(mono, 0) + _as_rational(coeff)
+            c = _as_rational(coeff)
+            acc = d.get(mono)
+            d[mono] = c if acc is None else acc + c
         d = {m: c for m, c in d.items() if c}
         # over the lcm of lowest-terms denominators no common factor is left
         den = lcm(*[c.denominator for c in d.values()])
@@ -373,6 +382,11 @@ class DiffPoly:
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         return sorted(self.terms.items(), key=lambda t: t[0].sort_key(), reverse=True)
 
+    def leading_term(self) -> tuple[Monomial, Fraction]:
+        """``sorted_terms()[0]``, converting only that coefficient."""
+        top = max(self._num, key=Monomial.sort_key)
+        return top, Fraction(self._num[top], self._den)
+
     def __str__(self) -> str:
         if not self._num:
             return "0"
@@ -457,7 +471,10 @@ class EpsSeries:
         return all(c.is_zero() for c in self._coeffs)
 
     def first_nonzero_order(self) -> int | None:
-        return next((k for k, c in enumerate(self._coeffs) if c._num), None)
+        for k, c in enumerate(self._coeffs):
+            if not c.is_zero():
+                return k
+        return None
 
     def max_order(self) -> int:
         return max((c.max_order() for c in self._coeffs), default=-1)
@@ -470,15 +487,20 @@ class EpsSeries:
 
     # -- arithmetic -----------------------------------------------------------
 
+    def _common_cap(self, other: "EpsSeries") -> int:
+        return min(self.order_cap, other.order_cap)
+
     def __add__(self, other: "EpsSeries") -> "EpsSeries":
         if not isinstance(other, EpsSeries):
             return NotImplemented
-        return EpsSeries([p + q for p, q in zip(self._coeffs, other._coeffs)])
+        cap = self._common_cap(other)
+        return EpsSeries([self._coeffs[k] + other._coeffs[k] for k in range(cap + 1)])
 
     def __sub__(self, other: "EpsSeries") -> "EpsSeries":
         if not isinstance(other, EpsSeries):
             return NotImplemented
-        return EpsSeries([p - q for p, q in zip(self._coeffs, other._coeffs)])
+        cap = self._common_cap(other)
+        return EpsSeries([self._coeffs[k] - other._coeffs[k] for k in range(cap + 1)])
 
     def __neg__(self) -> "EpsSeries":
         return EpsSeries([-c for c in self._coeffs])
@@ -488,11 +510,9 @@ class EpsSeries:
             return self.scale(other)
         if not isinstance(other, EpsSeries):
             return NotImplemented
+        cap = self._common_cap(other)
         a, b = self._coeffs, other._coeffs
-        return EpsSeries([
-            _product_sum((a[i], b[k - i]) for i in range(k + 1))
-            for k in range(min(len(a), len(b)))
-        ])
+        return EpsSeries([_product_sum((a[i], b[k - i]) for i in range(k + 1)) for k in range(cap + 1)])
 
     __rmul__ = __mul__
 
@@ -506,7 +526,11 @@ class EpsSeries:
         """Multiply by eps^k (k >= 0), truncating at the cap."""
         if k < 0:
             raise ValueError("eps_shift expects k >= 0; use eps_div to lower")
-        return EpsSeries([_DIFFPOLY_ZERO] * k + list(self._coeffs), order_cap=self.order_cap)
+        cap = self.order_cap
+        out = [_DIFFPOLY_ZERO] * (cap + 1)
+        for i in range(cap + 1 - k):
+            out[i + k] = self._coeffs[i]
+        return EpsSeries(out)
 
     def eps_div(self, k: int) -> "EpsSeries":
         """Divide exactly by eps^k.  The dropped low coefficients must vanish.

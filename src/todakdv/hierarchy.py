@@ -265,9 +265,9 @@ def integrate_total_derivative(p: DiffPoly) -> DiffPoly:
     The integration constant is fixed to zero.
     """
     remainder = p
-    result = DiffPoly.zero()
+    result: list[tuple[Monomial, Fraction]] = []
     while not remainder.is_zero():
-        top, coeff = remainder.sorted_terms()[0]
+        top, coeff = remainder.leading_term()
         K = top.max_order()
         if K <= 0:
             raise ObstructionError(remainder)
@@ -278,10 +278,9 @@ def integrate_total_derivative(p: DiffPoly) -> DiffPoly:
         exps[K - 1] = exps.get(K - 1, 0) + 1
         q_mono = Monomial(exps)
         c = coeff / exps[K - 1]
-        q_term = DiffPoly({q_mono: c})
-        result = result + q_term
-        remainder = remainder - q_term.x_derive()
-    return result
+        result.append((q_mono, c))
+        remainder = remainder - DiffPoly({q_mono: c}).x_derive()
+    return DiffPoly(result)
 
 
 @dataclass(frozen=True)

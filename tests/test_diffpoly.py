@@ -374,6 +374,9 @@ def _assert_canonical(p):
         assert type(c) is F and c != 0 and p.coeff(m) == c
     listed = p.sorted_terms()
     assert dict(listed) == terms and all(type(c) is F for _, c in listed)
+    if listed:
+        top = p.leading_term()
+        assert top == listed[0] and type(top[1]) is F
 
 
 def test_canonical_form_examples():

@@ -6,19 +6,28 @@ The discrete operator acts on periodic sequences,
 
 so the eigenvalue relation propagates by the transfer matrix
 [[A(n) - lambda eps^2, B(n)], [1, 0]]; the product over one period is the
-monodromy and its trace the Floquet discriminant.  The continuous side is
-Hill's operator -psi'' + g psi integrated over one period by an adaptive
-high-order scheme.  Real spectral bands are where |trace| <= 2.
+monodromy and its trace the Floquet discriminant.  The transfer products for
+all lambdas run as one in-place three-term recurrence on two row buffers.
+
+The continuous side is Hill's operator -psi'' + g psi.  Its period map is the
+ordered product of the maps of S = ceil(sqrt(max|lambda| + max|g|)) short
+segments of [0, 1].  Each entry of a segment map is an entire function of
+lambda, so it is integrated (DOP853, one stacked ODE system for all segments)
+at 17 Chebyshev nodes only, and its degree-16 Chebyshev interpolant is
+evaluated on the grid.  A grid with no more than 17 S points, or one that
+spans no interval, is integrated over [0, 1] at its own lambdas.  Either way
+the integrator keeps only its final state, not the trajectory.  Real spectral
+bands are where |trace| <= 2.
 
 A scan keeps its result in columns: ``discriminant_scan`` returns one
 ``DiscriminantTable`` of five float arrays (lambda, the two traces, the two
 determinants), built from the vectorized monodromies without a per-sample
-object.  All lambdas of a Hill scan are stacked into one ODE system, and the
-integrator keeps only its state at x = 1, the period map, not the trajectory.
+object.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -97,23 +106,30 @@ class DiscriminantTable:
 
 
 def _discrete_entries(A, B, lams: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Entries (m11, m12, m21, m22) of the transfer-matrix product, per lambda."""
+    """Entries (m11, m12, m21, m22) of the transfer-matrix product, per lambda.
+
+    The top row obeys the three-term recurrence X_{n+1} = (A(n) - lambda eps^2)
+    X_n + B(n) X_{n-1}, and the bottom row is the previous top row, so one
+    buffer holds (m11, m12) and a second (m21, m22); the new top row
+    overwrites the old bottom row in place.
+    """
     A = np.asarray(A, float)
     B = np.asarray(B, float)
     N = len(A)
     lam_eps2 = lams * (1.0 / N**2)
-    ones = np.ones_like(lams)
-    m11, m12, m21, m22 = ones.copy(), 0.0 * ones, 0.0 * ones, ones.copy()
+    top = np.zeros((2, len(lams)))
+    top[0] = 1.0
+    bottom = np.zeros((2, len(lams)))
+    bottom[1] = 1.0
+    t11 = np.empty_like(lam_eps2)
+    scratch = np.empty_like(top)
     for n in range(N):
-        t11 = A[n] - lam_eps2
-        t12 = B[n]
-        m11, m12, m21, m22 = (
-            t11 * m11 + t12 * m21,
-            t11 * m12 + t12 * m22,
-            m11,
-            m12,
-        )
-    return m11, m12, m21, m22
+        np.subtract(A[n], lam_eps2, out=t11)
+        np.multiply(top, t11, out=scratch)
+        bottom *= B[n]
+        bottom += scratch
+        top, bottom = bottom, top
+    return top[0], top[1], bottom[0], bottom[1]
 
 
 def monodromy_discrete(A: np.ndarray, B: np.ndarray, lam: float) -> Monodromy2x2:
@@ -127,17 +143,27 @@ def discrete_traces(A: np.ndarray, B: np.ndarray, lams: np.ndarray) -> tuple[np.
     return m11 + m22, m11 * m22 - m12 * m21
 
 
-def _continuous_entries(g: Profile, lams: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
-    """Entries (m11, m12, m21, m22) of the Hill period map on [0, 1], per lambda.
+# Chebyshev nodes (first kind) in lambda per segment map, and the matrix taking
+# values at them to the coefficients of the degree-16 interpolant
+_NODES = 17
+_NODE_T = np.cos(np.pi * (np.arange(_NODES) + 0.5) / _NODES)
+_CHEB_FIT = np.polynomial.chebyshev.chebvander(_NODE_T, _NODES - 1).T * (2.0 / _NODES)
+_CHEB_FIT[0] *= 0.5
 
-    All eigenvalue problems are stacked into one ODE system so the adaptive
-    integrator is called a single time.
+
+def _segment_maps(g: Profile, lams: np.ndarray, S: int, tol: float) -> np.ndarray:
+    """Maps of the S segments [k/S, (k+1)/S] of Hill's equation, per lambda.
+
+    Returns an array (S, 4, len(lams)) of entries (m11, m12, m21, m22).  All
+    segments and lambdas are stacked into one ODE system in the offset
+    s in [0, 1/S], so the adaptive integrator is called a single time.
     """
     L = len(lams)
+    starts = np.arange(S) / S
 
-    def rhs(x, y):
-        Y = y.reshape(4, L)
-        pot = g(np.array([x]))[0] - lams
+    def rhs(s, y):
+        Y = y.reshape(4, S, L)
+        pot = g(starts + s)[:, None] - lams
         out = np.empty_like(Y)
         out[0] = Y[1]
         out[1] = pot * Y[0]
@@ -145,15 +171,59 @@ def _continuous_entries(g: Profile, lams: np.ndarray, tol: float) -> tuple[np.nd
         out[3] = pot * Y[2]
         return out.ravel()
 
-    y0 = np.zeros(4 * L)
-    y0[:L] = 1.0  # psi1 = 1, psi1' = 0
-    y0[3 * L :] = 1.0  # psi2 = 0, psi2' = 1
-    # t_eval=(1,) keeps only the period map; without it every step's state is stored
-    sol = solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853", t_eval=(1.0,), rtol=tol, atol=tol * 1e-2)
+    y0 = np.zeros((4, S, L))
+    y0[0] = 1.0  # psi1 = 1, psi1' = 0
+    y0[3] = 1.0  # psi2 = 0, psi2' = 1
+    h = 1.0 / S
+    # t_eval=(h,) keeps only the segment maps; without it every step's state is stored
+    sol = solve_ivp(rhs, (0.0, h), y0.ravel(), method="DOP853", t_eval=(h,), rtol=tol, atol=tol * 1e-2)
     if not sol.success:
         raise IntegrationError(f"monodromy integration failed: {sol.message}")
-    psi1, dpsi1, psi2, dpsi2 = sol.y[:, 0].reshape(4, L)
-    return psi1, psi2, dpsi1, dpsi2
+    psi1, dpsi1, psi2, dpsi2 = sol.y[:, 0].reshape(4, S, L)
+    return np.stack([psi1, psi2, dpsi1, dpsi2], axis=1)
+
+
+def _segment_fits(g: Profile, lo: float, hi: float, S: int, tol: float) -> np.ndarray:
+    """Chebyshev coefficients in lambda on [lo, hi] of every segment map entry.
+
+    Returns an array (S, 4, _NODES); the last axis is the coefficient of T_k.
+    """
+    nodes = 0.5 * (hi + lo) + 0.5 * (hi - lo) * _NODE_T
+    return _segment_maps(g, nodes, S, tol) @ _CHEB_FIT.T
+
+
+def _continuous_entries(g: Profile, lams: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
+    """Entries (m11, m12, m21, m22) of the Hill period map on [0, 1], per lambda.
+
+    [0, 1] is cut into S = ceil(sqrt(R)) segments, R = max|lambda| + max|g|, so
+    h^2 R <= 1 for the segment length h.  Each entry of a segment map is an
+    entire function of lambda, and on such a short segment its degree-16
+    Chebyshev interpolant on the grid's range is exact far below ``tol``.  The
+    maps are integrated at the 17 Chebyshev nodes only, evaluated on the grid
+    and multiplied in order.  A grid of no more than 17 S points, or one that
+    spans no interval, is integrated over [0, 1] at its own lambdas.
+    """
+    L = len(lams)
+    lo, hi = (float(np.min(lams)), float(np.max(lams))) if L else (0.0, 0.0)
+    # max|g| from 256 samples; a NaN, infinite or huge R gives S = L, which
+    # takes the one-segment branch and so keeps that branch's memory bound
+    R = max(-lo, hi) + float(np.max(np.abs(g(np.arange(256) / 256))))
+    S = max(1, math.ceil(math.sqrt(R))) if R < L * L else L
+    if not (hi > lo and S * _NODES < L):
+        return tuple(_segment_maps(g, lams, 1, tol)[0])
+    coef = _segment_fits(g, lo, hi, S, tol)
+    t = (lams - 0.5 * (hi + lo)) / (0.5 * (hi - lo))
+    vander = np.polynomial.chebyshev.chebvander(t, _NODES - 1).T
+    m11, m12, m21, m22 = coef[0] @ vander
+    for k in range(1, S):
+        p11, p12, p21, p22 = coef[k] @ vander
+        m11, m12, m21, m22 = (
+            p11 * m11 + p12 * m21,
+            p11 * m12 + p12 * m22,
+            p21 * m11 + p22 * m21,
+            p21 * m12 + p22 * m22,
+        )
+    return m11, m12, m21, m22
 
 
 def monodromy_continuous(g: Profile, lam: float, tol: float = 1e-10) -> Monodromy2x2:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.integrate import solve_ivp
 
 from todakdv import bloch
 from todakdv.bloch import (
@@ -21,7 +22,7 @@ from todakdv.bloch import (
     monodromy_continuous,
     monodromy_discrete,
 )
-from todakdv.lattice import builtin_profile
+from todakdv.lattice import Profile, builtin_profile
 
 
 def test_discrete_free_lattice_unipotent_power():
@@ -70,6 +71,43 @@ def test_discrete_band_edges_free_lattice():
         assert M.trace() == pytest.approx(2.0, abs=1e-6)
 
 
+def _discrete_entries_loop(A, B, lams):
+    """Transfer-matrix product as one tuple assignment per site: the oracle."""
+    A = np.asarray(A, float)
+    B = np.asarray(B, float)
+    N = len(A)
+    lam_eps2 = lams * (1.0 / N**2)
+    ones = np.ones_like(lams)
+    m11, m12, m21, m22 = ones.copy(), 0.0 * ones, 0.0 * ones, ones.copy()
+    for n in range(N):
+        t11 = A[n] - lam_eps2
+        t12 = B[n]
+        m11, m12, m21, m22 = (
+            t11 * m11 + t12 * m21,
+            t11 * m12 + t12 * m22,
+            m11,
+            m12,
+        )
+    return m11, m12, m21, m22
+
+
+@pytest.mark.parametrize("case", ["cos", "cos2", "const:-2", "random"])
+def test_discrete_entries_match_loop_bytewise(case):
+    rng = np.random.default_rng(3)
+    if case == "random":
+        A, B = rng.uniform(-3.0, 3.0, 37), rng.uniform(-3.0, 3.0, 37)
+        # far grid points overflow to inf and then nan, as they do in a scan
+        lams = np.concatenate([rng.normal(0.0, 1e3, 200), [0.0, -0.0, 1e300, -1e300]])
+    else:
+        A, B = lattice_from_potential(builtin_profile(case), 64)
+        lams = np.linspace(-200, 200, 2049)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = bloch._discrete_entries(A, B, lams)
+        expect = _discrete_entries_loop(A, B, lams)
+    for g, e in zip(got, expect):
+        assert g.tobytes() == e.tobytes()
+
+
 def test_continuous_free_closed_forms():
     zero = builtin_profile("zero")
     M = monodromy_continuous(zero, 0.0)
@@ -102,6 +140,101 @@ def test_continuous_traces_vectorized_matches_scalar():
         M = monodromy_continuous(g, float(lam))
         assert tr == pytest.approx(M.trace(), abs=1e-8)
         assert det == pytest.approx(M.det(), abs=1e-8)
+
+
+def _continuous_entries_full_period(g, lams, tol):
+    """Hill period map by one stacked DOP853 solve over all of [0, 1]: the oracle."""
+    L = len(lams)
+
+    def rhs(x, y):
+        Y = y.reshape(4, L)
+        pot = g(np.array([x]))[0] - lams
+        out = np.empty_like(Y)
+        out[0] = Y[1]
+        out[1] = pot * Y[0]
+        out[2] = Y[3]
+        out[3] = pot * Y[2]
+        return out.ravel()
+
+    y0 = np.zeros(4 * L)
+    y0[:L] = 1.0
+    y0[3 * L :] = 1.0
+    sol = solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853", t_eval=(1.0,), rtol=tol, atol=tol * 1e-2)
+    assert sol.success
+    psi1, dpsi1, psi2, dpsi2 = sol.y[:, 0].reshape(4, L)
+    return psi1, psi2, dpsi1, dpsi2
+
+
+def _odd_profile():
+    # sin 2 pi x + 0.3 cos 6 pi x: neither even nor a builtin
+    def deriv(x, order):
+        w1, w3 = 2 * math.pi, 6 * math.pi
+        return (w1**order * np.sin(w1 * x + order * math.pi / 2)
+                + 0.3 * w3**order * np.cos(w3 * x + order * math.pi / 2))
+
+    return Profile("odd", deriv)
+
+
+_HILL_PROFILES = ["cos", "cos2", "zero", "const:-2", "odd"]
+
+
+def _hill_profile(tag):
+    return _odd_profile() if tag == "odd" else builtin_profile(tag)
+
+
+def _trace_det(m11, m12, m21, m22):
+    return m11 + m22, m11 * m22 - m12 * m21
+
+
+@pytest.mark.parametrize("tag", _HILL_PROFILES)
+def test_continuous_traces_match_full_period_oracle(tag):
+    g = _hill_profile(tag)
+    lams = np.linspace(-200, 200, 16384)
+    tol = 1e-10
+    trace, det = continuous_traces(g, lams, tol=tol)
+    ref_trace, _ = _trace_det(*_continuous_entries_full_period(g, lams, 1e-13))
+    assert np.all(np.abs(trace - ref_trace) <= 10 * tol * np.maximum(1.0, np.abs(ref_trace)))
+    _, oracle_det = _trace_det(*_continuous_entries_full_period(g, lams, tol))
+    assert np.max(np.abs(det - 1.0)) <= np.max(np.abs(oracle_det - 1.0))
+
+
+@pytest.mark.parametrize("tag", _HILL_PROFILES)
+def test_segment_fits_have_negligible_chebyshev_tails(monkeypatch, tag):
+    fits = []
+    segment_fits = bloch._segment_fits
+
+    def recording(*args, **kwargs):
+        fits.append(segment_fits(*args, **kwargs))
+        return fits[-1]
+
+    monkeypatch.setattr(bloch, "_segment_fits", recording)
+    continuous_traces(_hill_profile(tag), np.linspace(-200, 200, 16384))
+    (coef,) = fits
+    assert coef.shape[0] >= 15  # ceil(sqrt(200 + max|g|)) segments
+    assert np.max(np.abs(coef[..., -1])) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "lams",
+    [np.zeros(100), np.full(40, -7.5), np.array([12.0]), np.linspace(-200, 200, 17),
+     np.array([3.0, -1.0, 50.0])],
+    ids=["zeros", "constant", "single", "seventeen", "unsorted"],
+)
+def test_continuous_traces_on_degenerate_grids(monkeypatch, lams):
+    # grids without an interval or with at most 17 points run one segment at
+    # their own lambdas: that is the full-period oracle, operation for operation
+    g = builtin_profile("cos")
+    fits = []
+    monkeypatch.setattr(bloch, "_segment_fits", lambda *args: fits.append(args))
+    trace, det = continuous_traces(g, lams)
+    assert not fits
+    assert np.all(np.isfinite(trace))
+    expect = _trace_det(*_continuous_entries_full_period(g, lams, 1e-10))
+    assert trace.tobytes() == expect[0].tobytes() and det.tobytes() == expect[1].tobytes()
+    _, first = np.unique(lams, return_index=True)
+    for lam, tr in zip(lams[first], trace[first]):
+        M = monodromy_continuous(g, float(lam))
+        assert tr == pytest.approx(M.trace(), rel=1e-8, abs=1e-8)
 
 
 def test_continuous_traces_keep_only_the_period_map():

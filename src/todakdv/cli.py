@@ -15,7 +15,6 @@ import csv
 import itertools
 import re
 import sys
-from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +23,6 @@ from . import bloch, hierarchy, lattice, solver
 from .diffpoly import EpsSeries
 
 __all__ = ["main", "write_config", "read_config"]
-
-FMT = "%.17g"
-
 
 def write_config(path: Path, mapping: dict) -> None:
     lines = [f"{k}={mapping[k]}" for k in sorted(mapping)]
@@ -135,13 +131,13 @@ def cmd_simulate(args) -> int:
     )
     traj = solver.run(state0, cfg)
 
-    _write_csv(
+    lattice.write_csv(
         outdir / "trajectory.csv",
         ["t", "n", "a", "b"],
         (np.column_stack((np.full(s.N, t), np.arange(s.N), s.a, s.b)) for t, s, _ in traj.samples),
-        row_format=f"{FMT},%d,{FMT},{FMT}",
+        row_format=f"{lattice.FMT},%d,{lattice.FMT},{lattice.FMT}",
     )
-    _write_csv(
+    lattice.write_csv(
         outdir / "conserved.csv",
         lattice.ConservedReport.COLUMNS,
         [np.array([rep.row() for _, _, rep in traj.samples])],
@@ -149,7 +145,7 @@ def cmd_simulate(args) -> int:
     lattice.write_state_csv(outdir / "state.csv", traj.samples[-1][1])  # restartable
     if profile is not None:
         rep = solver.compare_to_kdv(traj, profile, args.t_end)
-        _write_csv(
+        lattice.write_csv(
             outdir / "comparison.csv",
             ["x", "lattice", "reference", "error"],
             [np.column_stack((rep.x, rep.lattice, rep.reference, rep.lattice - rep.reference))],
@@ -159,23 +155,8 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _write_csv(
-    path: Path, header: Sequence[str], blocks: Iterable[np.ndarray], row_format: str | None = None
-) -> None:
-    """Write the rows of each 2-D block with one %-format per field, FMT by default.
-
-    The file is byte for byte what csv.writer writes for the formatted
-    fields: none of them needs quoting, and csv.writer ends lines in \\r\\n.
-    """
-    row = (row_format or ",".join([FMT] * len(header))) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for block in blocks:
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
-
-
 def _write_spectrum_csv(path: Path, table: bloch.DiscriminantTable) -> None:
-    _write_csv(
+    lattice.write_csv(
         path,
         ["lambda", "trace_discrete", "trace_continuous", "det_discrete", "det_continuous"],
         [np.column_stack((table.lam, table.trace_discrete, table.trace_continuous,
@@ -259,7 +240,7 @@ def cmd_conserved(args) -> int:
     ]
     outdir = Path(args.out) if args.out else traj_dir
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_csv(
+    lattice.write_csv(
         outdir / "drift.csv",
         ["t"] + [f"{c}_drift" for c in header[1:]],
         [np.column_stack(([row[0] for row in rows], drifts))],

@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from fractions import Fraction
+from hypothesis import strategies as st
 
 from todakdv.lattice import LatticeState
 
@@ -20,6 +22,30 @@ def random_smooth_state(N: int, seed: int, max_mode: int = 8, amp: float = 2.0) 
         return out
 
     return LatticeState(N, smooth(), smooth())
+
+
+def _signed(values):
+    return st.tuples(values, st.booleans()).map(lambda v: -v[0] if v[1] else v[0])
+
+
+_ENTRY_POOL = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 2.0**60, -(2.0**-60)]),
+    _signed(st.floats(min_value=5e-324, max_value=2.0**-1022)),  # subnormal
+    _signed(st.floats(min_value=2.0**-62, max_value=2.0**-58)),
+    _signed(st.floats(min_value=2.0**58, max_value=2.0**62)),
+    st.floats(min_value=-3.0, max_value=3.0),
+)
+
+
+@st.composite
+def mixed_states(draw):
+    """Smooth states with some entries swapped for zeros, subnormals or 2^+-60 values."""
+    N = draw(st.integers(min_value=8, max_value=40))
+    smooth = random_smooth_state(N, seed=draw(st.integers(min_value=0, max_value=2**16)))
+    vals = np.concatenate([smooth.a, smooth.b])
+    for i in draw(st.lists(st.integers(min_value=0, max_value=2 * N - 1), max_size=2 * N)):
+        vals[i] = draw(_ENTRY_POOL)
+    return LatticeState(N, vals[:N], vals[N:])
 
 
 def random_fraction_state(N: int, seed: int, scale: int = 1):

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from todakdv import bloch, solver
-from todakdv.cli import FMT, _write_csv, _write_spectrum_csv, main, read_config, write_config
-from todakdv.lattice import builtin_profile, exact_invariants, init_from_profile
+from todakdv.cli import _write_spectrum_csv, main, read_config, write_config
+from todakdv.lattice import FMT, builtin_profile, exact_invariants, init_from_profile, write_csv
 
 GOLDEN = Path(__file__).parent / "golden" / "v1"
 
@@ -369,7 +369,7 @@ def test_trajectory_csv_writer_matches_csv_module(tmp_path, rows):
     t, a, b = (np.roll(np.array(_AWKWARD), shift)[:rows] for shift in range(3))
     n = np.arange(rows) * 7919
     blocks = [np.column_stack((t, n, a, b))[i : i + 3] for i in range(0, rows, 3)]
-    _write_csv(tmp_path / "new.csv", ["t", "n", "a", "b"], blocks, row_format=f"{FMT},%d,{FMT},{FMT}")
+    write_csv(tmp_path / "new.csv", ["t", "n", "a", "b"], blocks, row_format=f"{FMT},%d,{FMT},{FMT}")
     with open(tmp_path / "ref.csv", "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["t", "n", "a", "b"])

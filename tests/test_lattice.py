@@ -1,13 +1,13 @@
+import csv
 import math
 import warnings
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from hypothesis import example, given, settings
 
-from conftest import exact_flow_rhs, random_fraction_state, random_smooth_state
+from conftest import exact_flow_rhs, mixed_states, random_fraction_state, random_smooth_state
 from todakdv.lattice import (
     C1_EXPANSION,
     C2_EXPANSION,
@@ -345,32 +345,8 @@ def _fraction_report(s, t):
     return ConservedReport(t, float(d1), float(d2), float(d3), float(C1), float(C2), float(C3))
 
 
-def _signed(values):
-    return st.tuples(values, st.booleans()).map(lambda v: -v[0] if v[1] else v[0])
-
-
-_ENTRY_POOL = st.one_of(
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 2.0**60, -(2.0**-60)]),
-    _signed(st.floats(min_value=5e-324, max_value=2.0**-1022)),  # subnormal
-    _signed(st.floats(min_value=2.0**-62, max_value=2.0**-58)),
-    _signed(st.floats(min_value=2.0**58, max_value=2.0**62)),
-    st.floats(min_value=-3.0, max_value=3.0),
-)
-
-
-@st.composite
-def _mixed_states(draw):
-    """Smooth states with some entries swapped for zeros, subnormals or 2^+-60 values."""
-    N = draw(st.integers(min_value=8, max_value=40))
-    smooth = random_smooth_state(N, seed=draw(st.integers(min_value=0, max_value=2**16)))
-    vals = np.concatenate([smooth.a, smooth.b])
-    for i in draw(st.lists(st.integers(min_value=0, max_value=2 * N - 1), max_size=2 * N)):
-        vals[i] = draw(_ENTRY_POOL)
-    return LatticeState(N, vals[:N], vals[N:])
-
-
 @settings(max_examples=60, deadline=None)
-@given(_mixed_states())
+@given(mixed_states())
 def test_scaled_integer_invariants_match_fraction_reference(s):
     """The common-denominator int path equals the entrywise Fraction path exactly."""
     A, B = _fraction_AB(s)
@@ -379,7 +355,7 @@ def test_scaled_integer_invariants_match_fraction_reference(s):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_mixed_states())
+@given(mixed_states())
 def test_invariant_kernel_matches_recursions(s):
     """The closed-form power sums give the recursions' graded ints exactly."""
     A, B, D = _scaled_AB(s)
@@ -392,7 +368,7 @@ def test_invariant_kernel_matches_recursions(s):
 
 
 @settings(max_examples=40, deadline=None)
-@given(_mixed_states())
+@given(mixed_states())
 def test_rhs_flow2_arrays_matches_roll_formula(s):
     """The padded-copy neighbours give the np.roll stencil bit for bit."""
     N, a, b = s.N, s.a, s.b
@@ -514,7 +490,7 @@ def test_state_csv_roundtrip(tmp_path):
 
 
 @settings(max_examples=40, deadline=None)
-@given(s=_mixed_states())
+@given(s=mixed_states())
 def test_state_csv_roundtrip_is_bit_exact(tmp_path_factory, s):
     """write_state_csv -> read_state_csv keeps every bit: -0.0, subnormals, 2^+-60."""
     path = tmp_path_factory.mktemp("state") / "state.csv"
@@ -523,3 +499,25 @@ def test_state_csv_roundtrip_is_bit_exact(tmp_path_factory, s):
     assert s2.N == s.N
     assert np.array_equal(s2.a.view(np.uint64), s.a.view(np.uint64))
     assert np.array_equal(s2.b.view(np.uint64), s.b.view(np.uint64))
+
+
+def _state_csv_reference(path, s):
+    """The per-row csv.writer loop that write_state_csv replaced."""
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["n", "a", "b"])
+        for n in range(s.N):
+            wr.writerow([n, f"{s.a[n]:.17g}", f"{s.b[n]:.17g}"])
+
+
+_AWKWARD = np.array([-0.0, 0.0, 5e-324, -(2.0**-1030), 1e300, -1e300, 0.1, 1 / 3])
+
+
+@settings(max_examples=40, deadline=None)
+@given(s=mixed_states())
+@example(s=LatticeState(8, _AWKWARD, -_AWKWARD[::-1]))  # -0.0, subnormals, 1e300
+def test_state_csv_matches_csv_module(tmp_path_factory, s):
+    path = tmp_path_factory.mktemp("state")
+    write_state_csv(path / "new.csv", s)
+    _state_csv_reference(path / "ref.csv", s)
+    assert (path / "new.csv").read_bytes() == (path / "ref.csv").read_bytes()

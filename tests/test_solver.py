@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import solve_triangular
 
-from conftest import random_smooth_state
+from conftest import mixed_states, random_smooth_state
 from todakdv import solver
 from todakdv.cli import main
 from todakdv.lattice import LatticeState, builtin_profile, init_from_profile, rhs_flow2
@@ -218,6 +218,90 @@ def test_cn_newton_failure_reports_residual():
     with pytest.raises(NewtonError) as exc:
         step_cn(s, 1e-3, cfg)
     assert exc.value.residual > 0
+
+
+def _counting(monkeypatch, name):
+    """Rebind solver.<name> to a wrapper that logs each call; returns the log."""
+    calls = []
+    fn = getattr(solver, name)
+
+    def counted(*args):
+        calls.append(None)
+        return fn(*args)
+
+    monkeypatch.setattr(solver, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "N, dt, name, iters",
+    [(32, 1e-4, "cos", 1), (33, 1e-3, "cos", 1), (64, 0.02, "cos2", 2), (31, 0.01, "cos2", 2)],
+)
+def test_cn_run_evaluates_each_right_side_once(monkeypatch, N, dt, name, iters):
+    """One right side per Newton iteration plus one for the initial state, and
+    the same final state as steps from rebuilt states that carry nothing."""
+    s0 = init_from_profile(builtin_profile(name), N)
+    steps = 6
+    cfg = SolverConfig(dt=dt, t_end=steps * dt, output_every=4)
+    rhs_calls = _counting(monkeypatch, "rhs_flow2_arrays")
+    jacobians = _counting(monkeypatch, "flow2_jacobian")
+    final = run(s0, cfg).samples[-1][1]
+    assert len(jacobians) == iters * steps
+    assert len(rhs_calls) == 1 + len(jacobians)
+    s = s0
+    for _ in range(steps):
+        s = step_cn(LatticeState(N, s.a.copy(), s.b.copy()), dt, cfg)
+    assert final.a.tobytes() == s.a.tobytes() and final.b.tobytes() == s.b.tobytes()
+
+
+def test_cn_step_carries_the_right_side_of_its_result():
+    s = random_smooth_state(24, seed=13)
+    carry: list = []
+    s1 = step_cn(s, 1e-3, rhs=carry)
+    alone = step_cn(s, 1e-3)
+    assert s1.a.tobytes() == alone.a.tobytes() and s1.b.tobytes() == alone.b.tobytes()
+    assert carry[0].tobytes() == np.concatenate(rhs_flow2(s1)).tobytes()
+    s2 = step_cn(s1, 1e-3, rhs=carry)
+    assert s2.a.tobytes() == step_cn(s1, 1e-3).a.tobytes()
+    assert carry[0].tobytes() == np.concatenate(rhs_flow2(s2)).tobytes()
+
+
+def _jacobian_oracle(s):
+    """flow2_jacobian as it was: ten row expressions stacked, then scaled by N."""
+    N = s.N
+    eps2 = 1.0 / N**2
+    a, b = s.a, s.b
+    am, ap = np.roll(a, 1), np.roll(a, -1)
+    bm, bp = np.roll(b, 1), np.roll(b, -1)
+    return float(N) * np.array([
+        1.0 - eps2 * b,
+        eps2 * (bp - b),
+        -1.0 + eps2 * bp,
+        -2.0 - eps2 * (a + am),
+        2.0 + eps2 * (a + ap),
+        -2.0 + eps2 * (2 * b - 2 * am + 2 * eps2 * b * am),
+        2.0 + eps2 * (-2 * b + 2 * a - 2 * eps2 * b * a),
+        1.0 - eps2 * b,
+        eps2 * (-2 * a + 2 * am + bp - bm + eps2 * (am**2 - a**2)),
+        -1.0 + eps2 * b,
+    ])
+
+
+@settings(max_examples=40, deadline=None)
+@given(s=mixed_states(), dt=st.sampled_from([1e-3, -5e-3, 0.1]))
+def test_jacobian_and_band_match_stacked_assembly(s, dt):
+    """The preallocated Jacobian and the flat-index band write are bit for bit
+    the stacked-array Jacobian and the np.put band."""
+    J = flow2_jacobian(s)
+    assert J.values.tobytes() == _jacobian_oracle(s).tobytes()
+    index, _ = solver._band_layout(s.N)
+    band = np.zeros((2 * s.N, solver._LDAB))
+    np.put(band, index, (-0.5 * dt) * J.values)
+    band[:, solver._KL + solver._KU] += 1.0
+    with pytest.MonkeyPatch.context() as mp:  # hand back the band dgbtrf would factor
+        mp.setattr(solver, "dgbtrf", lambda ab, kl, ku, overwrite_ab: (ab.copy(), None, 0))
+        written, _, _ = lu_factor(J, dt)
+    assert written.tobytes() == band.T.tobytes()
 
 
 def test_run_t_end_zero():

@@ -5,13 +5,16 @@ outputs, and all CSV output is deterministic given the configuration.
 
 Exit codes: 0 success / verified, 1 verification failure, 2 usage error,
 3 numerical failure (blow-up, Newton breakdown, float64 overflow of the
-conserved quantities, a failed adaptive ODE integration).
+conserved quantities, a failed adaptive ODE integration).  A run that
+exits 2 or 3 creates no --out: simulate and spectrum create it only once
+their computation has succeeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import re
 import sys
@@ -109,6 +112,15 @@ def cmd_simulate(args) -> int:
         scheme=args.scheme,
         output_every=args.output_every,
     )
+    rho = solver.linear_spectral_radius(args.N)
+    print(
+        f"linearized stencil spectral radius {rho:.1f} "
+        f"(explicit stability needs dt well below {2.8 / rho:.2e}; dt*N^3 = {args.dt * args.N**3:.3g})"
+    )
+    # every numerical failure (exit 3) comes before --out exists
+    traj = solver.run(state0, cfg)
+    kdv = solver.compare_to_kdv(traj, profile, args.t_end) if profile is not None else None
+
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     write_config(
@@ -124,13 +136,6 @@ def cmd_simulate(args) -> int:
             "output_every": args.output_every,
         },
     )
-    rho = solver.linear_spectral_radius(args.N)
-    print(
-        f"linearized stencil spectral radius {rho:.1f} "
-        f"(explicit stability needs dt well below {2.8 / rho:.2e}; dt*N^3 = {args.dt * args.N**3:.3g})"
-    )
-    traj = solver.run(state0, cfg)
-
     lattice.write_csv(
         outdir / "trajectory.csv",
         ["t", "n", "a", "b"],
@@ -143,14 +148,13 @@ def cmd_simulate(args) -> int:
         [np.array([rep.row() for _, _, rep in traj.samples])],
     )
     lattice.write_state_csv(outdir / "state.csv", traj.samples[-1][1])  # restartable
-    if profile is not None:
-        rep = solver.compare_to_kdv(traj, profile, args.t_end)
+    if kdv is not None:
         lattice.write_csv(
             outdir / "comparison.csv",
             ["x", "lattice", "reference", "error"],
-            [np.column_stack((rep.x, rep.lattice, rep.reference, rep.lattice - rep.reference))],
+            [np.column_stack((kdv.x, kdv.lattice, kdv.reference, kdv.lattice - kdv.reference))],
         )
-        print(f"comparison at t={rep.t:g}: max err {rep.max_err:.3e}, l2 err {rep.l2_err:.3e}")
+        print(f"comparison at t={kdv.t:g}: max err {kdv.max_err:.3e}, l2 err {kdv.l2_err:.3e}")
     print(f"wrote {outdir}/trajectory.csv, conserved.csv ({len(traj.samples)} snapshots)")
     return 0
 
@@ -176,8 +180,9 @@ def cmd_spectrum(args) -> int:
     if not args.g.startswith("builtin:"):
         raise ValueError("--g must be builtin:<name>")
     prof = lattice.builtin_profile(args.g.split(":", 1)[1])
-    bloch.lattice_from_potential(prof, args.N)  # rejects non-finite lattice data before --out exists
+    bloch.lattice_from_potential(prof, args.N)  # rejects non-finite lattice data, also for --samples 0
     lams = np.linspace(-args.lambda_max, args.lambda_max, args.samples)
+    table = bloch.discriminant_scan(prof, args.N, lams, tol=args.tol)  # exit 3 before --out exists
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     write_config(
@@ -191,7 +196,6 @@ def cmd_spectrum(args) -> int:
             "tol": args.tol,
         },
     )
-    table = bloch.discriminant_scan(prof, args.N, lams, tol=args.tol)
     _write_spectrum_csv(outdir / "spectrum.csv", table)
     print(f"wrote {outdir}/spectrum.csv ({len(table)} samples)")
     return 0
@@ -254,7 +258,9 @@ def cmd_conserved(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parse_args keeps no state."""
     p = argparse.ArgumentParser(prog="todakdv", description=__doc__)
     sub = p.add_subparsers(dest="subcommand", required=True)
 

@@ -2,6 +2,9 @@ import contextlib
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import todakdv
 from todakdv import bloch, solver
 from todakdv.cli import _write_spectrum_csv, main, read_config, write_config
 from todakdv.lattice import FMT, builtin_profile, exact_invariants, init_from_profile, write_csv
@@ -129,6 +133,7 @@ def test_simulate_blowup_exits_3(capsys, tmp_path):
     )
     assert code == 3
     assert "blow-up" in err
+    assert not out.exists()
 
 
 def test_simulate_bad_init_usage(capsys, tmp_path):
@@ -203,6 +208,18 @@ def test_simulate_huge_state_overflow_exits_3(capsys, tmp_path, scheme):
     )
     assert code == 3
     assert err.splitlines() == ["numerical failure: conserved quantities at t = 0 overflow float64"]
+    assert not (tmp_path / "x").exists()
+
+
+def test_simulate_overflowing_builtin_init_exits_3_without_output(capsys, tmp_path):
+    out = tmp_path / "bad"
+    code, _, err = run_cli(
+        capsys, "simulate", "--N", "16", "--dt", "1e-3", "--t-end", "0.002",
+        "--init", "builtin:const:1e60", "--out", str(out),
+    )
+    assert code == 3
+    assert err.splitlines() == ["numerical failure: conserved quantities at t = 0 overflow float64"]
+    assert not out.exists()
 
 
 # -- conserved ----------------------------------------------------------------------
@@ -309,9 +326,10 @@ def test_reference_integration_failure_exits_3(capsys, tmp_path, monkeypatch):
         message = "stub failure"
 
     monkeypatch.setattr(solver, "solve_ivp", lambda *a, **k: Failed())
-    code, _, _, err = _simulate(capsys, tmp_path, "ref")
+    code, out, _, err = _simulate(capsys, tmp_path, "ref")
     assert code == 3
     assert err.splitlines() == ["numerical failure: reference KdV integration failed: stub failure"]
+    assert not out.exists()
 
 
 # -- spectrum -----------------------------------------------------------------------
@@ -440,6 +458,17 @@ def test_spectrum_integration_failure_exits_3(capsys, tmp_path):
     assert len(err.splitlines()) == 1
     assert err.startswith("numerical failure: monodromy integration failed:")
     assert not caught
+    assert not (tmp_path / "s").exists()
+
+
+def test_spectrum_huge_potential_exits_3_without_output(capsys, tmp_path):
+    out = tmp_path / "s"
+    code, _, err = run_cli(
+        capsys, "spectrum", "--g", "builtin:const:1e100", "--N", "8", "--samples", "5", "--out", str(out),
+    )
+    assert code == 3
+    assert err.startswith("numerical failure: monodromy integration failed:")
+    assert not out.exists()
 
 
 _DT = st.sampled_from(["1e-3", "2e-3", "3e-3", "0", "-1e-3", "nan", "inf", "-inf"])
@@ -467,6 +496,44 @@ def test_cli_exit_codes_are_documented(tmp_path_factory, argv):
         code = main(argv + ["--out", str(tmp_path_factory.mktemp("cli"))])
     assert code in (0, 1, 2, 3), argv
     assert "Traceback" not in err.getvalue()
+
+
+_SEQUENCE = [
+    ["simulate", "--N", "16", "--dt", "1e-3", "--t-end", "0.004", "--scheme", "rk4",
+     "--output-every", "2", "--out", "sim"],
+    ["verify", "--flow", "5"],
+    ["spectrum", "--g", "builtin:cos2", "--N", "8", "--samples", "9", "--lambda-max", "10",
+     "--out", "spec"],
+    ["verify", "--flow", "1"],
+]
+
+
+def _tree(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys, tmp_path, monkeypatch):
+    """Calls in one process, a usage error among them, print and write what
+    fresh processes do."""
+    env = dict(os.environ, PYTHONPATH=str(Path(todakdv.__file__).parents[1]))
+    codes = []
+    for i, argv in enumerate(_SEQUENCE):
+        fresh_dir = tmp_path / f"fresh{i}"
+        fresh_dir.mkdir()
+        fresh = subprocess.run([sys.executable, "-m", "todakdv.cli", *argv], cwd=fresh_dir,
+                               env=env, capture_output=True, text=True)
+        here_dir = tmp_path / f"here{i}"
+        here_dir.mkdir()
+        monkeypatch.chdir(here_dir)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        assert _tree(here_dir) == _tree(fresh_dir), argv
+        codes.append(code)
+    assert codes == [0, 2, 0, 0]
 
 
 def test_config_roundtrip(tmp_path):

@@ -14,8 +14,8 @@ from todakdv.lattice import (
     C3_EXPANSION,
     ConservedReport,
     LatticeState,
+    _dyadic_numerators,
     _invariant_ints,
-    _scaled_AB,
     asymptotic_C,
     builtin_profile,
     conserved_d,
@@ -357,9 +357,12 @@ def test_scaled_integer_invariants_match_fraction_reference(s):
 @settings(max_examples=60, deadline=None)
 @given(mixed_states())
 def test_invariant_kernel_matches_recursions(s):
-    """The closed-form power sums give the recursions' graded ints exactly."""
-    A, B, D = _scaled_AB(s)
-    D1, D2, D3, L3 = _invariant_ints(A, B)
+    """The closed-form power sums over the raw numerators give the recursions'
+    graded ints exactly."""
+    alpha, beta, D = _dyadic_numerators(s)
+    A = [2 * D + x for x in alpha]
+    B = [D * (y - D) for y in beta]
+    D1, D2, D3, L3 = _invariant_ints(alpha, beta, D)
     assert (D1, D2, D3) == _d_table_exact(A, B, s.N)
     assert L3 == _d3_generating_product(A, B)
     FA, FB = _fraction_AB(s)
@@ -374,6 +377,18 @@ def test_rhs_flow2_arrays_matches_roll_formula(s):
     N, a, b = s.N, s.a, s.b
     eps2 = 1.0 / N**2
     ap, am, bp, bm = np.roll(a, -1), np.roll(a, 1), np.roll(b, -1), np.roll(b, 1)
+    u, v, w = a - am, a + am, bp - bm
+    da, db = rhs_flow2_arrays(N, a, b)
+    assert da.tobytes() == (N * (2.0 * (bp - b) - (ap - am) + eps2 * (bp * (a + ap) - b * v))).tobytes()
+    assert db.tobytes() == (
+        N * (2.0 * u - w + eps2 * (u * (v * (1.0 - eps2 * b) - 2.0 * b) + b * w))
+    ).tobytes()
+
+
+def _expanded_flow2(N, a, b):
+    """The flow-2 right side in its expanded, term-by-term operation order."""
+    eps2 = 1.0 / N**2
+    ap, am, bp, bm = np.roll(a, -1), np.roll(a, 1), np.roll(b, -1), np.roll(b, 1)
     L = 2.0 * bp - 2.0 * b - ap + am
     M = 2.0 * a - 2.0 * am - bp + bm
     Fst = bp * a + bp * ap - b * a - b * am
@@ -381,9 +396,64 @@ def test_rhs_flow2_arrays_matches_roll_formula(s):
         -2.0 * b * a + 2.0 * b * am + a**2 - am**2 + b * bp - b * bm
         + eps2 * (-b * a**2 + b * am**2)
     )
-    da, db = rhs_flow2_arrays(N, a, b)
-    assert da.tobytes() == (N * (L + eps2 * Fst)).tobytes()
-    assert db.tobytes() == (N * (M + eps2 * G)).tobytes()
+    return N * (L + eps2 * Fst), N * (M + eps2 * G)
+
+
+def _flow2_errors(s):
+    """|computed - exact| over the exact sum of |term| of the expanded stencil,
+    per site, for the kernel and the expanded order; exact_flow_rhs is the
+    value oracle.  Underflow adds at most an absolute few 2^-1074."""
+    N = s.N
+    eps2 = F(1, N * N)
+    a, b = [F(x) for x in s.a.tolist()], [F(x) for x in s.b.tolist()]
+    exact = exact_flow_rhs(a, b, N, k=2)
+    size_a, size_b = [], []
+    for k in range(N):
+        x, xp, xm = abs(a[k]), abs(a[(k + 1) % N]), abs(a[k - 1])
+        y, yp, ym = abs(b[k]), abs(b[(k + 1) % N]), abs(b[k - 1])
+        size_a.append(N * (2 * yp + 2 * y + xp + xm + eps2 * (yp * x + yp * xp + y * x + y * xm)))
+        size_b.append(N * (
+            2 * x + 2 * xm + yp + ym
+            + eps2 * (2 * y * x + 2 * y * xm + x * x + xm * xm + y * yp + y * ym
+                      + eps2 * (y * x * x + y * xm * xm))
+        ))
+    ratios = []
+    for da, db in (rhs_flow2_arrays(N, s.a, s.b), _expanded_flow2(N, s.a, s.b)):
+        worst = 0.0
+        for got, want, size in zip(da.tolist() + db.tolist(), exact[0] + exact[1], size_a + size_b):
+            err = abs(F(got) - want) - 16 * F(2) ** -1074
+            if err > 0:
+                worst = max(worst, float(err / size))
+        ratios.append(worst)
+    return ratios
+
+
+def _smooth_flow2_states():
+    for N in (8, 33, 128):
+        for amp in (0.3, 3.0, 30.0):
+            yield random_smooth_state(N, seed=N + int(10 * amp), amp=amp)
+
+
+def test_rhs_flow2_arrays_accuracy_against_exact_oracle():
+    """The factored kernel is accurate to a few roundings of the stencil's
+    terms, as the expanded order is; its distance to that order, in ulps of
+    max|rhs|, is printed (pytest -s)."""
+    ulps = []
+    for s in _smooth_flow2_states():
+        new, old = _flow2_errors(s)
+        assert new <= 8 * 2.0**-52 and old <= 8 * 2.0**-52
+        for x, y in zip(rhs_flow2_arrays(s.N, s.a, s.b), _expanded_flow2(s.N, s.a, s.b)):
+            ulps.append(np.max(np.abs(x - y)) / np.spacing(np.max(np.abs(y))))
+    print(f"factored vs expanded flow-2 stencil: max {max(ulps):.1f} ulps of max|rhs|")
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixed_states())
+def test_rhs_flow2_arrays_accuracy_on_mixed_states(s):
+    """Zeros, subnormals and 2^+-60 entries keep the factored kernel within a
+    few roundings of the exact terms."""
+    new, _ = _flow2_errors(s)
+    assert new <= 8 * 2.0**-52
 
 
 # -- conserved combinations -----------------------------------------------------------

@@ -10,7 +10,7 @@ from scipy.linalg import solve_triangular
 from conftest import mixed_states, random_smooth_state
 from todakdv import solver
 from todakdv.cli import main
-from todakdv.lattice import LatticeState, builtin_profile, init_from_profile, rhs_flow2
+from todakdv.lattice import LatticeState, builtin_profile, conserved_report, init_from_profile, rhs_flow2
 from todakdv.solver import (
     BlowUpError,
     Flow2Jacobian,
@@ -252,6 +252,28 @@ def test_cn_run_evaluates_each_right_side_once(monkeypatch, N, dt, name, iters):
     for _ in range(steps):
         s = step_cn(LatticeState(N, s.a.copy(), s.b.copy()), dt, cfg)
     assert final.a.tobytes() == s.a.tobytes() and final.b.tobytes() == s.b.tobytes()
+
+
+@pytest.mark.parametrize("N, dt, name, steps, every", [(16, 1e-3, "cos", 10, 3), (33, 2e-4, "cos2", 12, 4)])
+def test_rk4_run_snapshots_equal_chained_steps(monkeypatch, N, dt, name, steps, every):
+    """run records byte for byte the states, times and reports of chained
+    step_rk4 calls, one step_rk4 per step and four right sides per step."""
+    s0 = init_from_profile(builtin_profile(name), N)
+    steps_taken = _counting(monkeypatch, "step_rk4")
+    rhs_calls = _counting(monkeypatch, "rhs_flow2_arrays")
+    traj = run(s0, SolverConfig(dt=dt, t_end=steps * dt, scheme="rk4", output_every=every))
+    assert (len(steps_taken), len(rhs_calls)) == (steps, 4 * steps)
+    expect = [(0.0, s0)]
+    s = s0
+    for step in range(1, steps + 1):
+        s = step_rk4(s, dt)
+        if step % every == 0 or step == steps:
+            expect.append((step * dt, s))
+    assert len(traj.samples) == len(expect)
+    for (t, got, rep), (t_want, want) in zip(traj.samples, expect):
+        assert t == t_want
+        assert got.a.tobytes() == want.a.tobytes() and got.b.tobytes() == want.b.tobytes()
+        assert rep == conserved_report(want, t_want)
 
 
 def test_cn_step_carries_the_right_side_of_its_result():

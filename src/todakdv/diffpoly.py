@@ -15,12 +15,16 @@ returned by ``terms``, ``coeff`` and ``sorted_terms``.  Every series
 coefficient is built in one dict over one common denominator.  All values
 are immutable; every operation returns a new value.
 
-Work is not repeated.  Monomials made by the kernels are interned, and the
-derivatives (``Monomial.x_terms``, ``Monomial.partials``) and products
-(``Monomial.mul``) of monomials are memoized in module-level tables keyed by
-exponent tuples.  The Taylor shift differentiates only the triangle that
-survives truncation, and ``dt_along`` forms one product per derivative order
-instead of one per monomial factor.
+Work is not repeated.  Every monomial is interned: each constructor
+(including pickle and copy) returns the one instance for its exponents, so
+monomial equality is identity and every dict in the kernels hashes and
+compares in C.  The derivatives (``Monomial.x_terms``, ``Monomial.partials``)
+and products (``Monomial.mul``) of monomials are memoized in module-level
+tables keyed by the monomials themselves.  The Taylor shift differentiates
+only the triangle that survives truncation, once per series: the triangle
+is kept on the (immutable) series, and each shift only sums it with its
+weights.  ``dt_along`` forms one product per derivative order instead of one
+per monomial factor, and differentiates h only as far as truncation keeps.
 """
 
 from __future__ import annotations
@@ -61,12 +65,15 @@ class Monomial:
     """A product f^(k1)^e1 * f^(k2)^e2 * ...  keyed by derivative order.
 
     Stored as a sorted tuple of (order, exponent) pairs with positive
-    exponents; the empty tuple is the constant monomial 1.
+    exponents; the empty tuple is the constant monomial 1.  Every
+    constructor returns the one interned instance for its pairs, so equal
+    monomials are the same object: equality is identity and the hash is
+    the object's own, both computed in C.
     """
 
-    __slots__ = ("_pairs", "_hash")
+    __slots__ = ("_pairs",)
 
-    def __init__(self, exponents: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
+    def __new__(cls, exponents: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         items = exponents.items() if isinstance(exponents, Mapping) else exponents
         pairs = []
         for order, exp in items:
@@ -77,20 +84,20 @@ class Monomial:
             if exp:
                 pairs.append((int(order), int(exp)))
         pairs.sort()
-        self._pairs = tuple(pairs)
-        self._hash = hash(self._pairs)
+        return _interned(tuple(pairs))
+
+    def __init__(self, exponents=()):
+        """Nothing to do: ``__new__`` returns a finished, interned instance."""
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, hence the interned instance
+        return Monomial, (self._pairs,)
 
     @staticmethod
     def _of_dict(exponents: dict[int, int]) -> "Monomial":
-        """Unchecked, interned constructor for internal callers: ``exponents``
-        maps orders >= 0 to exponents >= 1.  Kernel dict lookups hit by identity."""
-        pairs = tuple(sorted(exponents.items()))
-        m = _INTERNED.get(pairs)
-        if m is None:
-            m = _INTERNED[pairs] = Monomial.__new__(Monomial)
-            m._pairs = pairs
-            m._hash = hash(pairs)
-        return m
+        """Unchecked constructor for internal callers: ``exponents`` maps
+        orders >= 0 to exponents >= 1."""
+        return _interned(tuple(sorted(exponents.items())))
 
     @staticmethod
     def one() -> "Monomial":
@@ -120,7 +127,7 @@ class Monomial:
         return self._pairs[-1][0] if self._pairs else -1
 
     def mul(self, other: "Monomial") -> "Monomial":
-        key = (self._pairs, other._pairs)
+        key = (self, other)
         m = _MUL_MEMO.get(key)
         if m is None:
             d = dict(self._pairs)
@@ -132,10 +139,10 @@ class Monomial:
     def partials(self) -> tuple[tuple[int, int, "Monomial"], ...]:
         """d/d f^(k) of this monomial as (k, multiplier, monomial) triples,
         one per factor f^(k)^e: e * f^(k)^(e-1) * rest."""
-        out = _PARTIALS_MEMO.get(self._pairs)
+        out = _PARTIALS_MEMO.get(self)
         if out is None:
             # rest: this monomial with one factor f^(order) taken out
-            out = _PARTIALS_MEMO[self._pairs] = tuple(
+            out = _PARTIALS_MEMO[self] = tuple(
                 (order, exp, Monomial._of_dict(
                     {k: e - (k == order) for k, e in self._pairs if k != order or e > 1}))
                 for order, exp in self._pairs
@@ -145,9 +152,9 @@ class Monomial:
     def x_terms(self) -> tuple[tuple["Monomial", int], ...]:
         """d/dx of this monomial as (monomial, multiplier) pairs, one per
         factor f^(k)^e: e * f^(k)^(e-1) * f^(k+1) * rest."""
-        terms = _X_MEMO.get(self._pairs)
+        terms = _X_MEMO.get(self)
         if terms is None:
-            terms = _X_MEMO[self._pairs] = tuple(
+            terms = _X_MEMO[self] = tuple(
                 (rest.mul(Monomial._of_dict({order + 1: 1})), exp)
                 for order, exp, rest in self.partials()
             )
@@ -157,12 +164,6 @@ class Monomial:
         """Canonical term order: compare (order, exponent) pairs from the
         highest derivative down.  Used descending for display."""
         return tuple(sorted(self._pairs, reverse=True))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Monomial) and self._pairs == other._pairs
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return f"Monomial({list(self._pairs)!r})"
@@ -184,14 +185,23 @@ class Monomial:
         return " * ".join(out)
 
 
-_MONOMIAL_ONE = Monomial()
-# Memo tables of the monomial calculus, keyed by the factors' pair tuples
-# (hashed in C).  A whole verify of flows 1-4 plus an extend_R chain leaves
-# a few thousand entries.
-_MUL_MEMO: dict[tuple[tuple, tuple], Monomial] = {}
+def _interned(pairs: tuple[tuple[int, int], ...]) -> Monomial:
+    """The one Monomial with these canonical pairs, made on first use."""
+    m = _INTERNED.get(pairs)
+    if m is None:
+        m = _INTERNED[pairs] = object.__new__(Monomial)
+        m._pairs = pairs
+    return m
+
+
+# The interning table (pairs -> Monomial) and the memo tables of the monomial
+# calculus, keyed by the monomials themselves.  A whole verify of flows 1-4
+# plus an extend_R chain leaves a few thousand entries.
 _INTERNED: dict[tuple, Monomial] = {}
-_X_MEMO: dict[tuple, tuple[tuple[Monomial, int], ...]] = {}
-_PARTIALS_MEMO: dict[tuple, tuple[tuple[int, int, Monomial], ...]] = {}
+_MUL_MEMO: dict[tuple[Monomial, Monomial], Monomial] = {}
+_X_MEMO: dict[Monomial, tuple[tuple[Monomial, int], ...]] = {}
+_PARTIALS_MEMO: dict[Monomial, tuple[tuple[int, int, Monomial], ...]] = {}
+_MONOMIAL_ONE = Monomial()
 
 
 def _poly(num: dict[Monomial, int], den: int) -> "DiffPoly":
@@ -237,13 +247,14 @@ def _product_sum(pairs: Iterable[tuple["DiffPoly", "DiffPoly"]]) -> "DiffPoly":
     den = lcm(*[p._den * q._den for p, q in pairs])
     num: dict[Monomial, int] = {}
     get = num.get
+    mul_get = _MUL_MEMO.get
     for p, q in pairs:
         s = den // (p._den * q._den)
         q_terms = q._num.items()
         for m1, c1 in p._num.items():
             c1 *= s
             for m2, c2 in q_terms:
-                m = m1.mul(m2)
+                m = mul_get((m1, m2)) or m1.mul(m2)
                 num[m] = get(m, 0) + c1 * c2
     return _poly(num, den)
 
@@ -304,7 +315,7 @@ class DiffPoly:
         return Fraction(self._num.get(mono, 0), self._den)
 
     def max_order(self) -> int:
-        return max((m.max_order() for m in self._num), default=-1)
+        return max([m._pairs[-1][0] for m in self._num if m._pairs], default=-1)
 
     def __len__(self) -> int:
         return len(self._num)
@@ -348,8 +359,9 @@ class DiffPoly:
         """d/dx as a derivation with d/dx f^(k) = f^(k+1)."""
         num: dict[Monomial, int] = {}
         get = num.get
+        x_get = _X_MEMO.get
         for mono, c in self._num.items():
-            for m, exp in mono.x_terms():
+            for m, exp in x_get(mono) or mono.x_terms():
                 num[m] = get(m, 0) + c * exp
         return _poly(num, self._den)
 
@@ -417,7 +429,8 @@ class EpsSeries:
     raises instead of silently truncating.
     """
 
-    __slots__ = ("_coeffs",)
+    # _triangle: the derivative triangle of ``shift``, filled on first use
+    __slots__ = ("_coeffs", "_triangle")
 
     def __init__(self, coeffs: Sequence[DiffPoly], order_cap: int | None = None):
         coeffs = list(coeffs)
@@ -431,6 +444,7 @@ class EpsSeries:
         if not coeffs:
             raise ValueError("an EpsSeries needs at least the eps^0 coefficient")
         self._coeffs = tuple(coeffs)
+        self._triangle: list[Sequence[DiffPoly]] | None = None
 
     # -- constructors -----------------------------------------------------
 
@@ -570,20 +584,29 @@ class EpsSeries:
         """Taylor shift: the series evaluated at x + n*eps.
 
         Returns sum_{i=0..cap} (n eps)^i / i! * (d/dx)^i of self, truncated.
-        Only the triangle that survives truncation is computed: (d/dx)^i is
-        taken of coefficients 0..cap-i.  The derivative-order guard runs on
-        every coefficient the shift keeps; a coefficient it discards is never
-        differentiated, so it cannot raise DerivativeOrderError.
+        Only the triangle that survives truncation is differentiated:
+        (d/dx)^i of coefficients 0..cap-i.  It does not depend on n, so it is
+        computed once per series and kept; each shift then only sums it with
+        the weights n^i / i!.  The derivative-order guard runs on every
+        coefficient of the triangle; a coefficient the shift discards is
+        never differentiated, so it cannot raise DerivativeOrderError.
         """
         if n == 0:
             return self
-        cap = self.order_cap
+        triangle = self._triangle
+        if triangle is None:
+            cap = self.order_cap
+            level = self._coeffs
+            triangle = [level]
+            for i in range(1, cap + 1):
+                level = [self._check_order(c.x_derive()) for c in level[: cap + 1 - i]]
+                triangle.append(level)
+            # cached only once every level has passed the guard
+            self._triangle = triangle
         parts = [[(1, c)] for c in self._coeffs]
-        level = self._coeffs
-        for i in range(1, cap + 1):
-            level = [self._check_order(c.x_derive()) for c in level[: cap + 1 - i]]
+        for i in range(1, len(triangle)):
             w = Fraction(n**i, factorial(i))
-            for j, c in enumerate(level):
+            for j, c in enumerate(triangle[i]):
                 parts[i + j].append((w, c))
         return EpsSeries([_linear_sum(p) for p in parts])
 
@@ -593,11 +616,12 @@ class EpsSeries:
         Acts as a derivation with dt(f^(k)) = (d/dx)^k h and dt(eps) = 0; in
         particular dt commutes with d/dx.  Coefficient k contributes
         sum over orders r of (d poly_k / d f^(r)) * (d/dx)^r h, shifted by
-        eps^k, so (d/dx)^r h is needed only through eps^(cap-k).
+        eps^k, so (d/dx)^r h is needed, and differentiated and guarded, only
+        through eps^(cap-k) for the lowest such k.
         """
         cap = min(self.order_cap, h.order_cap)
         h = h.truncate(cap)
-        h_derivs: list[EpsSeries] = [h]
+        h_derivs: list[Sequence[DiffPoly]] = [h._coeffs]
         pairs: list[list] = [[] for _ in range(cap + 1)]
         for k in range(cap + 1):
             poly = self._coeffs[k]
@@ -609,9 +633,10 @@ class EpsSeries:
                     partials.setdefault(order, {})[rest] = c * exp
             for order, num in partials.items():
                 while len(h_derivs) <= order:
-                    h_derivs.append(h_derivs[-1].x_derive())
+                    # k only grows, so no later use reaches past eps^(cap-k)
+                    h_derivs.append([h._check_order(c.x_derive()) for c in h_derivs[-1][: cap + 1 - k]])
                 partial = _poly(num, poly._den)
-                hd = h_derivs[order]._coeffs
+                hd = h_derivs[order]
                 for j in range(cap + 1 - k):
                     pairs[k + j].append((hd[j], partial))
         return EpsSeries([_product_sum(p) for p in pairs])

@@ -1,9 +1,13 @@
+import copy
+import pickle
 from fractions import Fraction as F
 from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from todakdv import diffpoly
+from todakdv.cli import main
 from todakdv.diffpoly import (
     DerivativeOrderError,
     DiffPoly,
@@ -135,6 +139,108 @@ def test_shift_composes_additively(p, n, m):
     assert p.shift(n).shift(m) == p.shift(n + m)
 
 
+def test_shift_guard_raises_on_every_call_and_caches_nothing():
+    # (d/dx) f'' at eps^0 is kept by any nonzero shift of cap 1 and breaks its guard
+    p = EpsSeries.of_poly(f(2), 1)
+    for n in (1, 1, -3):
+        with pytest.raises(DerivativeOrderError):
+            p.shift(n)
+        assert p._triangle is None
+    assert p.shift(0) is p
+
+
+@given(series(4), st.permutations(range(-5, 6)))
+@settings(max_examples=20, deadline=None)
+def test_cached_triangle_shifts_match_fresh_series(p, ns):
+    a = _series_terms(p)
+    for n in ns:
+        # a fresh equal series differentiates its own triangle
+        assert p.shift(n) == EpsSeries(list(p.coeffs)).shift(n)
+        assert _series_terms(p.shift(n)) == _ref_shift(a, n)
+
+
+def test_triangle_cache_leaves_equality_and_hash_alone():
+    p = EpsSeries([f(1), f(exp=2), f(3, coeff=F(1, 3))], order_cap=4)
+    q = EpsSeries([f(1), f(exp=2), f(3, coeff=F(1, 3))], order_cap=4)
+    h = hash(p)
+    shifted = p.shift(2)
+    assert p._triangle is not None and q._triangle is None
+    assert p == q and q == p and hash(p) == hash(q) == h
+    assert {q: "q"}[p] == "q"
+    assert p.shift(2) == shifted == q.shift(2)
+
+
+def test_dt_along_discards_untouched_high_derivatives():
+    # dt (f' eps) along h = f + f'' eps needs only h' at eps^0; h' at eps^1
+    # would be f(3), above the order guard of cap 1, and is never formed
+    h = EpsSeries([f(), f(2)], order_cap=1)
+    p = EpsSeries.of_poly(f(1), 1, eps_power=1)
+    assert p.dt_along(h) == p
+    with pytest.raises(DerivativeOrderError):
+        h.x_derive()
+
+
+# -- interning ---------------------------------------------------------------------
+
+
+def test_every_construction_path_returns_the_interned_monomial():
+    m = Monomial({1: 1})
+    assert Monomial([(1, 1)]) is m
+    assert Monomial({1: 1, 4: 0}) is m
+    assert Monomial.f(1) is m
+    assert Monomial._of_dict({1: 1}) is m
+    assert Monomial() is Monomial.one() is Monomial({0: 0})
+    assert Monomial.f(0).x_terms() == ((m, 1),)
+    assert m.mul(Monomial.one()) is m and Monomial.one().mul(m) is m
+    ff1 = Monomial({0: 1, 1: 1})
+    assert Monomial.f(0).mul(m) is ff1 and m.mul(Monomial.f(0)) is ff1
+    assert [rest for _, _, rest in ff1.partials()] == [m, Monomial.f(0)]
+    # kernel results are keyed by the same objects
+    assert next(iter((f() * f(1)).terms)) is ff1
+    assert next(iter(f().x_derive().terms)) is m
+    # equality is identity
+    assert "__eq__" not in Monomial.__dict__ and "__hash__" not in Monomial.__dict__
+    assert m == Monomial.f(1) and m != Monomial.f(1, 2) and m != (1, 1)
+    assert hash(m) == hash(Monomial([(1, 1)]))
+
+
+def test_copy_and_pickle_return_the_interned_monomial():
+    for m in (Monomial.one(), Monomial({0: 2, 3: 1})):
+        assert copy.copy(m) is m
+        assert copy.deepcopy(m) is m
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(m, protocol)) is m
+    p = f(3) * f(exp=2) + DiffPoly.const(F(1, 3))
+    for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+        assert q == p and hash(q) == hash(p)
+        assert all(a is b for a, b in zip(q.terms, p.terms))
+
+
+def test_invalid_monomial_raises_and_interns_nothing():
+    before = dict(diffpoly._INTERNED)
+    for bad in ({-1: 1}, {0: -1}, [(37, 1), (-2, 1)], [(37, 1), (38, -1)]):
+        with pytest.raises(ValueError):
+            Monomial(bad)
+    assert diffpoly._INTERNED == before
+
+
+def test_monomial_init_is_kept_as_a_no_op():
+    # the benchmark tracer counts constructions by wrapping __init__
+    assert "__init__" in Monomial.__dict__
+    m = Monomial({2: 1})
+    m.__init__({5: 5})
+    assert m.pairs == ((2, 1),) and Monomial({2: 1}) is m
+
+
+def test_repeated_verify_interns_and_memoizes_nothing_new(capsys):
+    tables = (diffpoly._INTERNED, diffpoly._MUL_MEMO, diffpoly._X_MEMO, diffpoly._PARTIALS_MEMO)
+    assert main(["verify", "--flow", "4"]) == 0
+    sizes = [len(t) for t in tables]
+    assert main(["verify", "--flow", "4"]) == 0
+    assert [len(t) for t in tables] == sizes
+    capsys.readouterr()
+
+
 def test_dt_examples():
     cap = 3
     h = EpsSeries([f(1).scale(-1), f(exp=2)], order_cap=cap)
@@ -230,7 +336,8 @@ def test_evaluate_examples():
 # The kernels as they were written over {Monomial: Fraction} dicts, one
 # Fraction operation per term and one accumulator copy per series product.
 # Monomial products and derivatives are rebuilt from the pairs here, so the
-# oracle shares neither the memo tables nor the interning of the engine.
+# oracle shares none of the memo tables of the engine; it shares only the
+# interning, whose contract is tested on its own below.
 
 
 def _acc(d, m, c):

@@ -37,6 +37,6 @@ from .solver import (
     step_cn,
     step_rk4,
 )
-from .bloch import band_distance, discriminant_scan, monodromy_continuous, monodromy_discrete
+from .bloch import band_distance, discriminant_scan
 
 __version__ = "0.1.0"

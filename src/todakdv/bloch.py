@@ -38,32 +38,15 @@ from .lattice import Profile, init_from_profile
 from .solver import IntegrationError
 
 __all__ = [
-    "Monodromy2x2",
     "DiscriminantSample",
     "DiscriminantTable",
-    "monodromy_discrete",
     "discrete_traces",
-    "monodromy_continuous",
     "continuous_traces",
     "lattice_from_potential",
     "discriminant_scan",
     "BandDistanceResult",
     "band_distance",
 ]
-
-
-@dataclass(frozen=True)
-class Monodromy2x2:
-    m11: float
-    m12: float
-    m21: float
-    m22: float
-
-    def trace(self) -> float:
-        return self.m11 + self.m22
-
-    def det(self) -> float:
-        return self.m11 * self.m22 - self.m12 * self.m21
 
 
 @dataclass(frozen=True)
@@ -132,15 +115,15 @@ def _discrete_entries(A, B, lams: np.ndarray) -> tuple[np.ndarray, ...]:
     return top[0], top[1], bottom[0], bottom[1]
 
 
-def monodromy_discrete(A: np.ndarray, B: np.ndarray, lam: float) -> Monodromy2x2:
-    """Transfer-matrix product over one period; det = prod(-B(n)) exactly."""
-    return Monodromy2x2(*(float(m[0]) for m in _discrete_entries(A, B, np.array([lam], float))))
-
-
 def discrete_traces(A: np.ndarray, B: np.ndarray, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized monodromy traces and determinants over a lambda grid."""
-    m11, m12, m21, m22 = _discrete_entries(A, B, np.asarray(lams, float))
-    return m11 + m22, m11 * m22 - m12 * m21
+    """Vectorized monodromy traces and determinants over a lambda grid.
+
+    Each transfer matrix has determinant -B(n), so the monodromy determinant
+    is prod(-B(n)) at every lambda; it is returned in that closed form,
+    because m11 m22 - m12 m21 cancels where the entries are large.
+    """
+    m11, _, _, m22 = _discrete_entries(A, B, np.asarray(lams, float))
+    return m11 + m22, np.full(m11.shape, np.prod(-np.asarray(B, float)))
 
 
 # Chebyshev nodes (first kind) in lambda per segment map, and the matrix taking
@@ -224,11 +207,6 @@ def _continuous_entries(g: Profile, lams: np.ndarray, tol: float) -> tuple[np.nd
             p21 * m12 + p22 * m22,
         )
     return m11, m12, m21, m22
-
-
-def monodromy_continuous(g: Profile, lam: float, tol: float = 1e-10) -> Monodromy2x2:
-    """Period map of -psi'' + g psi = lambda psi on [0, 1]."""
-    return Monodromy2x2(*(float(m[0]) for m in _continuous_entries(g, np.array([lam], float), tol)))
 
 
 def continuous_traces(g: Profile, lams: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:

@@ -201,20 +201,30 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _read_snapshots(path: Path) -> list[lattice.LatticeState]:
-    """The states recorded in trajectory.csv, one per time, in file order."""
+def _read_snapshots(path: Path) -> list[tuple[float, lattice.LatticeState]]:
+    """The (t, state) snapshots recorded in trajectory.csv, in file order.
+
+    Each snapshot must list the sites n = 0..N-1 in order, with the N of the
+    first snapshot.
+    """
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
         if next(rd, None) != ["t", "n", "a", "b"]:
             raise ValueError(f"expected header t,n,a,b in {path}")
-        states = []
+        snapshots = []
         for _, rows in itertools.groupby(rd, key=lambda row: row[:1]):
             rows = list(rows)
             if any(len(row) != 4 for row in rows):
                 raise ValueError(f"every row of {path} needs 4 columns t,n,a,b")
+            N = snapshots[0][1].N if snapshots else len(rows)
+            if [n for _, n, _, _ in rows] != [str(n) for n in range(N)]:
+                raise ValueError(
+                    f"the snapshot at t = {rows[0][0]} in {path} must list the sites "
+                    f"n = 0..{N - 1} in order, as the first snapshot does"
+                )
             a, b = np.array([[float(a), float(b)] for _, _, a, b in rows]).T
-            states.append(lattice.LatticeState(len(a), a, b))
-    return states
+            snapshots.append((float(rows[0][0]), lattice.LatticeState(N, a, b)))
+    return snapshots
 
 
 def cmd_conserved(args) -> int:
@@ -228,19 +238,25 @@ def cmd_conserved(args) -> int:
         raise ValueError(f"expected header {','.join(lattice.ConservedReport.COLUMNS)} in {src}")
     if any(len(row) != len(header) for row in rows):
         raise ValueError(f"every row of {src} needs {len(header)} columns")
-    states = _read_snapshots(traj_dir / "trajectory.csv")
-    if not rows or len(states) != len(rows):
+    snapshots = _read_snapshots(traj_dir / "trajectory.csv")
+    if not rows or len(snapshots) != len(rows):
         raise ValueError(
-            f"trajectory.csv has {len(states)} snapshots and conserved.csv {len(rows)} rows; "
+            f"trajectory.csv has {len(snapshots)} snapshots and conserved.csv {len(rows)} rows; "
             "they must match and be nonzero"
         )
+    for (t, _), row in zip(snapshots, rows):
+        if t != row[0]:
+            raise ValueError(
+                f"the snapshot at t = {t!r} in {traj_dir / 'trajectory.csv'} does not match "
+                f"the row at t = {row[0]!r} in {src}"
+            )
     # d1..d3 drift exactly from the %.17g snapshots: the d's stored in
     # conserved.csv are rounded far above their drift.  C1..C3 as recorded.
-    d0 = lattice.exact_invariants(states[0])
+    d0 = lattice.exact_invariants(snapshots[0][1])
     drifts = [
         [float(d - e) for d, e in zip(lattice.exact_invariants(state), d0)]
         + [x - x0 for x, x0 in zip(row[4:], rows[0][4:])]
-        for state, row in zip(states, rows)
+        for (_, state), row in zip(snapshots, rows)
     ]
     outdir = Path(args.out) if args.out else traj_dir
     outdir.mkdir(parents=True, exist_ok=True)

@@ -3,8 +3,7 @@
 The lattice carries A(n) = 2 + eps^2 a(n), B(n) = -1 + eps^2 b(n) with
 eps = 1/N.  This module provides the flow stencils, initialization of (a, b)
 from a smooth profile, the exact polynomial invariants d_1, d_2, d_3, and the
-asymptotically conserved combinations C1, C2, C3 together with their
-integral expansions.
+normalized combinations C1, C2, C3 together with their integral expansions.
 
 The invariants are exact: the C-combinations cancel them down by up to
 sixteen decimal orders, below float64 resolution.  Lattice values are dyadic,
@@ -19,7 +18,8 @@ The site-by-site recursions are kept as test oracles.
 
 The hierarchy stencils toda_D are hierarchy.toda_rhs itself, run on the same
 exact ints at every site and rounded to float once; the flow-2 stepper
-kernels rhs_flow2_arrays and solver.flow2_jacobian are written out in float.
+kernels rhs_flow2_arrays and solver.flow2_jacobian are written out in float,
+on the one layout of the time loop, the stacked (2N,) state x = (a, b).
 rhs_flow2_arrays, the one right side that RK4 and the Crank-Nicolson
 residual share, is factored over the differences u = a - a(k-1),
 v = a + a(k-1) and w = b(k+1) - b(k-1).
@@ -230,13 +230,15 @@ def init_from_ansatz(profile: Profile, N: int, cap: int = 11) -> LatticeState:
 
 def rhs_flow2(s: LatticeState) -> tuple[np.ndarray, np.ndarray]:
     """Right side of the recombined second flow, da/dt = N(L + eps^2 F) etc."""
-    return rhs_flow2_arrays(s.N, s.a, s.b)
+    f = rhs_flow2_arrays(s.N, np.concatenate((s.a, s.b)))
+    return f[: s.N], f[s.N :]
 
 
-def rhs_flow2_arrays(N: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of rhs_flow2 (no state validation; used inside steppers).
+def rhs_flow2_arrays(N: int, x: np.ndarray) -> np.ndarray:
+    """rhs_flow2 on the stacked state x = (a, b), returned stacked as (da, db).
 
-    The expanded stencil
+    No state validation: this is the kernel the steppers call.  The expanded
+    stencil
         da = N (2bp - 2b - ap + am + eps^2 (bp a + bp ap - b a - b am))
         db = N (2a - 2am - bp + bm + eps^2 (-2ba + 2b am + a^2 - am^2
                 + b bp - b bm + eps^2 (b am^2 - b a^2)))
@@ -244,17 +246,19 @@ def rhs_flow2_arrays(N: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, 
         da = N (2(bp - b) - (ap - am) + eps^2 (bp (a + ap) - b v))
         db = N (2u - w + eps^2 (u (v (1 - eps^2 b) - 2b) + b w)),
     in about 27 array operations instead of 44.  The scalars are Python
-    numbers, so the result keeps the dtype of a and b (longdouble too).
+    numbers, so the result keeps the dtype of x (longdouble too).
     """
     eps2 = 1.0 / N**2
+    a, b = x[:N], x[N:]
     am, ap = periodic_neighbours(a)
     bm, bp = periodic_neighbours(b)
     u = a - am
     v = a + am
     w = bp - bm
-    da = N * (2.0 * (bp - b) - (ap - am) + eps2 * (bp * (a + ap) - b * v))
-    db = N * (2.0 * u - w + eps2 * (u * (v * (1.0 - eps2 * b) - 2.0 * b) + b * w))
-    return da, db
+    f = np.empty_like(x)
+    np.multiply(N, 2.0 * (bp - b) - (ap - am) + eps2 * (bp * (a + ap) - b * v), out=f[:N])
+    np.multiply(N, 2.0 * u - w + eps2 * (u * (v * (1.0 - eps2 * b) - 2.0 * b) + b * w), out=f[N:])
+    return f
 
 
 class _ExactWindow:
@@ -415,7 +419,9 @@ def conserved_report(s: LatticeState, t: float = 0.0) -> ConservedReport:
     C3 subtracts the full divergent part of the site-local cubic L3 (the z^3
     coefficient of prod_n (1 + z A(n) + z^2 B(n))) and expands to
     eps^5 (-7/12 int f^3 + 1/8 int f f'').  C1 and C2 are exactly conserved;
-    C3 is conserved to the order of the asymptotics, as is the cubic it uses.
+    C3 is not: along KdV its leading term P moves as dP/dtau = 1/16 int f'^3,
+    so C3 drifts at O(1) relative to itself over tau = O(1) wherever
+    int f'^3 != 0 (the builtin cos and cos2 profiles start at 0).
 
     Over the ints of _invariant_ints, W = D w and V = D^2 v, so each value
     is one int numerator over one int denominator, rounded to float once by

@@ -1,14 +1,16 @@
 """Time integration of the lattice flow and an independent KdV reference.
 
 Explicit RK4 and implicit Crank-Nicolson (trapezoidal) steppers for the
-second-flow lattice equations.  The implicit step is a Newton iteration on
-the exact Jacobian, 10 N stencil values of a periodic block-tridiagonal
-matrix; with the sites folded as 0, N-1, 1, N-2, ... I - dt/2 J is a plain
-LAPACK band without corners, so one step costs O(N).  Each Newton iteration
-costs one right side, one Jacobian, one banded factor and one solve, and
-``run`` carries the right side of the converged iterate to the next step as
-its starting value.  The explicit stability
-diagnostic ``linear_spectral_radius`` is the closed form of the
+second-flow lattice equations.  The steppers work on one layout, the stacked
+(2N,) state x = (a, b): ``run`` stacks its LatticeState once, steps x, and
+builds a LatticeState only for each snapshot it records.  The implicit step
+is a Newton iteration on the exact Jacobian, 10 N stencil values of a
+periodic block-tridiagonal matrix; with the sites folded as 0, N-1, 1, N-2,
+... I - dt/2 J is a plain LAPACK band without corners, so one step costs
+O(N).  Each Newton iteration costs one right side, one Jacobian, one banded
+factor and one solve; a step takes the right side of its state and returns
+that of its result, which ``run`` hands to the next step.  The explicit
+stability diagnostic ``linear_spectral_radius`` is the closed form of the
 block-circulant stencil symbol, also O(N).  The reference KdV oracle solves
 the scaled df/dt = eps^2 (-1/4 f''' + 3 f f') pseudo-spectrally with a
 Fourier integrating factor and shares no code with the lattice right side.
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -113,25 +114,17 @@ class Trajectory:
         return self.samples[i][0], self.samples[i][1]
 
 
-def _rhs_raw(N: int, x: np.ndarray) -> np.ndarray:
-    """Stacked right side (da, db) of the stacked state x = (a, b)."""
-    da, db = rhs_flow2_arrays(N, x[:N], x[N:])
-    return np.concatenate([da, db])
-
-
-def step_rk4(s: LatticeState, dt: float) -> LatticeState:
-    """Classical four-stage step of the second-flow right side."""
-    x0 = np.concatenate([s.a, s.b])
-    N = s.N
+def step_rk4(N: int, x: np.ndarray, dt: float) -> np.ndarray:
+    """Classical four-stage step of the second-flow right side on x = (a, b)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        k1 = _rhs_raw(N, x0)
-        k2 = _rhs_raw(N, x0 + 0.5 * dt * k1)
-        k3 = _rhs_raw(N, x0 + 0.5 * dt * k2)
-        k4 = _rhs_raw(N, x0 + dt * k3)
-        x1 = x0 + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        k1 = rhs_flow2_arrays(N, x)
+        k2 = rhs_flow2_arrays(N, x + 0.5 * dt * k1)
+        k3 = rhs_flow2_arrays(N, x + 0.5 * dt * k2)
+        k4 = rhs_flow2_arrays(N, x + dt * k3)
+        x1 = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     if not np.all(np.isfinite(x1)):
         raise BlowUpError("explicit step produced a non-finite state")
-    return LatticeState(N, x1[:N], x1[N:])
+    return x1
 
 
 # Stencil offsets of the flow-2 Jacobian, one entry per (row block, column
@@ -142,14 +135,6 @@ _STENCIL = (
     (0, 0, -1), (0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1),
     (1, 0, -1), (1, 0, 0), (1, 1, -1), (1, 1, 0), (1, 1, 1),
 )
-
-
-class _Iterate(NamedTuple):
-    """A Newton iterate as the (N, a, b) that flow2_jacobian reads, unvalidated."""
-
-    N: int
-    a: np.ndarray
-    b: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -172,11 +157,10 @@ class Flow2Jacobian:
         return dense
 
 
-def flow2_jacobian(s: LatticeState | _Iterate) -> Flow2Jacobian:
-    """Exact Jacobian of rhs_flow2 with respect to (a, b), 10 N stencil values."""
-    N = s.N
+def flow2_jacobian(N: int, x: np.ndarray) -> Flow2Jacobian:
+    """Exact Jacobian of rhs_flow2 at x = (a, b), 10 N stencil values."""
     eps2 = 1.0 / N**2
-    a, b = s.a, s.b
+    a, b = x[:N], x[N:]
     am, ap = periodic_neighbours(a)
     bm, bp = periodic_neighbours(b)
     J = np.empty((10, N))
@@ -244,43 +228,37 @@ def lu_solve(lu: tuple[np.ndarray, np.ndarray, np.ndarray], rhs: np.ndarray) -> 
 
 
 def step_cn(
-    s: LatticeState,
+    N: int,
+    x: np.ndarray,
+    f: np.ndarray,
     dt: float,
     cfg: SolverConfig | None = None,
     residual_log: list | None = None,
-    rhs: list | None = None,
-) -> LatticeState:
+) -> tuple[np.ndarray, np.ndarray]:
     """Trapezoidal (Crank-Nicolson) step solved by Newton iteration.
 
-    Solves x' = x + dt/2 (rhs(x) + rhs(x')) with the exact Jacobian; each
+    Solves x' = x + dt/2 (f + rhs(x')) for the stacked state x = (a, b) and
+    its right side f = rhs_flow2_arrays(N, x), with the exact Jacobian; each
     Newton iteration evaluates the right side once and factors I - dt/2 J by
     a LAPACK banded LU (kl = ku = 5 in the folded order of _band_layout), so
-    a step costs O(N).  If ``residual_log`` is a list, the max-norm Newton
-    residuals are appended.  If ``rhs`` is a list, it carries the stacked
-    right side from step to step: a value in ``rhs[0]`` is taken as rhs(s)
-    instead of being evaluated, and on return ``rhs[0]`` is the right side
-    of the new state, the one its converged residual used.
+    a step costs O(N).  Returns (x', rhs(x')), the right side that the
+    converged residual used, for the next step to take as its f.  If
+    ``residual_log`` is a list, the max-norm Newton residuals are appended.
     """
     cfg = cfg or SolverConfig(dt=dt, t_end=dt)
-    N = s.N
-    x0 = np.concatenate([s.a, s.b])
-    f = rhs[0] if rhs else _rhs_raw(N, x0)
-    base = x0 + 0.5 * dt * f
-    x = x0
+    base = x + 0.5 * dt * f
     res_norm = np.inf
     for it in range(cfg.newton_max_iter):
         if it:
-            f = _rhs_raw(N, x)
+            f = rhs_flow2_arrays(N, x)
         resid = x - base - 0.5 * dt * f
         res_norm = float(np.max(np.abs(resid)))
         if residual_log is not None:
             residual_log.append(res_norm)
         if res_norm <= cfg.newton_tol:
-            if rhs is not None:
-                rhs[:] = [f]
-            return LatticeState(N, x[:N], x[N:])
+            return x, f
         try:
-            lu = lu_factor(flow2_jacobian(_Iterate(N, x[:N], x[N:])), dt)
+            lu = lu_factor(flow2_jacobian(N, x), dt)
         except np.linalg.LinAlgError as err:
             raise NewtonError(f"Newton matrix I - dt/2 J is singular: {err}", residual=res_norm) from err
         x = x - lu_solve(lu, resid)
@@ -315,15 +293,16 @@ def run(s0: LatticeState, cfg: SolverConfig) -> Trajectory:
     """Integrate and record (t, state, conserved report) snapshots."""
     n_steps = int(round(cfg.t_end / cfg.dt))
     samples = [(0.0, s0, _report(s0, 0.0))]
-    s = s0
-    rhs: list = []  # the right side of s, carried from one CN step to the next
+    N = s0.N
+    x = np.concatenate((s0.a, s0.b))
+    f = rhs_flow2_arrays(N, x) if cfg.scheme == "cn" else None
     for step in range(1, n_steps + 1):
         t = step * cfg.dt
         try:
             if cfg.scheme == "rk4":
-                s = step_rk4(s, cfg.dt)
+                x = step_rk4(N, x, cfg.dt)
             else:
-                s = step_cn(s, cfg.dt, cfg, rhs=rhs)
+                x, f = step_cn(N, x, f, cfg.dt, cfg)
         except BlowUpError as err:
             raise BlowUpError(
                 f"blow-up at step {step} (t = {t:g}): {err}", step=step, t=t
@@ -333,6 +312,7 @@ def run(s0: LatticeState, cfg: SolverConfig) -> Trajectory:
                 f"Newton failure at step {step} (t = {t:g}): {err}", residual=err.residual
             ) from err
         if step % cfg.output_every == 0 or step == n_steps:
+            s = LatticeState(N, x[:N], x[N:])
             samples.append((t, s, _report(s, t)))
     return Trajectory(samples)
 

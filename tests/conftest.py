@@ -24,6 +24,11 @@ def random_smooth_state(N: int, seed: int, max_mode: int = 8, amp: float = 2.0) 
     return LatticeState(N, smooth(), smooth())
 
 
+def stacked(s: LatticeState) -> np.ndarray:
+    """The stacked (2N,) vector x = (a, b) that the steppers work on."""
+    return np.concatenate((s.a, s.b))
+
+
 def _signed(values):
     return st.tuples(values, st.booleans()).map(lambda v: -v[0] if v[1] else v[0])
 

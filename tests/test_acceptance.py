@@ -39,8 +39,6 @@ from todakdv.solver import (
     SolverConfig,
     compare_to_kdv,
     run,
-    step_cn,
-    step_rk4,
 )
 
 
@@ -121,18 +119,16 @@ def test_criterion_3_kdv_leading_term(ansatz):
 ROUNDOFF_FLOOR = 1e-14  # exactly-conserved quantities sit at stepping roundoff
 
 
-def _drift_run(s0, dt, t_end, stepper, checkpoints=5):
+def _drift_run(s0, dt, t_end, scheme, checkpoints=5, **cfg):
+    """Worst exact drift of d1..d3 at the checkpoints of one run."""
     d0 = exact_invariants(s0)
-    n_steps = int(round(t_end / dt))
-    every = max(1, n_steps // checkpoints)
+    every = max(1, int(round(t_end / dt)) // checkpoints)
+    traj = run(s0, SolverConfig(dt=dt, t_end=t_end, scheme=scheme, output_every=every, **cfg))
     worst = [0.0, 0.0, 0.0]
-    s = s0
-    for step in range(1, n_steps + 1):
-        s = stepper(s, dt)
-        if step % every == 0 or step == n_steps:
-            d = exact_invariants(s)
-            for i in range(3):
-                worst[i] = max(worst[i], abs(float(d[i] - d0[i])))
+    for _, s, _ in traj.samples[1:]:
+        d = exact_invariants(s)
+        for i in range(3):
+            worst[i] = max(worst[i], abs(float(d[i] - d0[i])))
     return worst
 
 
@@ -151,17 +147,16 @@ def _ratio_ok(dr_coarse, dr_fine, lo, hi):
 
 def test_criterion_4_rk4_drift_order():
     s0 = random_smooth_state(32, seed=11, max_mode=8, amp=12.0)
-    coarse = _drift_run(s0, 1e-4, 0.1, step_rk4)
-    fine = _drift_run(s0, 5e-5, 0.1, step_rk4)
+    coarse = _drift_run(s0, 1e-4, 0.1, "rk4")
+    fine = _drift_run(s0, 5e-5, 0.1, "rk4")
     ok, details = _ratio_ok(coarse, fine, 8.0, 32.0)
     report(4, ok, f"RK4 drift shrinks 8-32x under dt halving ({details})")
 
 
 def test_criterion_5_cn_order_and_stability():
     s0 = random_smooth_state(32, seed=11, max_mode=8, amp=12.0)
-    cfg = SolverConfig(dt=1.0, t_end=1.0, newton_tol=1e-13)
-    coarse = _drift_run(s0, 2e-3, 0.1, lambda s, dt: step_cn(s, dt, cfg))
-    fine = _drift_run(s0, 1e-3, 0.1, lambda s, dt: step_cn(s, dt, cfg))
+    coarse = _drift_run(s0, 2e-3, 0.1, "cn", newton_tol=1e-13)
+    fine = _drift_run(s0, 1e-3, 0.1, "cn", newton_tol=1e-13)
     ok1, details1 = _ratio_ok(coarse, fine, 3.0, 6.0)
 
     # stability demonstration at a step size far beyond the explicit limit
@@ -299,8 +294,9 @@ def test_criterion_9_cross_oracle(ansatz):
         r_val = R.evaluate(jets, eps)
         a = jets[0] - eps * r_val
         b = jets[0] + eps * r_val
-        da, db = rhs_flow2_arrays(N, a, b)
-        davg = 0.5 * (da + db)
+        f = rhs_flow2_arrays(N, np.concatenate((a, b)))
+        assert f.dtype == np.longdouble
+        davg = 0.5 * (f[:N] + f[N:])
         predicted = Z2.evaluate(jets, eps)
         diffs.append(float(np.max(np.abs(davg - predicted))))
     slope = _loglog_slope([1.0 / N for N in Ns], diffs)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -19,24 +20,32 @@ from todakdv.bloch import (
     discrete_traces,
     discriminant_scan,
     lattice_from_potential,
-    monodromy_continuous,
-    monodromy_discrete,
 )
 from todakdv.lattice import Profile, builtin_profile
 
 
+def _discrete_at(A, B, lam):
+    """Monodromy entries (m11, m12, m21, m22) of the lattice at one lambda."""
+    return tuple(float(m[0]) for m in bloch._discrete_entries(A, B, np.array([lam], float)))
+
+
+def _continuous_at(g, lam, tol=1e-10):
+    """Entries (m11, m12, m21, m22) of the Hill period map at one lambda."""
+    return tuple(float(m[0]) for m in bloch._continuous_entries(g, np.array([lam], float), tol))
+
+
 def test_discrete_free_lattice_unipotent_power():
     N = 16
-    M = monodromy_discrete(np.full(N, 2.0), np.full(N, -1.0), 0.0)
-    assert (M.m11, M.m12, M.m21, M.m22) == pytest.approx((N + 1, -N, N, 1 - N))
-    assert M.trace() == pytest.approx(2.0)
+    A, B = np.full(N, 2.0), np.full(N, -1.0)
+    assert _discrete_at(A, B, 0.0) == pytest.approx((N + 1, -N, N, 1 - N))
+    assert discrete_traces(A, B, [0.0])[0] == pytest.approx([2.0])
 
 
 def test_discrete_single_site():
     # N = 1: the monodromy is the single transfer matrix itself
-    M = monodromy_discrete(np.array([1.7]), np.array([-0.9]), 3.0)
-    assert (M.m11, M.m12, M.m21, M.m22) == pytest.approx((1.7 - 3.0, -0.9, 1.0, 0.0))
-    assert M.trace() == pytest.approx(1.7 - 3.0)
+    A, B = np.array([1.7]), np.array([-0.9])
+    assert _discrete_at(A, B, 3.0) == pytest.approx((1.7 - 3.0, -0.9, 1.0, 0.0))
+    assert discrete_traces(A, B, [3.0]) == pytest.approx(([1.7 - 3.0], [0.9]))
 
 
 def test_discrete_vectorized_matches_scalar():
@@ -46,9 +55,9 @@ def test_discrete_vectorized_matches_scalar():
     lams = np.array([-4.0, 0.0, 17.5])
     trs, dets = discrete_traces(A, B, lams)
     for lam, tr, det in zip(lams, trs, dets):
-        M = monodromy_discrete(A, B, float(lam))
-        assert tr == pytest.approx(M.trace(), rel=1e-13)
-        assert det == pytest.approx(M.det(), rel=1e-13)
+        m11, m12, m21, m22 = _discrete_at(A, B, float(lam))
+        assert tr == pytest.approx(m11 + m22, rel=1e-13)
+        assert det == pytest.approx(m11 * m22 - m12 * m21, rel=1e-13)
 
 
 def test_discrete_determinant_identity():
@@ -56,19 +65,28 @@ def test_discrete_determinant_identity():
     N = 24
     A = rng.uniform(1.0, 3.0, N)
     B = rng.uniform(-2.0, -0.5, N)
-    M = monodromy_discrete(A, B, 4.2)
+    m11, m12, m21, m22 = _discrete_at(A, B, 4.2)
     expect = np.prod(-B)
-    assert abs(M.det() - expect) <= 1e-12 * abs(expect)
+    assert abs(m11 * m22 - m12 * m21 - expect) <= 1e-12 * abs(expect)
+
+
+def test_discrete_determinant_is_exact_on_a_wide_grid():
+    """det_discrete is prod(-B(n)) at every lambda, also where the entries are
+    large and m11 m22 - m12 m21 cancels (it read 1.875 near lambda = -198.85)."""
+    A, B = lattice_from_potential(builtin_profile("cos"), 512)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, det = discrete_traces(A, B, np.linspace(-200, 200, 16384))
+    exact = math.prod(-F(x) for x in B.tolist())
+    assert len(det) == 16384
+    assert max(abs(F(d) - exact) for d in set(det.tolist())) <= F(1, 10**12) * exact
 
 
 def test_discrete_band_edges_free_lattice():
     N = 32
     A = np.full(N, 2.0)
     B = np.full(N, -1.0)
-    for m in (1, 2, 5):
-        lam = 2.0 * N**2 * (1 - math.cos(2 * math.pi * m / N))
-        M = monodromy_discrete(A, B, lam)
-        assert M.trace() == pytest.approx(2.0, abs=1e-6)
+    lams = [2.0 * N**2 * (1 - math.cos(2 * math.pi * m / N)) for m in (1, 2, 5)]
+    assert discrete_traces(A, B, lams)[0] == pytest.approx([2.0] * 3, abs=1e-6)
 
 
 def _discrete_entries_loop(A, B, lams):
@@ -110,26 +128,24 @@ def test_discrete_entries_match_loop_bytewise(case):
 
 def test_continuous_free_closed_forms():
     zero = builtin_profile("zero")
-    M = monodromy_continuous(zero, 0.0)
-    assert (M.m11, M.m12, M.m21, M.m22) == pytest.approx((1, 1, 0, 1), abs=1e-9)
-    M = monodromy_continuous(zero, math.pi**2)
-    assert M.trace() == pytest.approx(-2.0, abs=1e-8)
+    assert _continuous_at(zero, 0.0) == pytest.approx((1, 1, 0, 1), abs=1e-9)
+    assert continuous_traces(zero, [math.pi**2])[0] == pytest.approx([-2.0], abs=1e-8)
     for lam in (-3.0, 7.0, 40.0):
-        M = monodromy_continuous(zero, lam)
+        trace, det = continuous_traces(zero, [lam])
         if lam >= 0:
             expect = 2 * math.cos(math.sqrt(lam))
         else:
             expect = 2 * math.cosh(math.sqrt(-lam))
-        assert M.trace() == pytest.approx(expect, abs=1e-8)
-        assert M.det() == pytest.approx(1.0, abs=1e-8)
+        assert trace == pytest.approx([expect], abs=1e-8)
+        assert det == pytest.approx([1.0], abs=1e-8)
 
 
 def test_continuous_wronskian_general_potential():
     g = builtin_profile("cos2")
     tol = 1e-10
     for lam in (-5.0, 12.3, 90.0):
-        M = monodromy_continuous(g, lam, tol=tol)
-        assert abs(M.det() - 1.0) <= 10 * tol + 1e-9
+        m11, m12, m21, m22 = _continuous_at(g, lam, tol=tol)
+        assert abs(m11 * m22 - m12 * m21 - 1.0) <= 10 * tol + 1e-9
 
 
 def test_continuous_traces_vectorized_matches_scalar():
@@ -137,9 +153,9 @@ def test_continuous_traces_vectorized_matches_scalar():
     lams = np.array([-2.0, 5.0, 30.0])
     trs, dets = continuous_traces(g, lams)
     for lam, tr, det in zip(lams, trs, dets):
-        M = monodromy_continuous(g, float(lam))
-        assert tr == pytest.approx(M.trace(), abs=1e-8)
-        assert det == pytest.approx(M.det(), abs=1e-8)
+        m11, m12, m21, m22 = _continuous_at(g, float(lam))
+        assert tr == pytest.approx(m11 + m22, abs=1e-8)
+        assert det == pytest.approx(m11 * m22 - m12 * m21, abs=1e-8)
 
 
 def _continuous_entries_full_period(g, lams, tol):
@@ -233,8 +249,8 @@ def test_continuous_traces_on_degenerate_grids(monkeypatch, lams):
     assert trace.tobytes() == expect[0].tobytes() and det.tobytes() == expect[1].tobytes()
     _, first = np.unique(lams, return_index=True)
     for lam, tr in zip(lams[first], trace[first]):
-        M = monodromy_continuous(g, float(lam))
-        assert tr == pytest.approx(M.trace(), rel=1e-8, abs=1e-8)
+        m11, _, _, m22 = _continuous_at(g, float(lam))
+        assert tr == pytest.approx(m11 + m22, rel=1e-8, abs=1e-8)
 
 
 def test_continuous_traces_keep_only_the_period_map():

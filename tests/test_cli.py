@@ -299,6 +299,46 @@ def test_conserved_needs_matching_trajectory(capsys, tmp_path):
         assert len(err.splitlines()) == 1
 
 
+# edits of a 16-site run with snapshots at t = 0, 0.004, 0.008 and 0.01; the
+# snapshot at t = 0.004 is lines 17..32 of trajectory.csv and line 2 of conserved.csv
+def _swap_sites(lines):
+    lines[20], lines[21] = lines[21], lines[20]
+
+
+def _drop_site(lines):
+    del lines[24]
+
+
+def _drop_last_site(lines):  # the last snapshot keeps n = 0..14 in order
+    del lines[-1]
+
+
+def _move_time(lines):
+    lines[2] = "0.5" + lines[2][lines[2].index(","):]
+
+
+@pytest.mark.parametrize("file, edit", [
+    ("trajectory.csv", _swap_sites),
+    ("trajectory.csv", _drop_site),
+    ("trajectory.csv", _drop_last_site),
+    ("conserved.csv", _move_time),
+])
+def test_conserved_rejects_snapshots_that_do_not_match(capsys, tmp_path, file, edit):
+    """Each snapshot lists n = 0..N-1 in order, with the N of the first, at the
+    time of its conserved.csv row; otherwise exit 2 naming the file, no drift.csv."""
+    run = tmp_path / "rk4"
+    code, *_ = run_cli(capsys, "simulate", "--N", "16", "--dt", "1e-3", "--t-end", "0.01",
+                       "--scheme", "rk4", "--output-every", "4", "--out", str(run))
+    assert code == 0
+    lines = (run / file).read_text().splitlines()
+    edit(lines)
+    (run / file).write_text("\n".join(lines) + "\n")
+    code, _, err = run_cli(capsys, "conserved", "--traj", str(run), "--out", str(tmp_path / "drift"))
+    assert code == 2 and "Traceback" not in err
+    assert str(run / file) in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "drift").exists()
+
+
 def test_simulate_lattice_not_dividing_reference_grid(capsys, tmp_path):
     # N = 24 does not divide the default 256 reference modes
     code, out, stdout, _ = _simulate(capsys, tmp_path, "n24", "--N", "24")

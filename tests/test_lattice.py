@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import exact_flow_rhs, mixed_states, random_fraction_state, random_smooth_state
+from conftest import exact_flow_rhs, mixed_states, random_fraction_state, random_smooth_state, stacked
 from todakdv.lattice import (
     C1_EXPANSION,
     C2_EXPANSION,
@@ -373,12 +373,16 @@ def test_invariant_kernel_matches_recursions(s):
 @settings(max_examples=40, deadline=None)
 @given(mixed_states())
 def test_rhs_flow2_arrays_matches_roll_formula(s):
-    """The padded-copy neighbours give the np.roll stencil bit for bit."""
+    """The padded-copy neighbours give the np.roll stencil bit for bit, stacked
+    as (da, db), and rhs_flow2 returns the two halves."""
     N, a, b = s.N, s.a, s.b
     eps2 = 1.0 / N**2
     ap, am, bp, bm = np.roll(a, -1), np.roll(a, 1), np.roll(b, -1), np.roll(b, 1)
     u, v, w = a - am, a + am, bp - bm
-    da, db = rhs_flow2_arrays(N, a, b)
+    f = rhs_flow2_arrays(N, stacked(s))
+    assert f.shape == (2 * N,) and f.dtype == np.float64
+    da, db = f[:N], f[N:]
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(rhs_flow2(s), (da, db)))
     assert da.tobytes() == (N * (2.0 * (bp - b) - (ap - am) + eps2 * (bp * (a + ap) - b * v))).tobytes()
     assert db.tobytes() == (
         N * (2.0 * u - w + eps2 * (u * (v * (1.0 - eps2 * b) - 2.0 * b) + b * w))
@@ -418,7 +422,7 @@ def _flow2_errors(s):
                       + eps2 * (y * x * x + y * xm * xm))
         ))
     ratios = []
-    for da, db in (rhs_flow2_arrays(N, s.a, s.b), _expanded_flow2(N, s.a, s.b)):
+    for da, db in (rhs_flow2(s), _expanded_flow2(N, s.a, s.b)):
         worst = 0.0
         for got, want, size in zip(da.tolist() + db.tolist(), exact[0] + exact[1], size_a + size_b):
             err = abs(F(got) - want) - 16 * F(2) ** -1074
@@ -442,7 +446,7 @@ def test_rhs_flow2_arrays_accuracy_against_exact_oracle():
     for s in _smooth_flow2_states():
         new, old = _flow2_errors(s)
         assert new <= 8 * 2.0**-52 and old <= 8 * 2.0**-52
-        for x, y in zip(rhs_flow2_arrays(s.N, s.a, s.b), _expanded_flow2(s.N, s.a, s.b)):
+        for x, y in zip(rhs_flow2(s), _expanded_flow2(s.N, s.a, s.b)):
             ulps.append(np.max(np.abs(x - y)) / np.spacing(np.max(np.abs(y))))
     print(f"factored vs expanded flow-2 stencil: max {max(ulps):.1f} ulps of max|rhs|")
 

@@ -7,10 +7,17 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import solve_triangular
 
-from conftest import mixed_states, random_smooth_state
+from conftest import mixed_states, random_smooth_state, stacked
 from todakdv import solver
 from todakdv.cli import main
-from todakdv.lattice import LatticeState, builtin_profile, conserved_report, init_from_profile, rhs_flow2
+from todakdv.lattice import (
+    LatticeState,
+    builtin_profile,
+    conserved_report,
+    init_from_profile,
+    rhs_flow2,
+    rhs_flow2_arrays,
+)
 from todakdv.solver import (
     BlowUpError,
     Flow2Jacobian,
@@ -45,53 +52,46 @@ def test_config_validation():
 
 
 def test_rk4_constant_state_unchanged():
-    s = LatticeState(16, np.full(16, 0.3), np.full(16, 0.3))
-    s1 = step_rk4(s, 0.37)
-    assert s1.a == pytest.approx(s.a, abs=0) and s1.b == pytest.approx(s.b, abs=0)
+    x = np.full(32, 0.3)
+    x1 = step_rk4(16, x, 0.37)
+    assert x1 == pytest.approx(x, abs=0)
 
 
 def test_rk4_one_step_taylor():
     s = random_smooth_state(16, seed=2, amp=0.5)
-    da, db = rhs_flow2(s)
+    x = stacked(s)
+    f = rhs_flow2_arrays(s.N, x)
     errs = []
     for dt in (1e-4, 5e-5):
-        s1 = step_rk4(s, dt)
-        err = max(
-            np.max(np.abs(s1.a - (s.a + dt * da))),
-            np.max(np.abs(s1.b - (s.b + dt * db))),
-        )
-        errs.append(err)
+        x1 = step_rk4(s.N, x, dt)
+        errs.append(np.max(np.abs(x1 - (x + dt * f))))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)  # O(dt^2) defect vs Euler
 
 
 def test_jacobian_matches_finite_differences():
     s = random_smooth_state(12, seed=3, amp=0.5)
     N = s.N
-    J = flow2_jacobian(s).toarray()
+    x0 = stacked(s)
+    J = flow2_jacobian(N, x0).toarray()
     k = np.arange(N)
     pattern = np.zeros((2 * N, 2 * N), dtype=bool)
     for r, c, sh in solver._STENCIL:
         pattern[r * N + k, c * N + (k + sh) % N] = True
     assert pattern.sum() == 10 * N
     assert np.array_equal(J != 0, pattern)
-    x0 = np.concatenate([s.a, s.b])
     h = 1e-7
     for j in range(2 * N):
         xp, xm = x0.copy(), x0.copy()
         xp[j] += h
         xm[j] -= h
-        def f(x):
-            da, db = rhs_flow2(LatticeState(N, x[:N], x[N:]))
-            return np.concatenate([da, db])
-        col = (f(xp) - f(xm)) / (2 * h)
+        col = (rhs_flow2_arrays(N, xp) - rhs_flow2_arrays(N, xm)) / (2 * h)
         assert J[:, j] == pytest.approx(col, rel=1e-6, abs=1e-5)
 
 
 def test_spectral_radius_closed_form_matches_dense_eigenvalues():
     for N in range(8, 65):
         # at a = b = 0 the Jacobian is exactly the linear stencil
-        zero = LatticeState(N, np.zeros(N), np.zeros(N))
-        dense = np.max(np.abs(np.linalg.eigvals(flow2_jacobian(zero).toarray())))
+        dense = np.max(np.abs(np.linalg.eigvals(flow2_jacobian(N, np.zeros(2 * N)).toarray())))
         assert linear_spectral_radius(N) == pytest.approx(dense, rel=1e-12), N
 
 
@@ -105,18 +105,17 @@ def test_cn_step_matches_dense_newton():
         da, db = rhs_flow2(LatticeState(N, x[:N], x[N:]))
         return np.concatenate([da, db])
 
-    x0 = np.concatenate([s.a, s.b])
+    x0 = stacked(s)
     base = x0 + 0.5 * dt * f(x0)
     x = x0.copy()
     for _ in range(cfg.newton_max_iter):
         resid = x - base - 0.5 * dt * f(x)
         if np.max(np.abs(resid)) <= tol:
             break
-        J = flow2_jacobian(LatticeState(N, x[:N], x[N:])).toarray()
+        J = flow2_jacobian(N, x).toarray()
         x = x - np.linalg.solve(np.eye(2 * N) - 0.5 * dt * J, resid)
-    s1 = step_cn(s, dt, cfg)
-    assert np.max(np.abs(s1.a - x[:N])) <= 1e-12
-    assert np.max(np.abs(s1.b - x[N:])) <= 1e-12
+    x1, _ = step_cn(N, x0, f(x0), dt, cfg)
+    assert np.max(np.abs(x1 - x)) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -139,7 +138,7 @@ def test_banded_solve_matches_dense(N, dt, sign, amp, seed):
     growth was 6e19 and its answer wrong in the first digit.
     """
     dt *= sign
-    J = flow2_jacobian(random_smooth_state(N, seed=seed, amp=amp))
+    J = flow2_jacobian(N, stacked(random_smooth_state(N, seed=seed, amp=amp)))
     r = np.random.default_rng(seed).normal(size=2 * N)
     q, upper = np.linalg.qr(np.eye(2 * N) - 0.5 * dt * J.toarray())
     expected = solve_triangular(upper, q.T @ r)
@@ -147,10 +146,10 @@ def test_banded_solve_matches_dense(N, dt, sign, amp, seed):
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
-def _singular_jacobian(s):
+def _singular_jacobian(N, x):
     # I - dt/2 J with this J has a zero diagonal and nothing else in the band
     dt = 1e-3
-    values = np.zeros((len(solver._STENCIL), s.N))
+    values = np.zeros((len(solver._STENCIL), N))
     values[solver._STENCIL.index((0, 0, 0))] = 2.0 / dt
     values[solver._STENCIL.index((1, 1, 0))] = 2.0 / dt
     return Flow2Jacobian(values)
@@ -158,9 +157,9 @@ def _singular_jacobian(s):
 
 def test_singular_band_factor_is_newton_error(monkeypatch):
     monkeypatch.setattr(solver, "flow2_jacobian", _singular_jacobian)
-    s = random_smooth_state(16, seed=12)
+    x = stacked(random_smooth_state(16, seed=12))
     with pytest.raises(NewtonError, match="singular") as exc:
-        step_cn(s, 1e-3)
+        step_cn(16, x, rhs_flow2_arrays(16, x), 1e-3)
     assert exc.value.residual > 0
 
 
@@ -174,36 +173,38 @@ def test_singular_band_factor_exits_3_with_message(monkeypatch, capsys, tmp_path
     assert "Traceback" not in err
 
 
+def _cn(N, x, dt, cfg=None):
+    """One CN step from x, its right side evaluated afresh; the new x."""
+    return step_cn(N, x, rhs_flow2_arrays(N, x), dt, cfg)[0]
+
+
 def test_cn_constant_fixed_point():
-    s = LatticeState(16, np.full(16, 0.5), np.full(16, 0.5))
-    s1 = step_cn(s, 0.1)
-    assert s1.a == pytest.approx(s.a, abs=1e-13)
+    x = np.full(32, 0.5)
+    assert _cn(16, x, 0.1) == pytest.approx(x, abs=1e-13)
 
 
 def test_cn_agrees_with_rk4_to_third_order():
-    s = random_smooth_state(16, seed=4, amp=0.5)
+    x = stacked(random_smooth_state(16, seed=4, amp=0.5))
     errs = []
     for dt in (2e-4, 1e-4):
-        c = step_cn(s, dt)
-        r = step_rk4(s, dt)
-        errs.append(max(np.max(np.abs(c.a - r.a)), np.max(np.abs(c.b - r.b))))
+        errs.append(np.max(np.abs(_cn(16, x, dt) - step_rk4(16, x, dt))))
     assert errs[0] / errs[1] == pytest.approx(8.0, rel=0.3)  # O(dt^3) gap
 
 
 def test_cn_time_reversibility():
-    s = random_smooth_state(16, seed=5)
+    x = stacked(random_smooth_state(16, seed=5))
     tol = 1e-13
     cfg = SolverConfig(dt=1e-3, t_end=1e-3, newton_tol=tol)
-    fwd = step_cn(s, 1e-3, cfg)
-    back = step_cn(fwd, -1e-3, cfg)
-    assert np.max(np.abs(back.a - s.a)) <= 10 * tol
-    assert np.max(np.abs(back.b - s.b)) <= 10 * tol
+    fwd, f = step_cn(16, x, rhs_flow2_arrays(16, x), 1e-3, cfg)
+    back, _ = step_cn(16, fwd, f, -1e-3, cfg)
+    assert np.max(np.abs(back - x)) <= 10 * tol
 
 
 def test_cn_newton_quadratic_convergence():
-    s = random_smooth_state(32, seed=6, amp=3.0)
+    x = stacked(random_smooth_state(32, seed=6, amp=3.0))
     log: list = []
-    step_cn(s, 5e-3, SolverConfig(dt=5e-3, t_end=5e-3, newton_tol=1e-14), residual_log=log)
+    cfg = SolverConfig(dt=5e-3, t_end=5e-3, newton_tol=1e-14)
+    step_cn(32, x, rhs_flow2_arrays(32, x), 5e-3, cfg, residual_log=log)
     rs = [r for r in log if r > 0]
     # once inside the basin, each residual is at worst C * previous^2
     small = [i for i in range(len(rs) - 1) if rs[i] <= 1e-4]
@@ -213,10 +214,10 @@ def test_cn_newton_quadratic_convergence():
 
 
 def test_cn_newton_failure_reports_residual():
-    s = random_smooth_state(16, seed=7)
+    x = stacked(random_smooth_state(16, seed=7))
     cfg = SolverConfig(dt=1e-3, t_end=1e-3, newton_tol=1e-300, newton_max_iter=3)
     with pytest.raises(NewtonError) as exc:
-        step_cn(s, 1e-3, cfg)
+        _cn(16, x, 1e-3, cfg)
     assert exc.value.residual > 0
 
 
@@ -239,7 +240,7 @@ def _counting(monkeypatch, name):
 )
 def test_cn_run_evaluates_each_right_side_once(monkeypatch, N, dt, name, iters):
     """One right side per Newton iteration plus one for the initial state, and
-    the same final state as steps from rebuilt states that carry nothing."""
+    the same final state as steps that evaluate their right side afresh."""
     s0 = init_from_profile(builtin_profile(name), N)
     steps = 6
     cfg = SolverConfig(dt=dt, t_end=steps * dt, output_every=4)
@@ -248,10 +249,10 @@ def test_cn_run_evaluates_each_right_side_once(monkeypatch, N, dt, name, iters):
     final = run(s0, cfg).samples[-1][1]
     assert len(jacobians) == iters * steps
     assert len(rhs_calls) == 1 + len(jacobians)
-    s = s0
+    x = stacked(s0)
     for _ in range(steps):
-        s = step_cn(LatticeState(N, s.a.copy(), s.b.copy()), dt, cfg)
-    assert final.a.tobytes() == s.a.tobytes() and final.b.tobytes() == s.b.tobytes()
+        x = _cn(N, x, dt, cfg)
+    assert stacked(final).tobytes() == x.tobytes()
 
 
 @pytest.mark.parametrize("N, dt, name, steps, every", [(16, 1e-3, "cos", 10, 3), (33, 2e-4, "cos2", 12, 4)])
@@ -264,11 +265,11 @@ def test_rk4_run_snapshots_equal_chained_steps(monkeypatch, N, dt, name, steps, 
     traj = run(s0, SolverConfig(dt=dt, t_end=steps * dt, scheme="rk4", output_every=every))
     assert (len(steps_taken), len(rhs_calls)) == (steps, 4 * steps)
     expect = [(0.0, s0)]
-    s = s0
+    x = stacked(s0)
     for step in range(1, steps + 1):
-        s = step_rk4(s, dt)
+        x = step_rk4(N, x, dt)
         if step % every == 0 or step == steps:
-            expect.append((step * dt, s))
+            expect.append((step * dt, LatticeState(N, x[:N], x[N:])))
     assert len(traj.samples) == len(expect)
     for (t, got, rep), (t_want, want) in zip(traj.samples, expect):
         assert t == t_want
@@ -277,15 +278,34 @@ def test_rk4_run_snapshots_equal_chained_steps(monkeypatch, N, dt, name, steps, 
 
 
 def test_cn_step_carries_the_right_side_of_its_result():
-    s = random_smooth_state(24, seed=13)
-    carry: list = []
-    s1 = step_cn(s, 1e-3, rhs=carry)
-    alone = step_cn(s, 1e-3)
-    assert s1.a.tobytes() == alone.a.tobytes() and s1.b.tobytes() == alone.b.tobytes()
-    assert carry[0].tobytes() == np.concatenate(rhs_flow2(s1)).tobytes()
-    s2 = step_cn(s1, 1e-3, rhs=carry)
-    assert s2.a.tobytes() == step_cn(s1, 1e-3).a.tobytes()
-    assert carry[0].tobytes() == np.concatenate(rhs_flow2(s2)).tobytes()
+    """step_cn returns the right side of its result, byte for byte the one
+    rhs_flow2_arrays gives, and a step from it equals a step from a fresh one."""
+    N = 24
+    x0 = stacked(random_smooth_state(N, seed=13))
+    x1, f1 = step_cn(N, x0, rhs_flow2_arrays(N, x0), 1e-3)
+    assert f1.tobytes() == rhs_flow2_arrays(N, x1).tobytes()
+    x2, f2 = step_cn(N, x1, f1, 1e-3)
+    assert x2.tobytes() == _cn(N, x1.copy(), 1e-3).tobytes()
+    assert f2.tobytes() == rhs_flow2_arrays(N, x2).tobytes()
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "cn"])
+def test_run_builds_a_state_only_per_recorded_sample(monkeypatch, scheme):
+    """The steppers carry the stacked x; run builds one LatticeState per
+    snapshot after the initial one, and that state is the one it records."""
+    built = []
+
+    def counted(*args):
+        built.append(LatticeState(*args))
+        return built[-1]
+
+    monkeypatch.setattr(solver, "LatticeState", counted)
+    s0 = init_from_profile(builtin_profile("cos2"), 24)
+    traj = run(s0, SolverConfig(dt=1e-4, t_end=1e-3, scheme=scheme, output_every=3))
+    assert len(traj.samples) == 5  # t = 0, steps 3, 6, 9 and the final step 10
+    assert traj.samples[0][1] is s0
+    assert len(built) == len(traj.samples) - 1
+    assert all(got is want for (_, got, _), want in zip(traj.samples[1:], built))
 
 
 def _jacobian_oracle(s):
@@ -314,7 +334,7 @@ def _jacobian_oracle(s):
 def test_jacobian_and_band_match_stacked_assembly(s, dt):
     """The preallocated Jacobian and the flat-index band write are bit for bit
     the stacked-array Jacobian and the np.put band."""
-    J = flow2_jacobian(s)
+    J = flow2_jacobian(s.N, stacked(s))
     assert J.values.tobytes() == _jacobian_oracle(s).tobytes()
     index, _ = solver._band_layout(s.N)
     band = np.zeros((2 * s.N, solver._LDAB))

@@ -22,7 +22,8 @@ bands are where |trace| <= 2.
 A scan keeps its result in columns: ``discriminant_scan`` returns one
 ``DiscriminantTable`` of five float arrays (lambda, the two traces, the two
 determinants), built from the vectorized monodromies without a per-sample
-object.
+object.  The discrete determinant is the lambda-independent prod(-B(n)), held
+as a stride-0 broadcast of that one value, so the CSV writer formats it once.
 """
 
 from __future__ import annotations
@@ -120,10 +121,11 @@ def discrete_traces(A: np.ndarray, B: np.ndarray, lams: np.ndarray) -> tuple[np.
 
     Each transfer matrix has determinant -B(n), so the monodromy determinant
     is prod(-B(n)) at every lambda; it is returned in that closed form,
-    because m11 m22 - m12 m21 cancels where the entries are large.
+    because m11 m22 - m12 m21 cancels where the entries are large, as a
+    read-only stride-0 broadcast of that one value.
     """
     m11, _, _, m22 = _discrete_entries(A, B, np.asarray(lams, float))
-    return m11 + m22, np.full(m11.shape, np.prod(-np.asarray(B, float)))
+    return m11 + m22, np.broadcast_to(np.prod(-np.asarray(B, float)), m11.shape)
 
 
 # Chebyshev nodes (first kind) in lambda per segment map, and the matrix taking

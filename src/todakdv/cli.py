@@ -139,20 +139,20 @@ def cmd_simulate(args) -> int:
     lattice.write_csv(
         outdir / "trajectory.csv",
         ["t", "n", "a", "b"],
-        (np.column_stack((np.full(s.N, t), np.arange(s.N), s.a, s.b)) for t, s, _ in traj.samples),
+        ((np.broadcast_to(t, s.N), np.arange(s.N), s.a, s.b) for t, s, _ in traj.samples),
         row_format=f"{lattice.FMT},%d,{lattice.FMT},{lattice.FMT}",
     )
     lattice.write_csv(
         outdir / "conserved.csv",
         lattice.ConservedReport.COLUMNS,
-        [np.array([rep.row() for _, _, rep in traj.samples])],
+        [np.array([rep.row() for _, _, rep in traj.samples]).T],
     )
     lattice.write_state_csv(outdir / "state.csv", traj.samples[-1][1])  # restartable
     if kdv is not None:
         lattice.write_csv(
             outdir / "comparison.csv",
             ["x", "lattice", "reference", "error"],
-            [np.column_stack((kdv.x, kdv.lattice, kdv.reference, kdv.lattice - kdv.reference))],
+            [(kdv.x, kdv.lattice, kdv.reference, kdv.lattice - kdv.reference)],
         )
         print(f"comparison at t={kdv.t:g}: max err {kdv.max_err:.3e}, l2 err {kdv.l2_err:.3e}")
     print(f"wrote {outdir}/trajectory.csv, conserved.csv ({len(traj.samples)} snapshots)")
@@ -163,8 +163,8 @@ def _write_spectrum_csv(path: Path, table: bloch.DiscriminantTable) -> None:
     lattice.write_csv(
         path,
         ["lambda", "trace_discrete", "trace_continuous", "det_discrete", "det_continuous"],
-        [np.column_stack((table.lam, table.trace_discrete, table.trace_continuous,
-                          table.det_discrete, table.det_continuous))],
+        [(table.lam, table.trace_discrete, table.trace_continuous, table.det_discrete,
+          table.det_continuous)],
     )
 
 
@@ -222,8 +222,12 @@ def _read_snapshots(path: Path) -> list[tuple[float, lattice.LatticeState]]:
                     f"the snapshot at t = {rows[0][0]} in {path} must list the sites "
                     f"n = 0..{N - 1} in order, as the first snapshot does"
                 )
-            a, b = np.array([[float(a), float(b)] for _, _, a, b in rows]).T
-            snapshots.append((float(rows[0][0]), lattice.LatticeState(N, a, b)))
+            try:
+                t = float(rows[0][0])
+                a, b = np.array([[float(a), float(b)] for _, _, a, b in rows]).T
+            except ValueError as err:
+                raise ValueError(f"non-numeric field in {path}: {err}") from None
+            snapshots.append((t, lattice.LatticeState(N, a, b)))
     return snapshots
 
 
@@ -233,7 +237,10 @@ def cmd_conserved(args) -> int:
     with open(src, newline="") as fh:
         rd = csv.reader(fh)
         header = next(rd, None)
-        rows = [[float(x) for x in row] for row in rd]
+        try:
+            rows = [[float(x) for x in row] for row in rd]
+        except ValueError as err:
+            raise ValueError(f"non-numeric field in {src}: {err}") from None
     if header != list(lattice.ConservedReport.COLUMNS):
         raise ValueError(f"expected header {','.join(lattice.ConservedReport.COLUMNS)} in {src}")
     if any(len(row) != len(header) for row in rows):
@@ -263,7 +270,7 @@ def cmd_conserved(args) -> int:
     lattice.write_csv(
         outdir / "drift.csv",
         ["t"] + [f"{c}_drift" for c in header[1:]],
-        [np.column_stack(([row[0] for row in rows], drifts))],
+        [(np.array([row[0] for row in rows]), *np.array(drifts).T)],
     )
     for i, name in enumerate(header[1:]):
         print(f"max |{name} drift| = {max(abs(drift[i]) for drift in drifts):.3e}")

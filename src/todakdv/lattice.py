@@ -561,26 +561,41 @@ def asymptotic_C(
 
 
 FMT = "%.17g"  # 17 significant digits: every float64 reads back exactly
+_CSV_CHUNK = 2048  # rows formatted per write, which bounds the text held at once
 
 
 def write_csv(
-    path, header: Sequence[str], blocks: Iterable[np.ndarray], row_format: str | None = None
+    path, header: Sequence[str], blocks: Iterable[Sequence[np.ndarray]], row_format: str | None = None
 ) -> None:
-    """Write the rows of each 2-D block with one %-format per field, FMT by default.
+    """Write blocks of equal-length 1-D columns, one %-format per field, FMT by default.
 
-    The file is byte for byte what csv.writer writes for the formatted
-    fields: none of them needs quoting, and csv.writer ends lines in \\r\\n.
+    A column that is a broadcast scalar (stride 0, as from np.broadcast_to)
+    is formatted once and spliced into the row template as a literal; the
+    other columns fill one (row * rows) % values template per chunk of
+    _CSV_CHUNK rows.  The file is byte for byte what csv.writer writes for
+    the formatted fields: none of them needs quoting, and csv.writer ends
+    lines in \\r\\n.
     """
-    row = (row_format or ",".join([FMT] * len(header))) + "\r\n"
+    formats = (row_format or ",".join([FMT] * len(header))).split(",")
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for block in blocks:
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+            rows = len(block[0])
+            if any(len(col) != rows for col in block):
+                raise ValueError("the columns of a CSV block must have equal lengths")
+            if rows == 0:
+                continue
+            fields = [fmt % col[0].item() if col.strides == (0,) else fmt
+                      for fmt, col in zip(formats, block)]
+            row = ",".join(fields) + "\r\n"
+            values = np.column_stack([col for col in block if col.strides != (0,)] or [np.empty((rows, 0))])
+            for start in range(0, rows, _CSV_CHUNK):
+                part = values[start : start + _CSV_CHUNK]
+                fh.write((row * len(part)) % tuple(part.ravel().tolist()))
 
 
 def write_state_csv(path, s: LatticeState) -> None:
-    write_csv(path, ["n", "a", "b"], [np.column_stack((np.arange(s.N), s.a, s.b))],
-              row_format=f"%d,{FMT},{FMT}")
+    write_csv(path, ["n", "a", "b"], [(np.arange(s.N), s.a, s.b)], row_format=f"%d,{FMT},{FMT}")
 
 
 def read_state_csv(path) -> LatticeState:
@@ -594,7 +609,10 @@ def read_state_csv(path) -> LatticeState:
         raise ValueError(f"{path} has a header but no site rows")
     if any(len(r) != 3 for r in rows):
         raise ValueError(f"every row of {path} needs 3 columns n,a,b")
-    rows = sorted((int(n), float(a), float(b)) for n, a, b in rows)
+    try:
+        rows = sorted((int(n), float(a), float(b)) for n, a, b in rows)
+    except ValueError as err:
+        raise ValueError(f"non-numeric field in {path}: {err}") from None
     if [r[0] for r in rows] != list(range(len(rows))):
         raise ValueError(f"site indices n in {path} must be exactly 0..N-1, each once")
     a = np.array([r[1] for r in rows])

@@ -81,6 +81,34 @@ def test_discrete_determinant_is_exact_on_a_wide_grid():
     assert max(abs(F(d) - exact) for d in set(det.tolist())) <= F(1, 10**12) * exact
 
 
+def test_discrete_determinant_is_one_broadcast_value():
+    """det_discrete is a read-only stride-0 view of prod(-B(n)), so the CSV
+    writer formats it once; every row holds that one value."""
+    A, B = lattice_from_potential(builtin_profile("cos2"), 64)
+    lams = np.linspace(-200, 200, 1001)
+    tr, det = discrete_traces(A, B, lams)
+    assert det.shape == tr.shape == lams.shape
+    assert det.strides == (0,) and not det.flags.writeable
+    assert det.tolist() == [float(np.prod(-B))] * len(lams)
+    table = discriminant_scan(builtin_profile("cos2"), 64, lams)
+    assert table.det_discrete.strides == (0,)
+    assert table.det_discrete.tolist() == det.tolist()
+
+
+def test_discriminant_table_from_samples_keeps_band_distance():
+    # the benchmark's spectrum check rebuilds the table from per-row samples
+    table = discriminant_scan(builtin_profile("cos"), 64, np.linspace(-200, 200, 2001))
+    samples = [DiscriminantSample(*row) for row in zip(
+        table.lam.tolist(), table.trace_discrete.tolist(), table.trace_continuous.tolist(),
+        table.det_discrete.tolist(), table.det_continuous.tolist())]
+    rebuilt = DiscriminantTable.from_samples(samples)
+    for name in ("lam", "trace_discrete", "trace_continuous", "det_discrete", "det_continuous"):
+        assert np.array_equal(getattr(rebuilt, name), getattr(table, name))
+    expect = band_distance(table, 200.0)
+    assert math.isfinite(expect.distance)
+    assert band_distance(rebuilt, 200.0) == expect == band_distance(samples, 200.0)
+
+
 def test_discrete_band_edges_free_lattice():
     N = 32
     A = np.full(N, 2.0)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import todakdv
-from todakdv import bloch, solver
+from todakdv import bloch, lattice, solver
 from todakdv.cli import _write_spectrum_csv, main, read_config, write_config
 from todakdv.lattice import FMT, builtin_profile, exact_invariants, init_from_profile, write_csv
 
@@ -176,6 +176,10 @@ def test_simulate_bad_run_config_usage(capsys, tmp_path, extra, message):
         pytest.param("", id="empty_file"),
         pytest.param("n,a,b\n0,1.0\n", id="short_row"),
         pytest.param("n,a,b\n", id="header_only"),
+        pytest.param("n,a,b\n" + "".join(f"{n},0.5,{'x' if n == 3 else 0.25}\n" for n in range(8)),
+                     id="non_numeric_b"),
+        pytest.param("n,a,b\n" + "".join(f"{1.5 if n == 1 else n},0.5,0.25\n" for n in range(8)),
+                     id="fractional_index"),
     ],
 )
 def test_simulate_csv_init_bad_indices_usage(capsys, tmp_path, indices):
@@ -299,6 +303,28 @@ def test_conserved_needs_matching_trajectory(capsys, tmp_path):
         assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("file, lines, field, value", [
+    pytest.param("trajectory.csv", range(5, 6), 2, "x", id="trajectory_a"),
+    # the t of every site of the second snapshot (32 sites)
+    pytest.param("trajectory.csv", range(33, 65), 0, "zz", id="trajectory_t"),
+    pytest.param("conserved.csv", range(2, 3), 0, "zz", id="conserved_t"),
+])
+def test_conserved_non_numeric_field_names_file(capsys, tmp_path, file, lines, field, value):
+    code, out, *_ = _simulate(capsys, tmp_path, "run")
+    assert code == 0
+    text = (out / file).read_text().splitlines()
+    for i in lines:
+        fields = text[i].split(",")
+        fields[field] = value
+        text[i] = ",".join(fields)
+    (out / file).write_text("\n".join(text) + "\n")
+    code, _, err = run_cli(capsys, "conserved", "--traj", str(out), "--out", str(tmp_path / "drift"))
+    assert code == 2
+    assert err.startswith("error: non-numeric field in ") and str(out / file) in err
+    assert repr(value) in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "drift").exists()
+
+
 # edits of a 16-site run with snapshots at t = 0, 0.004, 0.008 and 0.01; the
 # snapshot at t = 0.004 is lines 17..32 of trajectory.csv and line 2 of conserved.csv
 def _swap_sites(lines):
@@ -414,26 +440,76 @@ _AWKWARD = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e308, 0.1, -2.0, 1 / 3
 
 @pytest.mark.parametrize("rows", [0, 1, 2, len(_AWKWARD)])
 def test_spectrum_csv_writer_matches_csv_module(tmp_path, rows):
-    cols = [np.roll(np.array(_AWKWARD), shift)[:rows] for shift in range(5)]
-    table = bloch.DiscriminantTable(*cols)
-    _write_spectrum_csv(tmp_path / "new.csv", table)
-    _spectrum_csv_reference(tmp_path / "ref.csv", table)
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    # det: the det_discrete column as a stride-0 broadcast of one value, as
+    # discrete_traces returns it, which the writer formats once
+    for k, det in enumerate([None, -0.0, math.nan, math.inf, -math.inf, 5e-324]):
+        cols = [np.roll(np.array(_AWKWARD), shift)[:rows] for shift in range(5)]
+        if det is not None:
+            cols[3] = np.broadcast_to(det, rows)
+            assert cols[3].strides == (0,)
+        table = bloch.DiscriminantTable(*cols)
+        _write_spectrum_csv(tmp_path / f"new{k}.csv", table)
+        _spectrum_csv_reference(tmp_path / f"ref{k}.csv", table)
+        new = (tmp_path / f"new{k}.csv").read_bytes()
+        assert new == (tmp_path / f"ref{k}.csv").read_bytes()
+        if det is not None and rows:
+            det_field = new.splitlines()[1].split(b",")[3].decode()
+            assert det_field == {-0.0: "-0", 5e-324: "4.9406564584124654e-324"}.get(det, FMT % det)
 
 
 @pytest.mark.parametrize("rows", [0, 1, len(_AWKWARD)])
 def test_trajectory_csv_writer_matches_csv_module(tmp_path, rows):
-    # the trajectory.csv layout: FMT floats around an integer site index
-    t, a, b = (np.roll(np.array(_AWKWARD), shift)[:rows] for shift in range(3))
-    n = np.arange(rows) * 7919
-    blocks = [np.column_stack((t, n, a, b))[i : i + 3] for i in range(0, rows, 3)]
-    write_csv(tmp_path / "new.csv", ["t", "n", "a", "b"], blocks, row_format=f"{FMT},%d,{FMT},{FMT}")
+    # the trajectory.csv layout: FMT floats around an integer site index, in
+    # blocks of 3 rows after one of 0 rows; with const_t each block's t is a
+    # stride-0 broadcast of one value, as cmd_simulate passes it
+    for const_t in (False, True):
+        t, a, b = (np.roll(np.array(_AWKWARD), shift)[:rows] for shift in range(3))
+        n = np.arange(rows) * 7919
+        if const_t:
+            t = np.repeat(t[::3], 3)[:rows]
+        blocks = [(np.broadcast_to(-0.0, 0), n[:0], a[:0], b[:0])] + [
+            (np.broadcast_to(t[i], len(n[i : i + 3])) if const_t else t[i : i + 3],
+             n[i : i + 3], a[i : i + 3], b[i : i + 3])
+            for i in range(0, rows, 3)
+        ]
+        write_csv(tmp_path / "new.csv", ["t", "n", "a", "b"], blocks,
+                  row_format=f"{FMT},%d,{FMT},{FMT}")
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            wr = csv.writer(fh)
+            wr.writerow(["t", "n", "a", "b"])
+            for row in zip(t, n, a, b):
+                wr.writerow([FMT % row[0], int(row[1]), FMT % row[2], FMT % row[3]])
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("chunk, rows", [(3, 3), (3, 10), (None, 2 * 2048 + 5)])
+def test_csv_writer_chunks_match_csv_module(tmp_path, monkeypatch, chunk, rows):
+    # rows are formatted chunk by chunk; the last chunk may be short
+    if chunk is not None:
+        monkeypatch.setattr(lattice, "_CSV_CHUNK", chunk)
+    x = np.resize(np.array(_AWKWARD), rows)
+    n = np.arange(rows)
+    cols = (np.roll(x, 1), np.broadcast_to(-0.0, rows), np.broadcast_to(7919, rows), n, x)
+    header = ["x", "c", "k", "n", "y"]
+    write_csv(tmp_path / "new.csv", header, [cols], row_format=f"{FMT},{FMT},%d,%d,{FMT}")
     with open(tmp_path / "ref.csv", "w", newline="") as fh:
         wr = csv.writer(fh)
-        wr.writerow(["t", "n", "a", "b"])
-        for row in zip(t, n, a, b):
-            wr.writerow([FMT % row[0], int(row[1]), FMT % row[2], FMT % row[3]])
+        wr.writerow(header)
+        for row in zip(*cols):
+            wr.writerow([FMT % row[0], FMT % row[1], int(row[2]), int(row[3]), FMT % row[4]])
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_csv_writer_block_of_only_constant_columns(tmp_path):
+    # each constant field takes its own format: %d of 2.5 is 2
+    write_csv(tmp_path / "x.csv", ["t", "n"], [(np.broadcast_to(-0.0, 3), np.broadcast_to(2.5, 3))],
+              row_format=f"{FMT},%d")
+    assert (tmp_path / "x.csv").read_bytes() == b"t,n\r\n" + b"-0,2\r\n" * 3
+
+
+def test_csv_writer_rejects_ragged_block(tmp_path):
+    with pytest.raises(ValueError, match="equal lengths"):
+        write_csv(tmp_path / "x.csv", ["t", "a"], [(np.broadcast_to(1.0, 3), np.zeros(2))])
 
 
 @pytest.mark.parametrize(

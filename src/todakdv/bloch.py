@@ -33,10 +33,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .lattice import Profile, init_from_profile
-from .solver import IntegrationError
+from .solver import IntegrationError, solve_ivp
 
 __all__ = [
     "DiscriminantSample",

@@ -3,11 +3,11 @@
 Every run writes its exact configuration as a key=value file next to its
 outputs, and all CSV output is deterministic given the configuration.
 
-Exit codes: 0 success / verified, 1 verification failure, 2 usage error,
-3 numerical failure (blow-up, Newton breakdown, float64 overflow of the
-conserved quantities, a failed adaptive ODE integration).  A run that
-exits 2 or 3 creates no --out: simulate and spectrum create it only once
-their computation has succeeded.
+Exit codes: 0 success / verified, 1 verification failure, 2 usage error
+(also a path that cannot be read or written), 3 numerical failure (blow-up,
+Newton breakdown, float64 overflow of the conserved quantities, a failed
+adaptive ODE integration).  A run that exits 2 or 3 creates no --out:
+simulate and spectrum create it only once their computation has succeeded.
 """
 
 from __future__ import annotations
@@ -353,7 +353,7 @@ def main(argv=None) -> int:
     except (solver.BlowUpError, solver.NewtonError, solver.IntegrationError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
-    except (ValueError, FileNotFoundError) as err:
+    except (ValueError, OSError) as err:  # an OSError's message names its path
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -19,11 +19,10 @@ Fourier integrating factor and shares no code with the lattice right side.
 from __future__ import annotations
 
 import functools
+import importlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .lattice import (
     ConservedReport,
@@ -51,6 +50,29 @@ __all__ = [
     "ComparisonReport",
     "compare_to_kdv",
 ]
+
+
+# scipy is imported on the first call, not with the package: importing
+# scipy.integrate alone costs most of the start-up of the symbolic commands,
+# which never integrate.  The stand-ins are module-level functions (kept out
+# of __all__) because the benchmark tracer and the tests rebind these names
+# in solver and bloch; after the first call each costs one cached lookup.
+_scipy = functools.cache(importlib.import_module)
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on first call."""
+    return _scipy("scipy.integrate").solve_ivp(*args, **kwargs)
+
+
+def dgbtrf(*args, **kwargs):
+    """scipy.linalg.lapack.dgbtrf, imported on first call."""
+    return _scipy("scipy.linalg.lapack").dgbtrf(*args, **kwargs)
+
+
+def dgbtrs(*args, **kwargs):
+    """scipy.linalg.lapack.dgbtrs, imported on first call."""
+    return _scipy("scipy.linalg.lapack").dgbtrs(*args, **kwargs)
 
 
 class BlowUpError(RuntimeError):

@@ -604,14 +604,43 @@ def _cli_args(draw):
 
 
 @settings(max_examples=30, deadline=None)
-@given(argv=_cli_args())
-def test_cli_exit_codes_are_documented(tmp_path_factory, argv):
-    """Every run ends in exit 0/1/2/3 with no traceback, whatever the arguments."""
+@given(argv=_cli_args(), out_is_file=st.booleans())
+def test_cli_exit_codes_are_documented(tmp_path_factory, argv, out_is_file):
+    """Every run ends in exit 0/1/2/3 with no traceback, whatever the arguments,
+    also when --out names an existing file."""
+    dest = tmp_path_factory.mktemp("cli")
+    if out_is_file:
+        dest = dest / "file"
+        dest.write_text("kept\n")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv + ["--out", str(tmp_path_factory.mktemp("cli"))])
-    assert code in (0, 1, 2, 3), argv
+        code = main(argv + ["--out", str(dest)])
+    assert code in ((2, 3) if out_is_file else (0, 1, 2, 3)), argv
     assert "Traceback" not in err.getvalue()
+    if out_is_file:
+        assert dest.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        (["spectrum", "--N", "16", "--samples", "8", "--out", "{F}"], "{F}"),
+        (["spectrum", "--N", "16", "--samples", "8", "--out", "{F}/sub"], "{F}/sub"),
+        (["simulate", "--N", "16", "--dt", "1e-3", "--t-end", "0.002", "--out", "{F}"], "{F}"),
+        (["conserved", "--traj", "{F}"], "{F}/conserved.csv"),
+    ],
+    ids=["spectrum-out-file", "spectrum-out-under-file", "simulate-out-file", "conserved-traj-file"],
+)
+def test_unusable_path_is_usage_error(capsys, tmp_path, argv, path):
+    """An OSError from a path the run cannot use (a file where a directory
+    must be) exits 2 with one message naming the path, and the file stays."""
+    F = tmp_path / "F"
+    F.write_text("kept\n")
+    code, _, err = run_cli(capsys, *(arg.format(F=F) for arg in argv))
+    assert code == 2
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert path.format(F=F) in err
+    assert F.read_text() == "kept\n"
 
 
 _SEQUENCE = [

@@ -11,13 +11,15 @@ all lambdas run as one in-place three-term recurrence on two row buffers.
 
 The continuous side is Hill's operator -psi'' + g psi.  Its period map is the
 ordered product of the maps of S = ceil(sqrt(max|lambda| + max|g|)) short
-segments of [0, 1].  Each entry of a segment map is an entire function of
-lambda, so it is integrated (DOP853, one stacked ODE system for all segments)
-at 17 Chebyshev nodes only, and its degree-16 Chebyshev interpolant is
-evaluated on the grid.  A grid with no more than 17 S points, or one that
-spans no interval, is integrated over [0, 1] at its own lambdas.  Either way
-the integrator keeps only its final state, not the trajectory.  Real spectral
-bands are where |trace| <= 2.
+segments of [0, 1].  A segment map is a Taylor series in the segment offset,
+whose coefficients follow from the profile's closed-form derivatives; numpy
+sums it for all segments, lambdas and both solutions at once, so no ODE
+integrator (and no scipy) runs.  Each entry of a segment map is an entire
+function of lambda, so on a grid of more than 17 points that spans an
+interval the maps are summed at 17 Chebyshev nodes only, and their degree-16
+Chebyshev interpolants are evaluated on the grid; a smaller grid takes the
+same segments at its own lambdas.  Segments are handled a block at a time, so
+memory stays bounded.  Real spectral bands are where |trace| <= 2.
 
 A scan keeps its result in columns: ``discriminant_scan`` returns one
 ``DiscriminantTable`` of five float arrays (lambda, the two traces, the two
@@ -35,7 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import Profile, init_from_profile
-from .solver import IntegrationError, solve_ivp
+# The Hill maps no longer call an ODE integrator, but the benchmark tracer
+# (perfbench/tracer.py) wraps ``bloch.solve_ivp`` by name, so the name stays bound.
+from .solver import IntegrationError, solve_ivp  # noqa: F401
 
 __all__ = [
     "DiscriminantSample",
@@ -134,37 +138,112 @@ _NODE_T = np.cos(np.pi * (np.arange(_NODES) + 0.5) / _NODES)
 _CHEB_FIT = np.polynomial.chebyshev.chebvander(_NODE_T, _NODES - 1).T * (2.0 / _NODES)
 _CHEB_FIT[0] *= 0.5
 
+# Taylor terms of a segment map before its segment is halved, and how often
+# it may be halved (the builtin profiles need at most twice); the smallest
+# term threshold (a few ulps of the O(1) map entries, so a tiny tol ends)
+_MAX_TERMS = 32
+_MAX_HALVINGS = 8
+_MIN_THRESHOLD = 4 * np.finfo(float).eps
+# segment x lambda pairs per block: 8 MB of Taylor history (2 x _MAX_TERMS
+# floats a pair), or 512 kB of maps on the grid, which stay in cache while
+# the product runs over them
+_BLOCK = 1 << 14
+# at most 2^20 segments, that is max|lambda| + max|g| <= 2^40
+_MAX_SEGMENTS = 1 << 20
 
-def _segment_maps(g: Profile, lams: np.ndarray, S: int, tol: float) -> np.ndarray:
-    """Maps of the S segments [k/S, (k+1)/S] of Hill's equation, per lambda.
 
-    Returns an array (S, 4, len(lams)) of entries (m11, m12, m21, m22).  All
-    segments and lambdas are stacked into one ODE system in the offset
-    s in [0, 1/S], so the adaptive integrator is called a single time.
+def _mul(P, M):
+    """The 2x2 products P @ M of entry stacks (m11, m12, m21, m22) on axis -2."""
+    p11, p12, p21, p22 = np.moveaxis(P, -2, 0)
+    m11, m12, m21, m22 = np.moveaxis(M, -2, 0)
+    out = np.empty(np.broadcast_shapes(P.shape, M.shape))
+    o11, o12, o21, o22 = np.moveaxis(out, -2, 0)
+    np.add(p11 * m11, p12 * m21, out=o11)
+    np.add(p11 * m12, p12 * m22, out=o12)
+    np.add(p21 * m11, p22 * m21, out=o21)
+    np.add(p21 * m12, p22 * m22, out=o22)
+    return out
+
+
+def _chain(maps: np.ndarray) -> np.ndarray:
+    """The ordered product maps[-1] @ ... @ maps[0] of an (S, 4, L) stack, pairwise."""
+    while len(maps) > 1:
+        pairs = len(maps) // 2
+        maps = np.concatenate([_mul(maps[1 : 2 * pairs : 2], maps[0 : 2 * pairs : 2]), maps[2 * pairs :]])
+    return maps[0]
+
+
+def _blocks(S: int, L: int):
+    """The segment indices 0..S-1 in runs of at most _BLOCK pairs with L lambdas."""
+    step = max(1, _BLOCK // max(1, L))
+    return (np.arange(k, min(S, k + step)) for k in range(0, S, step))
+
+
+def _segment_maps(
+    g: Profile, lams: np.ndarray, starts: np.ndarray, h: float, tol: float, halvings: int = _MAX_HALVINGS
+) -> np.ndarray:
+    """Maps of the segments [x, x + h], x in ``starts``, of Hill's equation, per lambda.
+
+    Returns an array (len(starts), 4, len(lams)) of entries (m11, m12, m21,
+    m22), summed as Taylor series (``_taylor_maps``).  A block whose series
+    have not died out within _MAX_TERMS terms is summed over two half
+    segments instead, at most ``halvings`` times over.
     """
-    L = len(lams)
-    starts = np.arange(S) / S
+    maps = _taylor_maps(g, lams, starts, h, tol)
+    if maps is not None:
+        return maps
+    if not halvings:
+        raise IntegrationError(
+            f"monodromy integration failed: no Taylor series converges on segments of {h:.3g}"
+        )
+    half = 0.5 * h
+    return _mul(_segment_maps(g, lams, starts + half, half, tol, halvings - 1),
+                _segment_maps(g, lams, starts, half, tol, halvings - 1))
 
-    def rhs(s, y):
-        Y = y.reshape(4, S, L)
-        pot = g(starts + s)[:, None] - lams
-        out = np.empty_like(Y)
-        out[0] = Y[1]
-        out[1] = pot * Y[0]
-        out[2] = Y[3]
-        out[3] = pot * Y[2]
-        return out.ravel()
 
-    y0 = np.zeros((4, S, L))
-    y0[0] = 1.0  # psi1 = 1, psi1' = 0
-    y0[3] = 1.0  # psi2 = 0, psi2' = 1
-    h = 1.0 / S
-    # t_eval=(h,) keeps only the segment maps; without it every step's state is stored
-    sol = solve_ivp(rhs, (0.0, h), y0.ravel(), method="DOP853", t_eval=(h,), rtol=tol, atol=tol * 1e-2)
-    if not sol.success:
-        raise IntegrationError(f"monodromy integration failed: {sol.message}")
-    psi1, dpsi1, psi2, dpsi2 = sol.y[:, 0].reshape(4, S, L)
-    return np.stack([psi1, psi2, dpsi1, dpsi2], axis=1)
+def _taylor_maps(
+    g: Profile, lams: np.ndarray, starts: np.ndarray, h: float, tol: float
+) -> np.ndarray | None:
+    """Segment maps as in ``_segment_maps``, or None where a series has not died out.
+
+    In the offset s = (x - x_k)/h a solution is psi = sum_n e_n s^n, and
+    psi'' = q psi with q = g - lambda gives
+
+        (n + 2)(n + 1) e_{n+2} = sum_j Q_j e_{n-j},   Q_j = h^(j+2) q^(j)(x_k) / j!,
+
+    run for both solutions, all segments and all lambdas at once.  The
+    series stops once two consecutive terms n |e_n| of every series fall
+    below tol/100 (at least a few ulps); they bound the terms of psi and of
+    its derivative.
+    """
+    thr = max(1e-2 * tol, _MIN_THRESHOLD)
+    e = np.zeros((_MAX_TERMS, 2, len(starts), len(lams)))
+    e[0, 0] = 1.0  # psi1 = 1, dpsi1/ds = 0
+    e[1, 1] = 1.0  # psi2 = 0, dpsi2/ds = 1, that is psi2' = 1/h
+    Q0 = h * h * (g(starts)[:, None] - lams)
+    Q = np.empty((_MAX_TERMS, len(starts)))  # Q_j, j >= 1, of g alone
+    scale = h * h
+    small = 0
+    for n in range(_MAX_TERMS - 2):
+        if n:
+            scale *= h / n
+            Q[n] = scale * g(starts, n)
+        acc = Q0 * e[n]
+        if n:
+            acc += np.einsum("jk,jskl->skl", Q[n:0:-1], e[:n])
+        e[n + 2] = acc / ((n + 2) * (n + 1))
+        size = (n + 2) * float(np.max(np.abs(e[n + 2]), initial=0.0))
+        if not size < math.inf:
+            raise IntegrationError("monodromy integration failed: non-finite Taylor series")
+        small = small + 1 if size < thr else 0
+        if small == 2:
+            break
+    else:
+        return None
+    e = e[: n + 3]
+    psi = e.sum(axis=0)
+    dpsi = np.tensordot(np.arange(n + 3, dtype=float), e, axes=1)
+    return np.stack([psi[0], h * psi[1], dpsi[0] / h, dpsi[1]], axis=1)
 
 
 def _segment_fits(g: Profile, lo: float, hi: float, S: int, tol: float) -> np.ndarray:
@@ -173,41 +252,49 @@ def _segment_fits(g: Profile, lo: float, hi: float, S: int, tol: float) -> np.nd
     Returns an array (S, 4, _NODES); the last axis is the coefficient of T_k.
     """
     nodes = 0.5 * (hi + lo) + 0.5 * (hi - lo) * _NODE_T
-    return _segment_maps(g, nodes, S, tol) @ _CHEB_FIT.T
+    maps = [_segment_maps(g, nodes, ks / S, 1.0 / S, tol) for ks in _blocks(S, _NODES)]
+    return np.concatenate(maps) @ _CHEB_FIT.T
 
 
 def _continuous_entries(g: Profile, lams: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
     """Entries (m11, m12, m21, m22) of the Hill period map on [0, 1], per lambda.
 
     [0, 1] is cut into S = ceil(sqrt(R)) segments, R = max|lambda| + max|g|, so
-    h^2 R <= 1 for the segment length h.  Each entry of a segment map is an
-    entire function of lambda, and on such a short segment its degree-16
-    Chebyshev interpolant on the grid's range is exact far below ``tol``.  The
-    maps are integrated at the 17 Chebyshev nodes only, evaluated on the grid
-    and multiplied in order.  A grid of no more than 17 S points, or one that
-    spans no interval, is integrated over [0, 1] at its own lambdas.
+    h^2 R <= 1 for the segment length h, and each segment map is a Taylor
+    series in the offset (``_segment_maps``).  Each entry of a segment map is
+    an entire function of lambda, and on such a short segment its degree-16
+    Chebyshev interpolant on the grid's range is exact far below ``tol``.  On a
+    grid of more than 17 points that spans an interval, the maps are summed
+    at the 17 Chebyshev nodes only and evaluated on the grid; a grid of equal
+    lambdas takes one of them, and any other grid its own lambdas.  The maps
+    are multiplied in order, a block of segments at a time, so memory stays
+    bounded however large R is.
     """
     L = len(lams)
     lo, hi = (float(np.min(lams)), float(np.max(lams))) if L else (0.0, 0.0)
-    # max|g| from 256 samples; a NaN, infinite or huge R gives S = L, which
-    # takes the one-segment branch and so keeps that branch's memory bound
-    R = max(-lo, hi) + float(np.max(np.abs(g(np.arange(256) / 256))))
-    S = max(1, math.ceil(math.sqrt(R))) if R < L * L else L
-    if not (hi > lo and S * _NODES < L):
-        return tuple(_segment_maps(g, lams, 1, tol)[0])
-    coef = _segment_fits(g, lo, hi, S, tol)
-    t = (lams - 0.5 * (hi + lo)) / (0.5 * (hi - lo))
-    vander = np.polynomial.chebyshev.chebvander(t, _NODES - 1).T
-    m11, m12, m21, m22 = coef[0] @ vander
-    for k in range(1, S):
-        p11, p12, p21, p22 = coef[k] @ vander
-        m11, m12, m21, m22 = (
-            p11 * m11 + p12 * m21,
-            p11 * m12 + p12 * m22,
-            p21 * m11 + p22 * m21,
-            p21 * m12 + p22 * m22,
+    R = max(-lo, hi) + float(np.max(np.abs(g(np.arange(256) / 256))))  # max|g| from 256 samples
+    if not R <= _MAX_SEGMENTS**2:
+        raise IntegrationError(
+            f"monodromy integration failed: max|lambda| + max|g| = {R:.3g} needs more than "
+            f"{_MAX_SEGMENTS} segments"
         )
-    return m11, m12, m21, m22
+    if L > 1 and hi == lo:
+        return tuple(np.repeat(m, L) for m in _continuous_entries(g, lams[:1], tol))
+    S = max(1, math.ceil(math.sqrt(R)))
+    fitted = hi > lo and L > _NODES
+    if fitted:
+        coef = _segment_fits(g, lo, hi, S, tol)
+        t = (2 * lams - (hi + lo)) / (hi - lo)  # 0.5 (hi - lo) underflows on a subnormal span
+        vander = np.polynomial.chebyshev.chebvander(t, _NODES - 1).T
+    period = None
+    for ks in _blocks(S, L):
+        if fitted:  # one matrix product evaluates the block's interpolants
+            maps = (coef[ks].reshape(-1, _NODES) @ vander).reshape(len(ks), 4, L)
+        else:
+            maps = _segment_maps(g, lams, ks / S, 1.0 / S, tol)
+        maps = _chain(maps)
+        period = maps if period is None else _mul(maps, period)
+    return tuple(period)
 
 
 def continuous_traces(g: Profile, lams: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
@@ -227,14 +314,24 @@ def lattice_from_potential(g: Profile, N: int) -> tuple[np.ndarray, np.ndarray]:
     return state.to_AB()
 
 
-def discriminant_scan(g: Profile, N: int, lams: np.ndarray, tol: float = 1e-10) -> DiscriminantTable:
-    """Tabulate discrete vs continuous discriminants over a lambda grid."""
+def discriminant_scan(
+    g: Profile,
+    N: int,
+    lams: np.ndarray,
+    tol: float = 1e-10,
+    lattice: tuple[np.ndarray, np.ndarray] | None = None,
+) -> DiscriminantTable:
+    """Tabulate discrete vs continuous discriminants over a lambda grid.
+
+    ``lattice`` is ``lattice_from_potential(g, N)`` where the caller has built
+    it already.  The lattice is built, and so validated, also for an empty grid.
+    """
+    A, B = lattice_from_potential(g, N) if lattice is None else lattice
     lams = np.asarray(lams, float)
     if len(lams) == 0:
         return DiscriminantTable(lams, lams, lams, lams, lams)
-    A, B = lattice_from_potential(g, N)
-    # a grid far beyond the potential overflows the transfer products, and the
-    # Hill integration then fails with an IntegrationError: no float warnings
+    # a grid far below the potential overflows the transfer products and the
+    # Hill period map to inf: no float warnings
     with np.errstate(over="ignore", invalid="ignore"):
         tr_d, det_d = discrete_traces(A, B, lams)
         tr_c, det_c = continuous_traces(g, lams, tol=tol)

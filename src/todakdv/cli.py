@@ -6,7 +6,8 @@ outputs, and all CSV output is deterministic given the configuration.
 Exit codes: 0 success / verified, 1 verification failure, 2 usage error
 (also a path that cannot be read or written), 3 numerical failure (blow-up,
 Newton breakdown, float64 overflow of the conserved quantities, a failed
-adaptive ODE integration).  A run that exits 2 or 3 creates no --out:
+KdV reference integration, a Hill period map that would need more than 2^20
+segments).  A run that exits 2 or 3 creates no --out:
 simulate and spectrum create it only once their computation has succeeded.
 """
 
@@ -180,9 +181,11 @@ def cmd_spectrum(args) -> int:
     if not args.g.startswith("builtin:"):
         raise ValueError("--g must be builtin:<name>")
     prof = lattice.builtin_profile(args.g.split(":", 1)[1])
-    bloch.lattice_from_potential(prof, args.N)  # rejects non-finite lattice data, also for --samples 0
+    # built once, before the scan: non-finite lattice data is a usage error, also for --samples 0
+    AB = bloch.lattice_from_potential(prof, args.N)
     lams = np.linspace(-args.lambda_max, args.lambda_max, args.samples)
-    table = bloch.discriminant_scan(prof, args.N, lams, tol=args.tol)  # exit 3 before --out exists
+    # exit 3 before --out exists
+    table = bloch.discriminant_scan(prof, args.N, lams, tol=args.tol, lattice=AB)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     write_config(

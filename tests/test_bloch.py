@@ -1,5 +1,7 @@
 import math
+import re
 import tracemalloc
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -22,6 +24,7 @@ from todakdv.bloch import (
     lattice_from_potential,
 )
 from todakdv.lattice import Profile, builtin_profile
+from todakdv.solver import IntegrationError
 
 
 def _discrete_at(A, B, lam):
@@ -265,25 +268,108 @@ def test_segment_fits_have_negligible_chebyshev_tails(monkeypatch, tag):
     ids=["zeros", "constant", "single", "seventeen", "unsorted"],
 )
 def test_continuous_traces_on_degenerate_grids(monkeypatch, lams):
-    # grids without an interval or with at most 17 points run one segment at
-    # their own lambdas: that is the full-period oracle, operation for operation
+    # grids without an interval or with at most 17 points take the same
+    # segments at their own lambdas, with no Chebyshev fit
     g = builtin_profile("cos")
+    tol = 1e-10
     fits = []
     monkeypatch.setattr(bloch, "_segment_fits", lambda *args: fits.append(args))
-    trace, det = continuous_traces(g, lams)
+    trace, det = continuous_traces(g, lams, tol=tol)
     assert not fits
     assert np.all(np.isfinite(trace))
-    expect = _trace_det(*_continuous_entries_full_period(g, lams, 1e-10))
-    assert trace.tobytes() == expect[0].tobytes() and det.tobytes() == expect[1].tobytes()
+    ref_trace, _ = _trace_det(*_continuous_entries_full_period(g, lams, 1e-13))
+    assert np.all(np.abs(trace - ref_trace) <= 10 * tol * np.maximum(1.0, np.abs(ref_trace)))
     _, first = np.unique(lams, return_index=True)
     for lam, tr in zip(lams[first], trace[first]):
         m11, _, _, m22 = _continuous_at(g, float(lam))
         assert tr == pytest.approx(m11 + m22, rel=1e-8, abs=1e-8)
 
 
+def test_continuous_traces_on_a_subnormal_interval():
+    g = builtin_profile("cos")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace, _ = continuous_traces(g, np.array([0.0, 5e-324] * 20))
+    assert np.all(np.abs(trace - continuous_traces(g, [0.0])[0]) <= 1e-12)
+
+
+def _standard_segment_maps(g, lams, tol=1e-10):
+    """The maps of the S = ceil(sqrt(max|lambda| + max|g|)) segments of [0, 1]."""
+    R = np.max(np.abs(lams)) + np.max(np.abs(g(np.arange(256) / 256)))
+    S = math.ceil(math.sqrt(R))
+    return bloch._segment_maps(g, lams, np.arange(S) / S, 1.0 / S, tol), S
+
+
+@pytest.mark.parametrize("tag", _HILL_PROFILES)
+@pytest.mark.parametrize("lam_max", [0.5, 200.0])
+def test_segment_maps_have_unit_wronskian(tag, lam_max):
+    maps, _ = _standard_segment_maps(_hill_profile(tag), np.linspace(-lam_max, lam_max, 33))
+    m11, m12, m21, m22 = np.moveaxis(maps, 1, 0)
+    assert np.max(np.abs(m11 * m22 - m12 * m21 - 1.0)) <= 5e-14
+
+
+@pytest.mark.parametrize("kappa", [0.0, -2.0, 3.5])
+def test_constant_potential_segment_maps_are_closed_form(kappa):
+    g = builtin_profile(f"const:{kappa}")
+    lams = np.linspace(-200, 200, 1001)
+    maps, S = _standard_segment_maps(g, lams)
+    h = 1.0 / S
+    mu = lams - kappa
+    k = np.sqrt(np.abs(mu))
+    osc = mu >= 0  # cos/sin above the potential, cosh/sinh below it
+    c = np.where(osc, np.cos(k * h), np.cosh(k * h))
+    s = np.where(osc, np.sin(k * h), np.sinh(k * h))
+    expect = np.stack([c, np.where(k > 0, s / np.where(k > 0, k, 1.0), h), np.where(osc, -k, k) * s, c])
+    assert np.all(np.abs(maps - expect) <= 1e-14 * np.maximum(1.0, np.abs(expect)))
+
+
+def test_tiny_tol_finishes_at_the_ulp_threshold():
+    g = builtin_profile("cos2")
+    lams = np.linspace(-30, 30, 21)
+    trace, _ = continuous_traces(g, lams, tol=1e-300)
+    ref_trace, _ = _trace_det(*_continuous_entries_full_period(g, lams, 1e-13))
+    assert np.all(np.abs(trace - ref_trace) <= 1e-11 * np.maximum(1.0, np.abs(ref_trace)))
+
+
+@pytest.mark.parametrize("lam_max", [1e6, 1e10])
+def test_continuous_traces_memory_is_bounded_in_the_segment_count(lam_max):
+    # 1e10 takes 1e5 segments: one unblocked Taylor history of 5 lambdas
+    # would hold 1e5 x 5 x 2 x 32 floats, 256 MB
+    lams = np.linspace(-lam_max, lam_max, 5)
+    tracemalloc.start()
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace, _ = continuous_traces(builtin_profile("cos"), lams)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+    assert trace[0] == math.inf and np.all(np.isfinite(trace[2:]))
+
+
+def _jet_profile(jet):
+    """A profile with g = 0 and the order-k derivative jet(k), k >= 1, everywhere."""
+    return Profile("jet", lambda x, order: np.full_like(x, jet(order) if order else 0.0))
+
+
+@pytest.mark.parametrize(
+    "g, message",
+    [
+        (builtin_profile("const:1e100"), "max|lambda| + max|g| = 1e+100 needs more than 1048576 segments"),
+        (_jet_profile(lambda k: math.nan), "non-finite Taylor series"),
+        # derivatives of a frequency 1e6 want segments near 1e-5, 2^-17: more than 8 halvings of 1
+        (_jet_profile(lambda k: 1e6**k), "no Taylor series converges on segments of 0.00391"),
+    ],
+    ids=["huge", "nan", "divergent"],
+)
+def test_unsummable_hill_maps_raise_integration_error(g, message):
+    with pytest.raises(IntegrationError, match=f"^monodromy integration failed: {re.escape(message)}$"):
+        continuous_traces(g, np.array([0.0]))
+
+
 def test_continuous_traces_keep_only_the_period_map():
-    # every stored step state of 4 x 16384 unknowns costs 0.5 MB; a stored
-    # trajectory of this scan peaks near 50 MB
+    # each map of 4 x 16384 entries costs 0.5 MB: holding all 15 segment maps,
+    # or any per-step history, on the grid would show here
     lams = np.linspace(-200, 200, 16384)
     g = builtin_profile("cos")
     tracemalloc.start()
@@ -303,6 +389,26 @@ def test_discriminant_scan_empty_grid(monkeypatch):
     monkeypatch.setattr(bloch, "solve_ivp", _no_integration)
     monkeypatch.setattr(bloch, "_discrete_entries", _no_integration)
     assert len(discriminant_scan(builtin_profile("zero"), 16, np.array([]))) == 0
+
+
+def test_discriminant_scan_builds_the_lattice_before_an_empty_grid():
+    with pytest.raises(ValueError, match="state entries must be finite"):
+        discriminant_scan(builtin_profile("const:1e200"), 8, np.array([]))
+
+
+def _no_rebuild(*args, **kwargs):
+    raise AssertionError("the scan rebuilt a lattice it was given")
+
+
+def test_discriminant_scan_takes_a_built_lattice(monkeypatch):
+    g = builtin_profile("cos2")
+    lams = np.linspace(-50, 50, 101)
+    expect = discriminant_scan(g, 32, lams)
+    AB = lattice_from_potential(g, 32)
+    monkeypatch.setattr(bloch, "lattice_from_potential", _no_rebuild)
+    table = discriminant_scan(g, 32, lams, lattice=AB)
+    for col in ("lam", "trace_discrete", "trace_continuous", "det_discrete", "det_continuous"):
+        assert getattr(table, col).tobytes() == getattr(expect, col).tobytes()
 
 
 def test_discriminant_scan_zero_potential_convergence():

@@ -531,6 +531,17 @@ def test_spectrum_bad_args_leave_no_output(capsys, tmp_path, monkeypatch, option
         assert err.startswith("error: --N must be >= 8")
 
 
+def test_spectrum_empty_grid_rejects_overflowing_lattice_data(capsys, tmp_path):
+    # the same usage error as with samples: the lattice is built before the scan's empty-grid return
+    out = tmp_path / "s"
+    code, _, err = run_cli(
+        capsys, "spectrum", "--g", "builtin:const:1e200", "--N", "8", "--samples", "0", "--out", str(out),
+    )
+    assert code == 2
+    assert err == "error: state entries must be finite\n"
+    assert not out.exists()
+
+
 def _no_scan(*args, **kwargs):
     raise AssertionError("the discriminant scan ran on invalid arguments")
 

@@ -55,8 +55,16 @@ def test_cn_simulate_loads_lapack_not_the_integrator(tmp_path):
     assert "scipy.integrate" not in modules
 
 
-def test_spectrum_loads_the_integrator(tmp_path):
-    calls = [["spectrum", "--N", "16", "--samples", "8", "--out", "sp"]]
+def test_spectrum_loads_no_scipy(tmp_path):
+    # 8 samples take the Hill segments at their own lambdas, 2048 the Chebyshev fits
+    calls = [["spectrum", "--N", "16", "--samples", "8", "--out", "sp"],
+             ["spectrum", "--N", "16", "--samples", "2048", "--out", "sp2"]]
+    assert _scipy_modules_after(calls, tmp_path) == set()
+
+
+def test_builtin_simulate_loads_the_integrator_for_its_kdv_reference(tmp_path):
+    calls = [["simulate", "--N", "16", "--dt", "1e-3", "--t-end", "0.004", "--scheme", "rk4",
+              "--init", "builtin:cos", "--out", "run"]]
     assert "scipy.integrate" in _scipy_modules_after(calls, tmp_path)
 
 

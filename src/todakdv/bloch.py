@@ -314,19 +314,12 @@ def lattice_from_potential(g: Profile, N: int) -> tuple[np.ndarray, np.ndarray]:
     return state.to_AB()
 
 
-def discriminant_scan(
-    g: Profile,
-    N: int,
-    lams: np.ndarray,
-    tol: float = 1e-10,
-    lattice: tuple[np.ndarray, np.ndarray] | None = None,
-) -> DiscriminantTable:
+def discriminant_scan(g: Profile, N: int, lams: np.ndarray, tol: float = 1e-10) -> DiscriminantTable:
     """Tabulate discrete vs continuous discriminants over a lambda grid.
 
-    ``lattice`` is ``lattice_from_potential(g, N)`` where the caller has built
-    it already.  The lattice is built, and so validated, also for an empty grid.
+    The lattice is built, and so validated, also for an empty grid.
     """
-    A, B = lattice_from_potential(g, N) if lattice is None else lattice
+    A, B = lattice_from_potential(g, N)
     lams = np.asarray(lams, float)
     if len(lams) == 0:
         return DiscriminantTable(lams, lams, lams, lams, lams)

@@ -79,7 +79,7 @@ def cmd_expand(args) -> int:
     if name in ("Z1", "Z2", "Z3", "Z4"):
         j = int(name[1])
         ansatz = hierarchy.AnsatzPair(hierarchy.standard_R(11))
-        print(hierarchy.flow_rhs_combined(j, ansatz).Z.render())
+        print(hierarchy.flow_rhs_combined(j, ansatz).render())
         return 0
     series = {"C1": lattice.C1_EXPANSION, "C2": lattice.C2_EXPANSION, "C3": lattice.C3_EXPANSION}[name]
     print(lattice.render_integral_series(series))
@@ -181,11 +181,9 @@ def cmd_spectrum(args) -> int:
     if not args.g.startswith("builtin:"):
         raise ValueError("--g must be builtin:<name>")
     prof = lattice.builtin_profile(args.g.split(":", 1)[1])
-    # built once, before the scan: non-finite lattice data is a usage error, also for --samples 0
-    AB = bloch.lattice_from_potential(prof, args.N)
     lams = np.linspace(-args.lambda_max, args.lambda_max, args.samples)
-    # exit 3 before --out exists
-    table = bloch.discriminant_scan(prof, args.N, lams, tol=args.tol, lattice=AB)
+    # exit 2 (non-finite lattice data, also for --samples 0) and 3 before --out exists
+    table = bloch.discriminant_scan(prof, args.N, lams, tol=args.tol)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     write_config(
@@ -291,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="subcommand", required=True)
 
     v = sub.add_parser("verify", help="check the hierarchy residuals symbolically")
-    v.add_argument("--flow", type=int, required=True, choices=(1, 2, 3, 4))
+    v.add_argument("--flow", type=int, required=True, help="flow index k >= 1")
     v.add_argument("--order-cap", type=int, default=hierarchy.DEFAULT_CAP)
     v.add_argument("--truncate-R", type=int, default=None,
                    help="keep only the first K coefficients of the correction series")

@@ -4,16 +4,17 @@ Builds the corrected lattice ansatz
 
     A(n) = 2 + eps^2 f - eps^3 R(f),      B(n) = -1 + eps^2 f + eps^3 R(f),
 
-evaluated at x + n*eps by Taylor shift, runs the hierarchy recursions for the
-flows k = 1..4, and verifies exactly (rational arithmetic, zero tolerance)
-that the induced evolution satisfies the lattice equations through eps^8.
-The per-flow right sides Z_j(f) are recovered as eps-series whose leading
-terms are the KdV hierarchy.
+evaluated at x + n*eps by Taylor shift, runs the hierarchy recursions for any
+flow k >= 1, and verifies exactly (rational arithmetic, zero tolerance) that
+the induced evolution satisfies the lattice equations through eps^8.  The
+raw flows AA_i recombine into the right sides Z_k(f) by one rule, the Taylor
+coefficients of sqrt(1 + 4x) (flow_combination); the leading term of Z_k is
+the (2k-1)-th order member of the KdV hierarchy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .diffpoly import DiffPoly, EpsSeries, Monomial
@@ -25,8 +26,7 @@ __all__ = [
     "FlowTable",
     "toda_rhs",
     "flow_rhs",
-    "FlowEquation",
-    "FLOW_COMBOS",
+    "flow_combination",
     "flow_rhs_combined",
     "residual",
     "residual_A",
@@ -171,15 +171,19 @@ def toda_rhs(k: int, ansatz: AnsatzPair) -> tuple[EpsSeries, EpsSeries]:
     k = 1 they are B(0)-B(1) and B(0)(A(0)-A(-1)).  lattice.toda_D passes
     an exact integer window in place of the ansatz.
     """
-    if not 1 <= k <= 4:
-        raise ValueError("flow index k must be in 1..4")
+    if k < 1:
+        raise ValueError(f"flow index k must be >= 1, got {k}")
     if k == 1:
         XZ = ansatz.B_of(0) - ansatz.B_of(1)
         YZ = ansatz.B_of(0) * (ansatz.A_of(0) - ansatz.A_of(-1))
         return XZ, YZ
     table = FlowTable(ansatz, k)
-    XZ = table.a(1, 0) * ansatz.B_of(1) - table.a(1, -1) * ansatz.B_of(0)
-    YZ = ansatz.B_of(0) * (table.a(0, 0) - table.a(0, -1))
+    try:
+        XZ = table.a(1, 0) * ansatz.B_of(1) - table.a(1, -1) * ansatz.B_of(0)
+        YZ = ansatz.B_of(0) * (table.a(0, 0) - table.a(0, -1))
+    except RecursionError:
+        # the memoized recursions nest about 2k deep (k near 500 by default)
+        raise ValueError(f"flow index k = {k} is too large for the recursion depth") from None
     return XZ, YZ
 
 
@@ -193,40 +197,42 @@ def flow_rhs(k: int, ansatz: AnsatzPair) -> EpsSeries:
     return _induced(*toda_rhs(k, ansatz))
 
 
-@dataclass(frozen=True)
-class FlowEquation:
-    """Right side Z_j of df/dt for the recombined j-th flow."""
+def flow_combination(k: int) -> dict[int, int]:
+    """{i: c} with Z_k = sum of c * AA_i over the raw flows AA_i, i = k, k-1, ..., 1.
 
-    j: int
-    Z: EpsSeries
-
-
-# Z_j = sum of c * AA_i over FLOW_COMBOS[j] = {i: c}, AA_i the raw i-th flow;
-# the numeric lattice flows (lattice.rhs_flow_k) recombine by the same table.
-FLOW_COMBOS = {1: {1: 1}, 2: {2: 1, 1: 2}, 3: {3: 1, 1: -2, 2: 2}, 4: {4: 1, 1: 4, 2: -2, 3: 2}}
-
-
-def flow_rhs_combined(j: int, ansatz: AnsatzPair) -> FlowEquation:
-    """The comprehensible linear combinations of the raw flows.
-
-    Direct form (FLOW_COMBOS): Z2 = AA2 + 2 AA1, Z3 = AA3 - 2 AA1 + 2 AA2,
-    Z4 = AA4 + 4 AA1 - 2 AA2 + 2 AA3.  Cumulatively these are the paper's
-    Z1 = AA1, Z2 = AA2 + 2 Z1, Z3 = AA3 - 6 Z1 + 2 Z2,
-    Z4 = AA4 + 20 Z1 - 6 Z2 + 2 Z3.
+    The c are the Taylor coefficients of sqrt(1 + 4x), 1, 2, -2, 4, -10, 28,
+    ..., from c_0 = 1 and c_(j+1) = c_j (2 - 4j) / (j + 1), and c_j weighs
+    AA_(k-j).  For k < 1 the result is {k: 1}, which toda_rhs rejects.
     """
-    if not 1 <= j <= 4:
-        raise ValueError("flow index j must be in 1..4")
+    c, combo = 1, {k: 1}
+    for j in range(k - 1):
+        c = c * (2 - 4 * j) // (j + 1)
+        combo[k - 1 - j] = c
+    return combo
+
+
+def flow_rhs_combined(k: int, ansatz: AnsatzPair) -> EpsSeries:
+    """Z_k, the comprehensible linear combination of the raw flows.
+
+    Direct form (flow_combination): Z2 = AA2 + 2 AA1, Z3 = AA3 + 2 AA2 - 2 AA1,
+    Z4 = AA4 + 2 AA3 - 2 AA2 + 4 AA1.  Cumulatively these are the paper's
+    Z_k = AA_k + 2 Z_(k-1) - 6 Z_(k-2) + 20 Z_(k-3) - 70 Z_(k-4) ...
+    The combination cancels every eps power of Z_k below 2k - 2 once R is
+    known through R_(2k-3): the six-term standard_R serves k <= 4, and
+    kdv_leading extends it for higher k.
+    """
     Z = ansatz.zero
-    for i, c in FLOW_COMBOS[j].items():
+    for i, c in flow_combination(k).items():
         Z = Z + flow_rhs(i, ansatz).scale(c)
-    return FlowEquation(j, Z)
+    return Z
 
 
 def residual(j: int, ansatz: AnsatzPair) -> EpsSeries:
     """B-equation defect of the ansatz under the induced j-th flow.
 
     Returns dt B(0) - YZ_j / eps where dt is taken along df/dt = AA_j.  With
-    the six-term R this vanishes identically through eps^8 for j = 1..4.
+    the six-term R this vanishes identically through eps^8 (checked for
+    j = 1..6).
     """
     XZ, YZ = toda_rhs(j, ansatz)
     return ansatz.B_of(0).dt_along(_induced(XZ, YZ)) - YZ.eps_div(1)
@@ -238,13 +244,23 @@ def residual_A(j: int, ansatz: AnsatzPair) -> EpsSeries:
     return ansatz.A_of(0).dt_along(_induced(XZ, YZ)) - XZ.eps_div(1)
 
 
-def kdv_leading(j: int, cap: int = DEFAULT_CAP) -> DiffPoly:
-    """Lowest nonvanishing eps-coefficient of Z_j (for j=2 the KdV operator)."""
-    eq = flow_rhs_combined(j, AnsatzPair(standard_R(cap)))
-    k0 = eq.Z.first_nonzero_order()
+def kdv_leading(j: int) -> DiffPoly:
+    """Lowest nonvanishing eps-coefficient of Z_j: the (2j-1)-th order KdV flow.
+
+    That coefficient sits at eps^(2j-2) and depends on R_0..R_(2j-3), so
+    standard_R is extended by extend_R until it holds them (j >= 5).
+    """
+    R = standard_R()
+    for order in range(6, 2 * j - 2):
+        out = extend_R(R)
+        if out.status != "extended":
+            raise RuntimeError(f"cannot extend R to R_{order}: {out.summary()}")
+        R = out.new_R
+    Z = flow_rhs_combined(j, AnsatzPair(R))
+    k0 = Z.first_nonzero_order()
     if k0 is None:
-        raise RuntimeError(f"Z_{j} vanished identically (cap too small?)")
-    return eq.Z.coeff(k0)
+        raise RuntimeError(f"Z_{j} vanished identically on its eps window")
+    return Z.coeff(k0)
 
 
 class ObstructionError(ValueError):
@@ -308,33 +324,25 @@ class ExtendResult:
         )
 
 
-def extend_R(
-    R: EpsSeries,
-    *,
-    known_through: int | None = None,
-    cap: int | None = None,
-) -> ExtendResult:
+def extend_R(R: EpsSeries, *, cap: int | None = None) -> ExtendResult:
     """Attempt to compute the next coefficient of the correction series.
 
-    Rebuilds the ansatz from ``R`` (assumed valid through eps-index
-    ``known_through``; default: its highest nonzero coefficient), locates the
-    first nonvanishing flow-1 residual order q, and solves 2 phi' = residual_q
-    by exact integration.  The sign convention is self-calibrating: the
-    candidate is accepted only if the rebuilt residual defect moves past q.
-    The normalization 2 phi' = defect is the flow-1 linearization, so the
-    flow-1 residual is the one to extend against; the extended R then fixes
-    the residuals of flows 2-4 as well.
+    Rebuilds the ansatz from ``R`` (assumed valid through its highest nonzero
+    coefficient), locates the first nonvanishing flow-1 residual order q,
+    and solves 2 phi' = residual_q by exact integration.  The sign
+    convention is self-calibrating: the candidate is accepted only if the
+    rebuilt residual defect moves past q.  The normalization 2 phi' = defect
+    is the flow-1 linearization, so the flow-1 residual is the one to extend
+    against; the extended R then fixes the residuals of the higher flows as
+    well.
 
     With the default cap the working window always reaches the first expected
     defect order.  An explicit smaller ``cap`` is honored as-is; if the
     residual already vanishes on the whole visible window the operation
     reports "flat" and returns the canonical choice phi = 0.
     """
-    if known_through is None:
-        known_through = max(
-            (k for k, c in enumerate(R.coeffs) if not c.is_zero()), default=-1
-        )
-    work_cap = cap if cap is not None else max(known_through + 7, DEFAULT_CAP)
+    known = max((k for k, c in enumerate(R.coeffs) if not c.is_zero()), default=-1)
+    work_cap = cap if cap is not None else max(known + 7, DEFAULT_CAP)
     if work_cap < 6:
         raise ValueError("extend_R needs cap >= 6")
     R_work = EpsSeries(list(R.coeffs), order_cap=work_cap)

@@ -17,7 +17,8 @@ value is one int numerator over one int denominator, rounded to float once.
 The site-by-site recursions are kept as test oracles.
 
 The hierarchy stencils toda_D are hierarchy.toda_rhs itself, run on the same
-exact ints at every site and rounded to float once; the flow-2 stepper
+exact ints at every site and rounded to float once, and rhs_flow_k
+recombines them as ints before its one rounding; the flow-2 stepper
 kernels rhs_flow2_arrays and solver.flow2_jacobian are written out in float,
 on the one layout of the time loop, the stacked (2N,) state x = (a, b).
 rhs_flow2_arrays, the one right side that RK4 and the Crank-Nicolson
@@ -37,7 +38,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .diffpoly import DiffPoly, EpsSeries
-from .hierarchy import FLOW_COMBOS, standard_R, toda_rhs
+from .hierarchy import flow_combination, standard_R, toda_rhs
 
 __all__ = [
     "Profile",
@@ -302,20 +303,22 @@ def toda_D(s: LatticeState, k: int) -> tuple[np.ndarray, np.ndarray]:
 def rhs_flow_k(s: LatticeState, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Recombined flow k right side in scaled variables: da/dt = N^2 * D_{1,.}, etc.
 
-    The exact stencils toda_D are recombined in float by
-    hierarchy.FLOW_COMBOS, so for k = 2 this equals rhs_flow2 up to float
-    roundoff; toda_D is the raw k-th stencil.
+    The raw stencils toda_D of flows i = k..1 are recombined exactly by
+    hierarchy.flow_combination: on one exact window the ints D^(k-i) times
+    D^(i+1) XZ_i (and D^(i+2) YZ_i) are summed over the common denominator
+    D^(k+1) (D^(k+2)), and each site is rounded to float once, correctly.
+    For k = 2 this equals rhs_flow2 up to the latter's float roundoff.
     """
-    if not 1 <= k <= 4:
-        raise ValueError("flow index k must be in 1..4")
-    N2 = float(s.N) ** 2
-    da = np.zeros(s.N)
-    db = np.zeros(s.N)
-    for kk, c in FLOW_COMBOS[k].items():
-        D1, D2 = toda_D(s, kk)
-        da += c * D1
-        db += c * D2
-    return N2 * da, N2 * db
+    window = _ExactWindow(s)
+    D = window.D
+    X = Y = 0
+    for i, c in flow_combination(k).items():
+        XZ, YZ = toda_rhs(i, window)
+        X = X + c * D ** (k - i) * XZ
+        Y = Y + c * D ** (k - i) * YZ
+    N3 = s.N**3
+    scale = D ** (k + 1)
+    return np.array([N3 * x / scale for x in X]), np.array([N3 * y / (scale * D) for y in Y])
 
 
 # ---------------------------------------------------------------------------
@@ -491,12 +494,6 @@ C3_EXPANSION = EpsSeries(
     order_cap=5,
 )
 
-_EXPANSION_TERMS = {  # how many terms each depth retains
-    "C1": (0, 2, 4),
-    "C2": (3, 5),
-    "C3": (5,),
-}
-
 
 def render_integral_series(series: EpsSeries) -> str:
     """Canonical text form with each monomial wrapped as I[...]."""
@@ -516,42 +513,26 @@ def render_integral_series(series: EpsSeries) -> str:
     return "\n".join(lines)
 
 
-def _quadrature(values: np.ndarray) -> float:
-    # periodic composite trapezoid == mean; spectrally accurate for smooth f
-    return float(np.mean(values))
-
-
-def _integral_of_poly(poly: DiffPoly, profile: Profile, points: int) -> float:
-    if poly.is_zero():
-        return 0.0
-    x = np.arange(points) / points
-    jets = profile.jet(x, max(poly.max_order(), 0))
-    total = np.zeros(points)
-    for mono, coeff in poly.terms.items():
-        term = np.full(points, float(coeff))
-        for order, exp in mono.pairs:
-            term = term * jets[order] ** exp
-        total += term
-    return _quadrature(total)
-
-
 def asymptotic_C(
     profile: Profile, N: int, depth: int = 3, points: int = 4096
 ) -> tuple[float, float, float]:
     """Predicted C1, C2, C3 from the integral expansions at eps = 1/N.
 
-    depth 1..3 controls how many expansion terms are retained (C2 has two,
-    C3 one).  Integrals use the periodic trapezoid rule on ``points`` nodes.
+    depth 1..3 controls how many of each series' nonzero terms are retained
+    (C1 has three, C2 two, C3 one).  Integrals use the periodic trapezoid
+    rule on ``points`` nodes, the mean over them: spectrally accurate for
+    smooth f.
     """
     if not 1 <= depth <= 3:
         raise ValueError("depth must be 1..3")
     eps = 1.0 / N
+    x = np.arange(points) / points
     out = []
-    for name, series in (("C1", C1_EXPANSION), ("C2", C2_EXPANSION), ("C3", C3_EXPANSION)):
-        orders = _EXPANSION_TERMS[name][:depth]
+    for series in (C1_EXPANSION, C2_EXPANSION, C3_EXPANSION):
+        terms = [(k, poly) for k, poly in enumerate(series.coeffs) if not poly.is_zero()]
         val = 0.0
-        for k in orders:
-            val += eps**k * _integral_of_poly(series.coeff(k), profile, points)
+        for k, poly in terms[:depth]:
+            val += eps**k * float(np.mean(poly.evaluate(profile.jet(x, poly.max_order()))))
         out.append(val)
     return tuple(out)
 

@@ -80,7 +80,7 @@ def test_criterion_2_golden_coefficients(ansatz):
     for k, expect in R_COEFFS.items():
         if R.coeff(k) != expect:
             mismatches.append(f"R@eps^{k}")
-    Z = {j: flow_rhs_combined(j, ansatz).Z for j in (1, 2, 3, 4)}
+    Z = {j: flow_rhs_combined(j, ansatz) for j in (1, 2, 3, 4)}
     for (j, k), expect in Z_COEFFS.items():
         if Z[j].coeff(k) != expect:
             mismatches.append(f"Z{j}@eps^{k}")
@@ -109,7 +109,7 @@ def test_criterion_2_golden_coefficients(ansatz):
 
 
 def test_criterion_3_kdv_leading_term(ansatz):
-    got = flow_rhs_combined(2, ansatz).Z.coeff(2)
+    got = flow_rhs_combined(2, ansatz).coeff(2)
     expect = DiffPoly.from_terms((F(-1, 4), [(3, 1)]), (3, [(0, 1), (1, 1)]))
     report(3, got == expect, f"eps^2 coefficient of Z_2 is exactly -1/4 f''' + 3 f f' (got {got})")
 
@@ -280,7 +280,7 @@ def test_criterion_9_cross_oracle(ansatz):
     # The N=128 defect (~3e-15) sits below the float64 stencil roundoff
     # (~4e-14), so the slope is measured in extended precision; the stencil
     # arithmetic is dtype-generic and unchanged.
-    Z2 = flow_rhs_combined(2, ansatz).Z
+    Z2 = flow_rhs_combined(2, ansatz)
     R = standard_R(11)
     two_pi = 2 * math.pi
     kmax = max(Z2.max_order(), R.max_order())

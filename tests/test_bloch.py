@@ -396,21 +396,6 @@ def test_discriminant_scan_builds_the_lattice_before_an_empty_grid():
         discriminant_scan(builtin_profile("const:1e200"), 8, np.array([]))
 
 
-def _no_rebuild(*args, **kwargs):
-    raise AssertionError("the scan rebuilt a lattice it was given")
-
-
-def test_discriminant_scan_takes_a_built_lattice(monkeypatch):
-    g = builtin_profile("cos2")
-    lams = np.linspace(-50, 50, 101)
-    expect = discriminant_scan(g, 32, lams)
-    AB = lattice_from_potential(g, 32)
-    monkeypatch.setattr(bloch, "lattice_from_potential", _no_rebuild)
-    table = discriminant_scan(g, 32, lams, lattice=AB)
-    for col in ("lam", "trace_discrete", "trace_continuous", "det_discrete", "det_continuous"):
-        assert getattr(table, col).tobytes() == getattr(expect, col).tobytes()
-
-
 def test_discriminant_scan_zero_potential_convergence():
     zero = builtin_profile("zero")
     lam = 50.0

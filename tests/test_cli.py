@@ -43,10 +43,25 @@ def test_verify_truncated_R_fails_with_order(capsys):
     assert "first nonzero residual at eps^4" in out
 
 
-def test_verify_bad_flow_is_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--flow", "5"])
-    assert exc.value.code == 2
+def test_verify_bad_flow_is_usage_error(capsys):
+    for flow in ("0", "-1"):
+        code, out, err = run_cli(capsys, "verify", "--flow", flow)
+        assert code == 2 and out == ""
+        assert err == f"error: flow index k must be >= 1, got {flow}\n"
+
+
+def test_verify_flow_deeper_than_the_recursion_is_usage_error(capsys):
+    code, _, err = run_cli(capsys, "verify", "--flow", "600")
+    assert code == 2
+    assert err == "error: flow index k = 600 is too large for the recursion depth\n"
+
+
+@pytest.mark.parametrize("flow", ["5", "6"])
+def test_verify_higher_flows_pass(capsys, flow):
+    # no flow limit: the six-term R fixes the raw residual of flows 5 and 6 too
+    code, out, _ = run_cli(capsys, "verify", "--flow", flow)
+    assert code == 0
+    assert out.splitlines()[-1] == "VERIFIED: residual vanishes exactly through eps^8"
 
 
 # -- expand (golden rendering contract) ------------------------------------------------
@@ -518,7 +533,9 @@ def test_csv_writer_rejects_ragged_block(tmp_path):
      ("--g", "builtin:const:inf"), ("--g", "builtin:const:nan"), ("--g", "builtin:const:1e200")],
 )
 def test_spectrum_bad_args_leave_no_output(capsys, tmp_path, monkeypatch, option, value):
-    monkeypatch.setattr(bloch, "discriminant_scan", _no_scan)
+    # the scan itself validates the lattice it builds; no traces may run
+    monkeypatch.setattr(bloch, "discrete_traces", _no_scan)
+    monkeypatch.setattr(bloch, "continuous_traces", _no_scan)
     argv = ["spectrum", "--N", "8", "--samples", "5", "--out", str(tmp_path / "s"), option, value]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -544,6 +561,16 @@ def test_spectrum_empty_grid_rejects_overflowing_lattice_data(capsys, tmp_path):
 
 def _no_scan(*args, **kwargs):
     raise AssertionError("the discriminant scan ran on invalid arguments")
+
+
+def test_spectrum_builds_the_lattice_once(capsys, tmp_path, monkeypatch):
+    build, calls = bloch.lattice_from_potential, []
+    monkeypatch.setattr(bloch, "lattice_from_potential", lambda *args: calls.append(args) or build(*args))
+    for samples in ("0", "9"):
+        calls.clear()
+        out = tmp_path / f"s{samples}"
+        code, _, _ = run_cli(capsys, "spectrum", "--N", "8", "--samples", samples, "--out", str(out))
+        assert code == 0 and len(calls) == 1
 
 
 @pytest.mark.parametrize(
@@ -657,7 +684,7 @@ def test_unusable_path_is_usage_error(capsys, tmp_path, argv, path):
 _SEQUENCE = [
     ["simulate", "--N", "16", "--dt", "1e-3", "--t-end", "0.004", "--scheme", "rk4",
      "--output-every", "2", "--out", "sim"],
-    ["verify", "--flow", "5"],
+    ["verify", "--flow", "0"],
     ["spectrum", "--g", "builtin:cos2", "--N", "8", "--samples", "9", "--lambda-max", "10",
      "--out", "spec"],
     ["verify", "--flow", "1"],

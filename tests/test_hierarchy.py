@@ -31,7 +31,7 @@ def ansatz():
 
 @pytest.fixture(scope="module")
 def Z(ansatz):
-    return {j: flow_rhs_combined(j, ansatz).Z for j in (1, 2, 3, 4)}
+    return {j: flow_rhs_combined(j, ansatz) for j in range(1, 7)}
 
 
 # -- the verified series, as printed -------------------------------------------
@@ -192,7 +192,7 @@ def test_d_out_of_range(ansatz):
 
 def test_toda_rhs_flow_index_validation(ansatz):
     with pytest.raises(ValueError):
-        toda_rhs(5, ansatz)
+        toda_rhs(-1, ansatz)
     with pytest.raises(ValueError):
         toda_rhs(0, ansatz)
 
@@ -215,12 +215,17 @@ def test_flow2_raw_is_average_over_eps3(ansatz):
 
 
 def test_combination_unrolls_to_direct_form(ansatz, Z):
-    # the code sums the direct form; the paper states the cumulative one
-    AA = {j: flow_rhs(j, ansatz) for j in (1, 2, 3, 4)}
+    # the code sums the direct form; the paper states the cumulative one,
+    # Z_k = AA_k + 2 Z_(k-1) - 6 Z_(k-2) + 20 Z_(k-3) - 70 Z_(k-4) + 252 Z_(k-5)
+    AA = {j: flow_rhs(j, ansatz) for j in range(1, 7)}
     assert Z[1] == AA[1]
     assert Z[2] == AA[2] + Z[1].scale(2)
     assert Z[3] == AA[3] - Z[1].scale(6) + Z[2].scale(2)
     assert Z[4] == AA[4] + Z[1].scale(20) - Z[2].scale(6) + Z[3].scale(2)
+    assert Z[5] == AA[5] - Z[1].scale(70) + Z[2].scale(20) - Z[3].scale(6) + Z[4].scale(2)
+    assert Z[6] == (
+        AA[6] + Z[1].scale(252) - Z[2].scale(70) + Z[3].scale(20) - Z[4].scale(6) + Z[5].scale(2)
+    )
 
 
 def test_flow_equations_match_printed_series(Z):
@@ -236,6 +241,63 @@ def test_kdv_leading():
     assert kdv_leading(2) == Z_COEFFS[(2, 2)]
     assert kdv_leading(3) == Z_COEFFS[(3, 4)]
     assert kdv_leading(1) == Z_COEFFS[(1, 0)]
+
+
+@pytest.fixture(scope="module")
+def leading():
+    return {j: kdv_leading(j) for j in range(1, 7)}
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_kdv_leading_linear_term(leading, k):
+    # the dispersive term of the (2k-1)-th order KdV flow: -f^(2k-1) / 4^(k-1)
+    linear = {m: c for m, c in leading[k].terms.items() if m.degree() == 1}
+    assert linear == {Monomial.f(2 * k - 1): F(-1, 4 ** (k - 1))}
+
+
+def _frechet(P: DiffPoly, Q: DiffPoly) -> DiffPoly:
+    """Derivative of P along f_t = Q: sum over f^(m) of dP/df^(m) * d^m Q / dx^m."""
+    Q_derivs = [Q]
+    out = DiffPoly.zero()
+    for mono, c in P.terms.items():
+        for order, exp, rest in mono.partials():
+            while len(Q_derivs) <= order:
+                Q_derivs.append(Q_derivs[-1].x_derive())
+            out = out + DiffPoly({rest: c * exp}) * Q_derivs[order]
+    return out
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_kdv_leading_commutes_with_kdv(leading, k):
+    # each leading part is a symmetry of KdV: the flows commute exactly
+    P, K = leading[k], leading[2]
+    assert not P.is_zero()
+    assert _frechet(P, K) == _frechet(K, P)
+
+
+def test_frechet_commutator_is_not_trivially_zero(leading):
+    # f_t = f f' is no KdV symmetry; the helper must see that
+    P = DiffPoly.f(0) * DiffPoly.f(1)
+    assert _frechet(P, leading[2]) != _frechet(leading[2], P)
+
+
+def test_higher_flows_need_the_extended_R():
+    # through R_9 the combination kills every eps power of Z5 (Z6) below 8
+    # (10); adding one more AA_1 brings the eps^0 term back
+    R = standard_R(11)
+    for order in range(6, 10):
+        out = extend_R(R)
+        assert out.status == "extended" and out.order == order
+        R = out.new_R
+    ans = AnsatzPair(R)
+    Z5 = flow_rhs_combined(5, ans)
+    assert Z5.first_nonzero_order() == 8 and Z5.coeff(8) == kdv_leading(5)
+    assert Z5.order_cap >= 10
+    assert (Z5 + flow_rhs(1, ans)).coeff(0) == DiffPoly.f(1, coeff=-1)
+    Z6 = flow_rhs_combined(6, ans)
+    assert Z6.first_nonzero_order() == 10 and Z6.coeff(10) == kdv_leading(6)
+    # with the six-term R the eps^8 term of Z5 is not the KdV flow
+    assert flow_rhs_combined(5, AnsatzPair(standard_R(11))).coeff(8) != kdv_leading(5)
 
 
 # -- residuals ----------------------------------------------------------------------

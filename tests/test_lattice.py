@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from conftest import exact_flow_rhs, mixed_states, random_fraction_state, random_smooth_state, stacked
+from todakdv.hierarchy import toda_rhs
 from todakdv.lattice import (
     C1_EXPANSION,
     C2_EXPANSION,
@@ -209,9 +210,44 @@ def test_toda_D_matches_exact_first_flow():
     D1, D2 = toda_D(s, 1)
     assert (D1 * N**2).tolist() == [float(x) for x in daF]
     assert (D2 * N**2).tolist() == [float(x) for x in dbF]
-    for k in (0, 5):
+    for k in (0, -1):
         with pytest.raises(ValueError):
             toda_D(s, k)
+        with pytest.raises(ValueError):
+            rhs_flow_k(s, k)
+
+
+class _FractionWindow:
+    """A(m+n), B(m+n) as exact Fractions at every site, for toda_rhs."""
+
+    zero, one = 0, 1
+
+    def __init__(self, s: LatticeState):
+        eps2 = F(1, s.N**2)
+        self._A = np.array([2 + eps2 * F(x) for x in s.a], dtype=object)
+        self._B = np.array([-1 + eps2 * F(x) for x in s.b], dtype=object)
+
+    def A_of(self, n):
+        return np.roll(self._A, -n)
+
+    def B_of(self, n):
+        return np.roll(self._B, -n)
+
+
+@pytest.mark.parametrize("N", [16, 64])
+def test_rhs_flow_k_is_the_correctly_rounded_recombination(N):
+    # Z_k = sum_j c_j AA_(k-j) with c_j the Taylor coefficients of sqrt(1 + 4x),
+    # summed in Fractions and rounded once per site
+    sqrt_coeffs = [1, 2, -2, 4, -10, 28]
+    s = random_smooth_state(N, seed=3 * N)
+    window = _FractionWindow(s)
+    raw = {i: toda_rhs(i, window) for i in range(1, 7)}
+    for k in range(1, 7):
+        X = sum(sqrt_coeffs[j] * raw[k - j][0] for j in range(k))
+        Y = sum(sqrt_coeffs[j] * raw[k - j][1] for j in range(k))
+        da, db = rhs_flow_k(s, k)
+        assert da.tolist() == [float(N**3 * x) for x in X], k
+        assert db.tolist() == [float(N**3 * y) for y in Y], k
 
 
 # -- invariants -------------------------------------------------------------------------

@@ -155,7 +155,11 @@ def cmd_simulate(args) -> int:
             ["x", "lattice", "reference", "error"],
             [(kdv.x, kdv.lattice, kdv.reference, kdv.lattice - kdv.reference)],
         )
-        print(f"comparison at t={kdv.t:g}: max err {kdv.max_err:.3e}, l2 err {kdv.l2_err:.3e}")
+        print(
+            f"comparison at t={kdv.t:g}: max err {kdv.max_err:.3e}, l2 err {kdv.l2_err:.3e} "
+            f"(reference: {kdv.reference_steps} steps, "
+            f"Richardson estimate {kdv.reference_estimate:.1e})"
+        )
     print(f"wrote {outdir}/trajectory.csv, conserved.csv ({len(traj.samples)} snapshots)")
     return 0
 

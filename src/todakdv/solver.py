@@ -12,8 +12,9 @@ factor and one solve; a step takes the right side of its state and returns
 that of its result, which ``run`` hands to the next step.  The explicit
 stability diagnostic ``linear_spectral_radius`` is the closed form of the
 block-circulant stencil symbol, also O(N).  The reference KdV oracle solves
-the scaled df/dt = eps^2 (-1/4 f''' + 3 f f') pseudo-spectrally with a
-Fourier integrating factor and shares no code with the lattice right side.
+the scaled df/dt = eps^2 (-1/4 f''' + 3 f f') pseudo-spectrally by
+integrating-factor RK4 with global step doubling, in numpy alone, and shares
+no code with the lattice right side.
 """
 
 from __future__ import annotations
@@ -52,16 +53,20 @@ __all__ = [
 ]
 
 
-# scipy is imported on the first call, not with the package: importing
-# scipy.integrate alone costs most of the start-up of the symbolic commands,
-# which never integrate.  The stand-ins are module-level functions (kept out
-# of __all__) because the benchmark tracer and the tests rebind these names
-# in solver and bloch; after the first call each costs one cached lookup.
+# scipy is imported on the first call, not with the package: the symbolic
+# commands never need it, and importing it costs most of their start-up.
+# The stand-ins are module-level functions (kept out of __all__) because the
+# benchmark tracer and the tests rebind these names in solver and bloch;
+# after the first call each costs one cached lookup.
 _scipy = functools.cache(importlib.import_module)
 
 
 def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported on first call."""
+    """scipy.integrate.solve_ivp, imported on first call.
+
+    No package code calls it: it stays bound, here and in bloch, only because
+    the benchmark tracer (perfbench/tracer.py) wraps ``bloch.solve_ivp``.
+    """
     return _scipy("scipy.integrate").solve_ivp(*args, **kwargs)
 
 
@@ -93,7 +98,10 @@ class NewtonError(RuntimeError):
 
 
 class IntegrationError(RuntimeError):
-    """An adaptive ODE integration (KdV reference, Hill monodromy) failed."""
+    """A numerical integration failed: the KdV reference (a non-finite initial
+    state, or no Richardson convergence within its step cap) or a Hill
+    monodromy (a non-finite or non-converging Taylor series, or too many
+    segments)."""
 
 
 @dataclass(frozen=True)
@@ -340,21 +348,51 @@ def run(s0: LatticeState, cfg: SolverConfig) -> Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# independent KdV reference (pseudo-spectral, integrating factor, DOP853)
+# independent KdV reference (pseudo-spectral, integrating-factor RK4)
 
 
 @dataclass(frozen=True)
 class ReferenceSolution:
+    """The reference on its grid, with the step count of its finer run and
+    the Richardson estimate max|u_2n - u_n|/15 of that run's error."""
+
     grid: np.ndarray
     values: np.ndarray
     t: float
     eps: float
+    steps: int
+    error_estimate: float
 
     def on_lattice(self, N: int) -> np.ndarray:
         M = len(self.grid)
         if M % N != 0:
             raise ValueError(f"reference grid {M} does not refine lattice {N}")
         return self.values[:: M // N]
+
+
+# The finer run of a Richardson pair takes at most this many steps, so the
+# doubling, and the cost of a reference, is bounded for every input.
+_MAX_STEPS = 2**18
+
+
+def _if_rk4(v: np.ndarray, M: int, omega: np.ndarray, d: np.ndarray, h: float, n: int) -> np.ndarray:
+    """n Lawson integrating-factor RK4 steps of size h on the rfft coefficients
+    v of M samples, for v' = i omega v + rfft(f g) with (f, g) = irfft(d v):
+    the rows of d are 1 and the symbol of the nonlinear term's derivative."""
+    half = np.exp(0.5j * h * omega)
+
+    def nonlinear(w):
+        f, g = np.fft.irfft(d * w, n=M)
+        return np.fft.rfft(f * g)
+
+    for _ in range(n):
+        hv = half * v
+        k1 = nonlinear(v)
+        k2 = nonlinear(hv + (0.5 * h) * (half * k1))
+        k3 = nonlinear(hv + (0.5 * h) * k2)
+        k4 = nonlinear(half * (hv + h * k3))
+        v = half * (half * (v + (h / 6.0) * k1) + (h / 3.0) * (k2 + k3)) + (h / 6.0) * k4
+    return v
 
 
 def reference_kdv(
@@ -367,33 +405,54 @@ def reference_kdv(
 ) -> ReferenceSolution:
     """Solve df/dt = eps^2 (-1/4 f''' + 3 f f') on [0, 1], spectrally in x.
 
-    Derivatives are exact in Fourier space, and a Fourier integrating factor
-    takes the stiff dispersive term exactly: adaptive eighth-order DOP853 at
-    tight tolerance steps w = exp(eps^2 t/4 d^3/dx^3) f, which only 3 f f'
-    moves.  Deliberately shares no code with the lattice stencils.
+    Derivatives are exact in Fourier space.  Lawson's integrating-factor RK4
+    takes the stiff dispersive term exactly, as the phase exp(i omega h) of
+    each step, and steps only 3 eps^2 f f'.  Runs of n and 2n equal steps are
+    compared, n doubling from the explicit stability limit of the nonlinear
+    term, until the Richardson estimate max|u_2n - u_n|/15 is at most
+    atol + rtol max|u_2n|; the result is u_2n + (u_2n - u_n)/15, and rtol,
+    atol are global tolerances.  A run that ends non-finite counts as not
+    converged.  A non-finite initial state, or a pair whose finer run would
+    take more than _MAX_STEPS = 2**18 steps, raises IntegrationError.
+    Deliberately shares no code with the lattice stencils.
     """
     M = modes
     x = np.arange(M) / M
     u0 = f0.samples(M)
     if t == 0.0:
-        return ReferenceSolution(x, u0, 0.0, eps)
+        return ReferenceSolution(x, u0, 0.0, eps, 0, 0.0)
+    if not np.all(np.isfinite(u0)):
+        raise IntegrationError("reference KdV integration failed: non-finite initial state")
     kfreq = 2.0 * np.pi * np.fft.rfftfreq(M, d=1.0 / M)
     eps2 = eps * eps
-    omega = 0.25 * eps2 * kfreq**3  # f^ = exp(i omega t) w^
+    omega = 0.25 * eps2 * kfreq**3  # the linear flow takes f^ to exp(i omega t) f^
     if M % 2 == 0:
         omega[-1] = 0.0  # irfft drops the derivatives of the Nyquist mode
-
-    def rhs(t_, w):
-        phase = np.exp(1j * omega * t_)
-        uhat = phase * np.fft.rfft(w)
-        u, ux = np.fft.irfft(uhat, n=M), np.fft.irfft(1j * kfreq * uhat, n=M)
-        return np.fft.irfft(phase.conj() * np.fft.rfft(3.0 * eps2 * u * ux), n=M)
-
-    sol = solve_ivp(rhs, (0.0, t), u0, method="DOP853", rtol=rtol, atol=atol)
-    if not sol.success:
-        raise IntegrationError(f"reference KdV integration failed: {sol.message}")
-    u = np.fft.irfft(np.exp(1j * omega * t) * np.fft.rfft(sol.y[:, -1]), n=M)
-    return ReferenceSolution(x, u, t, eps)
+    d = np.stack((np.ones(len(kfreq)), 3.0j * eps2 * kfreq))  # f and 3 eps^2 f'
+    # RK4 is stable on the imaginary axis up to 2.8, and 3 eps^2 f d/dx reaches
+    # 3 eps^2 max|f| k_max: the first run takes the least power of two of steps
+    # whose h times that is at most 2
+    stable = abs(t) * 3.0 * eps2 * float(np.max(np.abs(u0))) * kfreq[-1] / 2.0
+    n = 1
+    while n < stable and n < _MAX_STEPS:
+        n *= 2
+    if 2 * n > _MAX_STEPS:
+        raise IntegrationError(
+            f"reference KdV integration failed: a stable step size needs more than {_MAX_STEPS} steps"
+        )
+    v0 = np.fft.rfft(u0)
+    with np.errstate(over="ignore", invalid="ignore"):  # an unstable run ends non-finite
+        u_n = np.fft.irfft(_if_rk4(v0, M, omega, d, t / n, n), n=M)
+        while 2 * n <= _MAX_STEPS:
+            u_2n = np.fft.irfft(_if_rk4(v0, M, omega, d, t / (2 * n), 2 * n), n=M)
+            est = float(np.max(np.abs(u_2n - u_n))) / 15.0
+            if est <= atol + rtol * float(np.max(np.abs(u_2n))):
+                return ReferenceSolution(x, u_2n + (u_2n - u_n) / 15.0, t, eps, 2 * n, est)
+            u_n, n = u_2n, 2 * n
+    raise IntegrationError(
+        f"reference KdV integration failed: Richardson estimate {est:.3g} above "
+        f"rtol = {rtol:g}, atol = {atol:g} within {_MAX_STEPS} steps"
+    )
 
 
 @dataclass(frozen=True)
@@ -404,6 +463,8 @@ class ComparisonReport:
     x: np.ndarray
     lattice: np.ndarray
     reference: np.ndarray
+    reference_steps: int
+    reference_estimate: float
 
 
 def compare_to_kdv(traj: Trajectory, f0: Profile, t: float, modes: int = 256) -> ComparisonReport:
@@ -412,6 +473,7 @@ def compare_to_kdv(traj: Trajectory, f0: Profile, t: float, modes: int = 256) ->
     Uses the recorded snapshot nearest to t and evaluates the reference at
     that snapshot's exact time, on the least multiple of N that is at least
     max(modes, 2 N) modes, so that the reference grid refines the lattice.
+    The report carries the reference's step count and Richardson estimate.
     """
     t_used, state = traj.state_at(t)
     N = state.N
@@ -426,4 +488,6 @@ def compare_to_kdv(traj: Trajectory, f0: Profile, t: float, modes: int = 256) ->
         x=np.arange(N) / N,
         lattice=lattice_vals,
         reference=ref_vals,
+        reference_steps=ref.steps,
+        reference_estimate=ref.error_estimate,
     )

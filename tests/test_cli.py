@@ -3,6 +3,7 @@ import csv
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -397,19 +398,23 @@ def test_simulate_long_comparison_finishes(capsys, tmp_path):
         "--init", "builtin:cos2", "--out", str(out),
     )
     assert code == 0
-    assert "comparison at t=1" in stdout
+    assert re.search(r"comparison at t=1: max err \S+, l2 err \S+ "
+                     r"\(reference: \d+ steps, Richardson estimate \S+\)\n", stdout)
     assert (out / "comparison.csv").exists()
 
 
 def test_reference_integration_failure_exits_3(capsys, tmp_path, monkeypatch):
-    class Failed:
-        success = False
-        message = "stub failure"
-
-    monkeypatch.setattr(solver, "solve_ivp", lambda *a, **k: Failed())
-    code, out, _, err = _simulate(capsys, tmp_path, "ref")
+    # cos2 to t = 0.1 needs a Richardson pair of 2 and 4 reference steps; with
+    # the finer run capped at 2 steps, the pair of 1 and 2 steps is the last
+    monkeypatch.setattr(solver, "_MAX_STEPS", 2)
+    code, out, _, err = _simulate(capsys, tmp_path, "ref", "--init", "builtin:cos2", "--t-end", "0.1")
     assert code == 3
-    assert err.splitlines() == ["numerical failure: reference KdV integration failed: stub failure"]
+    [line] = err.splitlines()
+    assert re.fullmatch(
+        r"numerical failure: reference KdV integration failed: Richardson estimate \S+ above "
+        r"rtol = 1e-11, atol = 1e-13 within 2 steps",
+        line,
+    )
     assert not out.exists()
 
 

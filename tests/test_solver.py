@@ -12,6 +12,7 @@ from todakdv import solver
 from todakdv.cli import main
 from todakdv.lattice import (
     LatticeState,
+    Profile,
     builtin_profile,
     conserved_report,
     init_from_profile,
@@ -21,6 +22,7 @@ from todakdv.lattice import (
 from todakdv.solver import (
     BlowUpError,
     Flow2Jacobian,
+    IntegrationError,
     NewtonError,
     SolverConfig,
     compare_to_kdv,
@@ -431,6 +433,50 @@ def test_reference_matches_direct_integration(name, N, t, M):
     prof = builtin_profile(name)
     ref = reference_kdv(prof, 1.0 / N, t, modes=M)
     assert np.max(np.abs(ref.values - _reference_direct(prof, 1.0 / N, t, M))) <= 1e-11
+
+
+def _reference_oracle(prof, eps, t, M):
+    # the integrating factor stepped by DOP853 near its tightest tolerance
+    kfreq = 2.0 * np.pi * np.fft.rfftfreq(M, d=1.0 / M)
+    omega = 0.25 * eps**2 * kfreq**3
+    omega[-1] = 0.0  # even M: irfft drops the derivatives of the Nyquist mode
+
+    def rhs(t_, w):
+        phase = np.exp(1j * omega * t_)
+        uhat = phase * np.fft.rfft(w)
+        u, ux = np.fft.irfft(uhat, n=M), np.fft.irfft(1j * kfreq * uhat, n=M)
+        return np.fft.irfft(phase.conj() * np.fft.rfft(3.0 * eps**2 * u * ux), n=M)
+
+    w = solve_ivp(rhs, (0.0, t), prof.samples(M), method="DOP853", rtol=1e-13, atol=1e-15).y[:, -1]
+    return np.fft.irfft(np.exp(1j * omega * t) * np.fft.rfft(w), n=M)
+
+
+# tau = eps^2 t = 1/256 and 1/102.4: a global tolerance holds on long horizons,
+# where DOP853 at the default local tolerances was about 1e-9 off
+@pytest.mark.parametrize("N, t", [(16, 1.0), (32, 10.0)])
+def test_reference_matches_a_tight_oracle_on_long_horizons(N, t):
+    prof = builtin_profile("cos2")
+    oracle = _reference_oracle(prof, 1.0 / N, t, 256)
+    ref = reference_kdv(prof, 1.0 / N, t, modes=256)
+    assert np.max(np.abs(ref.values - oracle)) <= 1e-10
+    assert ref.error_estimate <= 1e-13 + 1e-11 * np.max(np.abs(ref.values))
+    # the reported estimate is the size of the error where the oracle can see it
+    loose = reference_kdv(prof, 1.0 / N, t, modes=256, rtol=1e-6, atol=0.0)
+    assert loose.steps < ref.steps
+    assert loose.error_estimate <= 1e-6 * np.max(np.abs(loose.values))
+    assert np.max(np.abs(loose.values - oracle)) <= 2 * loose.error_estimate
+
+
+@pytest.mark.parametrize("amplitude", [np.nan, np.inf, 1e200])
+def test_reference_non_finite_state_fails_before_stepping(monkeypatch, amplitude):
+    """A non-finite initial state, or one whose stable step would need more
+    than the step cap, raises without running a single step."""
+    runs = []
+    monkeypatch.setattr(solver, "_if_rk4", lambda *args: runs.append(args))
+    prof = Profile("wild", lambda x, order: amplitude * np.cos(2 * np.pi * x + order * np.pi / 2))
+    with pytest.raises(IntegrationError, match="^reference KdV integration failed: "):
+        reference_kdv(prof, eps=1 / 32, t=0.1)
+    assert runs == []
 
 
 def test_reference_subsampling():

@@ -62,10 +62,14 @@ def test_spectrum_loads_no_scipy(tmp_path):
     assert _scipy_modules_after(calls, tmp_path) == set()
 
 
-def test_builtin_simulate_loads_the_integrator_for_its_kdv_reference(tmp_path):
-    calls = [["simulate", "--N", "16", "--dt", "1e-3", "--t-end", "0.004", "--scheme", "rk4",
-              "--init", "builtin:cos", "--out", "run"]]
-    assert "scipy.integrate" in _scipy_modules_after(calls, tmp_path)
+def test_builtin_simulate_runs_its_kdv_reference_without_the_integrator(tmp_path):
+    # the reference is numpy alone: RK4 loads no scipy module, CN LAPACK and no integrator
+    run = ["simulate", "--N", "16", "--dt", "1e-3", "--t-end", "0.004", "--init", "builtin:cos"]
+    assert _scipy_modules_after([run + ["--scheme", "rk4", "--out", "rk4"]], tmp_path) == set()
+    assert (tmp_path / "rk4" / "comparison.csv").exists()
+    modules = _scipy_modules_after([run + ["--scheme", "cn", "--out", "cn"]], tmp_path)
+    assert "scipy.linalg.lapack" in modules
+    assert "scipy.integrate" not in modules
 
 
 @pytest.mark.parametrize(

@@ -5,11 +5,13 @@ Builds the corrected lattice ansatz
     A(n) = 2 + eps^2 f - eps^3 R(f),      B(n) = -1 + eps^2 f + eps^3 R(f),
 
 evaluated at x + n*eps by Taylor shift, runs the hierarchy recursions for any
-flow k >= 1, and verifies exactly (rational arithmetic, zero tolerance) that
-the induced evolution satisfies the lattice equations through eps^8.  The
-raw flows AA_i recombine into the right sides Z_k(f) by one rule, the Taylor
-coefficients of sqrt(1 + 4x) (flow_combination); the leading term of Z_k is
-the (2k-1)-th order member of the KdV hierarchy.
+flow 1 <= k <= MAX_FLOW, and verifies exactly (rational arithmetic, zero
+tolerance) that the induced evolution satisfies the lattice equations through
+eps^8.  Every flow reads one table of continuants d_i(n) per window
+(ContinuantWindow), since they do not depend on k.  The raw flows AA_i
+recombine into the right sides Z_k(f) by one rule, the Taylor coefficients of
+sqrt(1 + 4x) (flow_combination); the leading term of Z_k is the (2k-1)-th
+order member of the KdV hierarchy.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ from .diffpoly import DiffPoly, EpsSeries, Monomial
 __all__ = [
     "DEFAULT_CAP",
     "standard_R",
+    "ContinuantWindow",
     "AnsatzPair",
-    "FlowTable",
+    "MAX_FLOW",
     "toda_rhs",
     "flow_rhs",
     "flow_combination",
@@ -71,14 +74,54 @@ def standard_R(cap: int = DEFAULT_CAP) -> EpsSeries:
     return EpsSeries(r, order_cap=cap)
 
 
-class AnsatzPair:
-    """Shifted ansatz series A_of(n), B_of(n) with memoized Taylor shifts.
+class ContinuantWindow:
+    """A window of lattice values with its memoized continuants d_i(n).
 
-    ``zero`` and ``one`` are the base values of the recursions; FlowTable and
-    toda_rhs need only these, A_of, B_of and ring arithmetic.
+    A subclass supplies A_of(n), B_of(n) and the ring's ``zero`` and ``one``,
+    and calls ``__init__`` for the empty table.  The continuant recursion
+
+        d_i(n+1) = d_i(n) + A(n) d_{i-1}(n) + B(n) d_{i-2}(n-1)
+
+    does not depend on the flow index, so one table serves every flow run on
+    the window; its d_i(N) are the exact spectral invariants.  Negative n uses
+    the exact inverse relation.
     """
 
+    def __init__(self):
+        self._d: dict[tuple[int, int], object] = {}
+
+    def d(self, i: int, n: int):
+        if i < 0:
+            return self.zero
+        if i == 0:
+            return self.one
+        if n == 0:
+            return self.zero
+        key = (i, n)
+        got = self._d.get(key)
+        if got is not None:
+            return got
+        if n > 0:
+            val = (
+                self.d(i, n - 1)
+                + self.A_of(n - 1) * self.d(i - 1, n - 1)
+                + self.B_of(n - 1) * self.d(i - 2, n - 2)
+            )
+        else:
+            val = (
+                self.d(i, n + 1)
+                - self.A_of(n) * self.d(i - 1, n)
+                - self.B_of(n) * self.d(i - 2, n - 1)
+            )
+        self._d[key] = val
+        return val
+
+
+class AnsatzPair(ContinuantWindow):
+    """Shifted ansatz series A_of(n), B_of(n) with memoized Taylor shifts."""
+
     def __init__(self, R: EpsSeries):
+        super().__init__()
         cap = R.order_cap
         f = EpsSeries.f(cap)
         eps2_f = f.eps_shift(2)
@@ -105,85 +148,37 @@ class AnsatzPair:
         return s
 
 
-class FlowTable:
-    """Memoized d_i(n) table for one flow index k, over the ansatz's values.
-
-    The continuant recursion
-        d_i(n+1) = d_i(n) + A(n) d_{i-1}(n) + B(n) d_{i-2}(n-1),
-    whose d_i(N) are the exact spectral invariants.  Negative n uses the exact
-    inverse relation.  Indices are restricted to the window the flow
-    construction needs; anything outside raises.
-    """
-
-    def __init__(self, ansatz: AnsatzPair, k: int):
-        self.ansatz = ansatz
-        self.k = k
-        self._n_range = 2 * k + 2
-        self._d: dict[tuple[int, int], EpsSeries] = {}
-        self._a: dict[tuple[int, int], EpsSeries] = {}
-
-    def d(self, i: int, n: int) -> EpsSeries:
-        if i > self.k + 1 or abs(n) > self._n_range:
-            raise ValueError(f"d({i},{n}) outside table range for k={self.k}")
-        if i < 0:
-            return self.ansatz.zero
-        if i == 0:
-            return self.ansatz.one
-        if n == 0:
-            return self.ansatz.zero
-        key = (i, n)
-        got = self._d.get(key)
-        if got is not None:
-            return got
-        if n > 0:
-            val = (
-                self.d(i, n - 1)
-                + self.ansatz.A_of(n - 1) * self.d(i - 1, n - 1)
-                + self.ansatz.B_of(n - 1) * self.d(i - 2, n - 2)
-            )
-        else:
-            val = (
-                self.d(i, n + 1)
-                - self.ansatz.A_of(n) * self.d(i - 1, n)
-                - self.ansatz.B_of(n) * self.d(i - 2, n - 1)
-            )
-        self._d[key] = val
-        return val
-
-    def a(self, p: int, n: int) -> EpsSeries:
-        """Descending recursion a_p(n) for the k-th flow stencils, memoized."""
-        key = (p, n)
-        X = self._a.get(key)
-        if X is not None:
-            return X
-        k = self.k
-        X = self.d(k - p, n + k) - self.d(k - p, n)
-        for r in range(p + 1, k):
-            X = X - self.a(r, n) * self.d(r - p, n + r)
-        self._a[key] = X
-        return X
+# The cost grows steeply with k (residual at the default cap, 2 vCPUs: 0.4 s
+# at k = 16, 1.6 s at 32, 6.5 s at 64); the bound keeps every accepted flow to
+# seconds and the continuant recursion far inside Python's depth limit.
+MAX_FLOW = 64
 
 
-def toda_rhs(k: int, ansatz: AnsatzPair) -> tuple[EpsSeries, EpsSeries]:
+def toda_rhs(k: int, window: ContinuantWindow) -> tuple[EpsSeries, EpsSeries]:
     """Symbolic flow stencils (XZ, YZ) at the base site, scale factor N deferred.
 
     XZ is the right side of dA/dt and YZ of dB/dt, both divided by N; for
     k = 1 they are B(0)-B(1) and B(0)(A(0)-A(-1)).  lattice.toda_D passes
-    an exact integer window in place of the ansatz.
+    an exact integer window in place of the ansatz.  For k >= 2 they read
+    the descending recursion a_p(n), p = k-1..0, at n = 0, -1 only.
     """
     if k < 1:
         raise ValueError(f"flow index k must be >= 1, got {k}")
+    if k > MAX_FLOW:
+        raise ValueError(f"flow index k = {k} is above the bound MAX_FLOW = {MAX_FLOW}")
     if k == 1:
-        XZ = ansatz.B_of(0) - ansatz.B_of(1)
-        YZ = ansatz.B_of(0) * (ansatz.A_of(0) - ansatz.A_of(-1))
+        XZ = window.B_of(0) - window.B_of(1)
+        YZ = window.B_of(0) * (window.A_of(0) - window.A_of(-1))
         return XZ, YZ
-    table = FlowTable(ansatz, k)
-    try:
-        XZ = table.a(1, 0) * ansatz.B_of(1) - table.a(1, -1) * ansatz.B_of(0)
-        YZ = ansatz.B_of(0) * (table.a(0, 0) - table.a(0, -1))
-    except RecursionError:
-        # the memoized recursions nest about 2k deep (k near 500 by default)
-        raise ValueError(f"flow index k = {k} is too large for the recursion depth") from None
+    d, a = window.d, {}
+    for n in (0, -1):
+        for p in range(k - 1, -1, -1):
+            X = d(k - p, n + k) - d(k - p, n)
+            for r in range(p + 1, k):
+                X = X - a[r, n] * d(r - p, n + r)
+            a[p, n] = X
+    XZ = a[1, 0] * window.B_of(1) - a[1, -1] * window.B_of(0)
+    YZ = window.B_of(0) * (a[0, 0] - a[0, -1])
     return XZ, YZ
 
 
@@ -329,12 +324,12 @@ def extend_R(R: EpsSeries, *, cap: int | None = None) -> ExtendResult:
 
     Rebuilds the ansatz from ``R`` (assumed valid through its highest nonzero
     coefficient), locates the first nonvanishing flow-1 residual order q,
-    and solves 2 phi' = residual_q by exact integration.  The sign
-    convention is self-calibrating: the candidate is accepted only if the
-    rebuilt residual defect moves past q.  The normalization 2 phi' = defect
-    is the flow-1 linearization, so the flow-1 residual is the one to extend
-    against; the extended R then fixes the residuals of the higher flows as
-    well.
+    and solves 2 phi' = residual_q by exact integration.  The normalization
+    2 phi' = defect, sign included, is the flow-1 linearization and does not
+    depend on R, so the flow-1 residual is the one to extend against; the
+    extended R then fixes the residuals of the higher flows as well.  The
+    candidate is accepted only if the rebuilt residual defect moves past q;
+    otherwise the defect is reported as an obstruction.
 
     With the default cap the working window always reaches the first expected
     defect order.  An explicit smaller ``cap`` is honored as-is; if the
@@ -352,7 +347,7 @@ def extend_R(R: EpsSeries, *, cap: int | None = None) -> ExtendResult:
         return ExtendResult(status="flat", phi=DiffPoly.zero(), new_R=R_work)
     defect = res.coeff(q)
     try:
-        half = integrate_total_derivative(defect).scale(F(1, 2))
+        phi = integrate_total_derivative(defect).scale(F(1, 2))
     except ObstructionError as err:
         return ExtendResult(
             status="obstruction",
@@ -360,20 +355,18 @@ def extend_R(R: EpsSeries, *, cap: int | None = None) -> ExtendResult:
             first_defect_order=q,
         )
     r_index = q - 3
-    for phi in (half, -half):
-        coeffs = list(R_work.coeffs)
-        coeffs[r_index] = coeffs[r_index] + phi
-        R_new = EpsSeries(coeffs)
-        res_new = residual(1, AnsatzPair(R_new))
-        q_new = res_new.first_nonzero_order()
-        if q_new is None or q_new > q:
-            return ExtendResult(
-                status="extended",
-                order=r_index,
-                phi=phi,
-                new_R=R_new,
-                first_defect_order=q,
-            )
+    coeffs = list(R_work.coeffs)
+    coeffs[r_index] = coeffs[r_index] + phi
+    R_new = EpsSeries(coeffs)
+    q_new = residual(1, AnsatzPair(R_new)).first_nonzero_order()
+    if q_new is None or q_new > q:
+        return ExtendResult(
+            status="extended",
+            order=r_index,
+            phi=phi,
+            new_R=R_new,
+            first_defect_order=q,
+        )
     return ExtendResult(
         status="obstruction",
         remainder=defect,

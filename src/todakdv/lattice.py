@@ -18,9 +18,10 @@ The site-by-site recursions are kept as test oracles.
 
 The hierarchy stencils toda_D are hierarchy.toda_rhs itself, run on the same
 exact ints at every site and rounded to float once, and rhs_flow_k
-recombines them as ints before its one rounding; the flow-2 stepper
-kernels rhs_flow2_arrays and solver.flow2_jacobian are written out in float,
-on the one layout of the time loop, the stacked (2N,) state x = (a, b).
+recombines them as ints before its one rounding, all its raw flows on one
+continuant table (_ExactWindow); the flow-2 stepper kernels rhs_flow2_arrays
+and solver.flow2_jacobian are written out in float, on the one layout of the
+time loop, the stacked (2N,) state x = (a, b).
 rhs_flow2_arrays, the one right side that RK4 and the Crank-Nicolson
 residual share, is factored over the differences u = a - a(k-1),
 v = a + a(k-1) and w = b(k+1) - b(k-1).
@@ -38,7 +39,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .diffpoly import DiffPoly, EpsSeries
-from .hierarchy import flow_combination, standard_R, toda_rhs
+from .hierarchy import ContinuantWindow, flow_combination, standard_R, toda_rhs
 
 __all__ = [
     "Profile",
@@ -262,7 +263,7 @@ def rhs_flow2_arrays(N: int, x: np.ndarray) -> np.ndarray:
     return f
 
 
-class _ExactWindow:
+class _ExactWindow(ContinuantWindow):
     """A, B as exact ints at every site at once, the shape toda_rhs recurses on.
 
     A_of(n)[m] = A(m+n)*D and B_of(n)[m] = B(m+n)*D^2 over the common
@@ -272,6 +273,7 @@ class _ExactWindow:
     zero, one = 0, 1
 
     def __init__(self, s: LatticeState):
+        super().__init__()
         alpha, beta, D = _dyadic_numerators(s)
         self.D = D
         self._A = 2 * D + np.array(alpha, dtype=object)

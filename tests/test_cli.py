@@ -51,15 +51,17 @@ def test_verify_bad_flow_is_usage_error(capsys):
         assert err == f"error: flow index k must be >= 1, got {flow}\n"
 
 
-def test_verify_flow_deeper_than_the_recursion_is_usage_error(capsys):
-    code, _, err = run_cli(capsys, "verify", "--flow", "600")
+@pytest.mark.parametrize("flow", ["65", "480", "600"])
+def test_verify_flow_above_the_bound_is_usage_error(capsys, flow):
+    code, out, err = run_cli(capsys, "verify", "--flow", flow)
     assert code == 2
-    assert err == "error: flow index k = 600 is too large for the recursion depth\n"
+    assert out == ""
+    assert err == f"error: flow index k = {flow} is above the bound MAX_FLOW = 64\n"
 
 
 @pytest.mark.parametrize("flow", ["5", "6"])
 def test_verify_higher_flows_pass(capsys, flow):
-    # no flow limit: the six-term R fixes the raw residual of flows 5 and 6 too
+    # the six-term R fixes the raw residual of flows 5 and 6 too
     code, out, _ = run_cli(capsys, "verify", "--flow", flow)
     assert code == 0
     assert out.splitlines()[-1] == "VERIFIED: residual vanishes exactly through eps^8"

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from todakdv.diffpoly import DiffPoly, EpsSeries, Monomial
 from todakdv.hierarchy import (
+    MAX_FLOW,
     AnsatzPair,
-    FlowTable,
     ObstructionError,
     extend_R,
     flow_rhs,
@@ -158,33 +158,36 @@ def test_ansatz_sum_is_R_independent(ansatz):
 
 
 def test_d_base_cases(ansatz):
-    table = FlowTable(ansatz, 3)
-    assert table.d(0, 5) == EpsSeries.const(1, ansatz.cap)
-    assert table.d(2, 0).is_zero()
-    assert table.d(-1, 3).is_zero()
-    assert table.d(1, 1) == ansatz.A_of(0)
+    assert ansatz.d(0, 5) == EpsSeries.const(1, ansatz.cap)
+    assert ansatz.d(2, 0).is_zero()
+    assert ansatz.d(-1, 3).is_zero()
+    assert ansatz.d(1, 1) == ansatz.A_of(0)
     # one unrolling: d(2,1) = d(2,0) + A(0) d(1,0) + B(0) d(0,-1) = B(0)
-    assert table.d(2, 1) == ansatz.B_of(0)
+    assert ansatz.d(2, 1) == ansatz.B_of(0)
 
 
 def test_d_forward_backward_consistency(ansatz):
-    table = FlowTable(ansatz, 2)
     for i in (1, 2):
         for n in (2, 1, 0):
-            lhs = table.d(i, n)
-            back = 1  # continuant offset
+            lhs = ansatz.d(i, n)
             rhs = (
-                table.d(i, n + 1)
-                - ansatz.A_of(n) * table.d(i - 1, n)
-                - ansatz.B_of(n) * table.d(i - 2, n - back)
+                ansatz.d(i, n + 1)
+                - ansatz.A_of(n) * ansatz.d(i - 1, n)
+                - ansatz.B_of(n) * ansatz.d(i - 2, n - 1)
             )
             assert lhs == rhs, (i, n)
 
 
-def test_d_out_of_range(ansatz):
-    table = FlowTable(ansatz, 2)
-    with pytest.raises(ValueError):
-        table.d(1, 9)
+@pytest.mark.parametrize("k, entries", [(4, 22), (6, 48), (8, 84)])
+def test_flows_share_one_continuant_table(k, entries):
+    # d_i(n) does not depend on the flow index: the lower flows of Z_k only
+    # read entries that the k-th flow has already put in the window's table
+    alone = AnsatzPair(standard_R())
+    toda_rhs(k, alone)
+    combined = AnsatzPair(standard_R())
+    flow_rhs_combined(k, combined)
+    assert len(alone._d) == entries
+    assert combined._d.keys() == alone._d.keys()
 
 
 # -- flow stencils -----------------------------------------------------------------
@@ -195,6 +198,8 @@ def test_toda_rhs_flow_index_validation(ansatz):
         toda_rhs(-1, ansatz)
     with pytest.raises(ValueError):
         toda_rhs(0, ansatz)
+    with pytest.raises(ValueError, match="MAX_FLOW = 64"):
+        toda_rhs(MAX_FLOW + 1, ansatz)
 
 
 def test_constant_profile_kills_first_flow(ansatz):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from conftest import exact_flow_rhs, mixed_states, random_fraction_state, random_smooth_state, stacked
-from todakdv.hierarchy import toda_rhs
+from todakdv.hierarchy import ContinuantWindow, toda_rhs
 from todakdv.lattice import (
     C1_EXPANSION,
     C2_EXPANSION,
@@ -217,12 +217,13 @@ def test_toda_D_matches_exact_first_flow():
             rhs_flow_k(s, k)
 
 
-class _FractionWindow:
+class _FractionWindow(ContinuantWindow):
     """A(m+n), B(m+n) as exact Fractions at every site, for toda_rhs."""
 
     zero, one = 0, 1
 
     def __init__(self, s: LatticeState):
+        super().__init__()
         eps2 = F(1, s.N**2)
         self._A = np.array([2 + eps2 * F(x) for x in s.a], dtype=object)
         self._B = np.array([-1 + eps2 * F(x) for x in s.b], dtype=object)

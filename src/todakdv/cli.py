@@ -1,7 +1,8 @@
 """Command-line entry point: verify, expand, simulate, spectrum, conserved.
 
 Every run writes its exact configuration as a key=value file next to its
-outputs, and all CSV output is deterministic given the configuration.
+outputs, and all CSV output is deterministic given the configuration.  Every
+CSV input is parsed and checked by lattice.read_csv, which names its file.
 
 Exit codes: 0 success / verified, 1 verification failure, 2 usage error
 (also a path that cannot be read or written), 3 numerical failure (blow-up,
@@ -14,9 +15,7 @@ simulate and spectrum create it only once their computation has succeeded.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import itertools
 import re
 import sys
 from pathlib import Path
@@ -94,14 +93,16 @@ def _parse_init(tag: str, N: int, variant: str) -> tuple[lattice.LatticeState, l
         prof = lattice.builtin_profile(tag.split(":", 1)[1])
         return lattice.init_from_profile(prof, N, variant), prof
     if tag.startswith("csv:"):
-        state = lattice.read_state_csv(tag.split(":", 1)[1])
+        path = tag.split(":", 1)[1]
+        state = lattice.read_state_csv(path)
         if state.N != N:
-            raise ValueError(f"state file has N={state.N}, requested {N}")
+            raise ValueError(f"state file {path} has N={state.N}, requested {N}")
         return state, None
     raise ValueError(f"init must be builtin:<name> or csv:<path>, got {tag!r}")
 
 
 _VARIANTS = {"paper": "paper_25_26", "consistent": "consistent_R"}
+_TRAJECTORY_HEADER = ("t", "n", "a", "b")
 
 
 def cmd_simulate(args) -> int:
@@ -139,7 +140,7 @@ def cmd_simulate(args) -> int:
     )
     lattice.write_csv(
         outdir / "trajectory.csv",
-        ["t", "n", "a", "b"],
+        _TRAJECTORY_HEADER,
         ((np.broadcast_to(t, s.N), np.arange(s.N), s.a, s.b) for t, s, _ in traj.samples),
         row_format=f"{lattice.FMT},%d,{lattice.FMT},{lattice.FMT}",
     )
@@ -209,76 +210,52 @@ def cmd_spectrum(args) -> int:
 def _read_snapshots(path: Path) -> list[tuple[float, lattice.LatticeState]]:
     """The (t, state) snapshots recorded in trajectory.csv, in file order.
 
-    Each snapshot must list the sites n = 0..N-1 in order, with the N of the
-    first snapshot.
+    A snapshot is a run of rows with equal t.  Each must list the sites
+    n = 0..N-1 in order, with the N of the first snapshot.
     """
-    with open(path, newline="") as fh:
-        rd = csv.reader(fh)
-        if next(rd, None) != ["t", "n", "a", "b"]:
-            raise ValueError(f"expected header t,n,a,b in {path}")
-        snapshots = []
-        for _, rows in itertools.groupby(rd, key=lambda row: row[:1]):
-            rows = list(rows)
-            if any(len(row) != 4 for row in rows):
-                raise ValueError(f"every row of {path} needs 4 columns t,n,a,b")
-            N = snapshots[0][1].N if snapshots else len(rows)
-            if [n for _, n, _, _ in rows] != [str(n) for n in range(N)]:
-                raise ValueError(
-                    f"the snapshot at t = {rows[0][0]} in {path} must list the sites "
-                    f"n = 0..{N - 1} in order, as the first snapshot does"
-                )
-            try:
-                t = float(rows[0][0])
-                a, b = np.array([[float(a), float(b)] for _, _, a, b in rows]).T
-            except ValueError as err:
-                raise ValueError(f"non-numeric field in {path}: {err}") from None
-            snapshots.append((t, lattice.LatticeState(N, a, b)))
-    return snapshots
+    rows = lattice.read_csv(path, _TRAJECTORY_HEADER)
+    if not len(rows):  # np.split would give one empty snapshot
+        return []
+    snapshots = np.split(rows, np.flatnonzero(rows[1:, 0] != rows[:-1, 0]) + 1)
+    N = len(snapshots[0])
+    if N < 8:
+        raise ValueError(f"the first snapshot in {path} lists {N} sites; the lattice needs N >= 8")
+    for t, n, _, _ in (snapshot.T for snapshot in snapshots):
+        if not np.array_equal(n, np.arange(N)):
+            raise ValueError(
+                f"the snapshot at t = {float(t[0])!r} in {path} must list the sites "
+                f"n = 0..{N - 1} in order, as the first snapshot does"
+            )
+    return [(float(t[0]), lattice.LatticeState(N, a, b)) for t, _, a, b in (s.T for s in snapshots)]
 
 
 def cmd_conserved(args) -> int:
     traj_dir = Path(args.traj)
-    src = traj_dir / "conserved.csv"
-    with open(src, newline="") as fh:
-        rd = csv.reader(fh)
-        header = next(rd, None)
-        try:
-            rows = [[float(x) for x in row] for row in rd]
-        except ValueError as err:
-            raise ValueError(f"non-numeric field in {src}: {err}") from None
-    if header != list(lattice.ConservedReport.COLUMNS):
-        raise ValueError(f"expected header {','.join(lattice.ConservedReport.COLUMNS)} in {src}")
-    if any(len(row) != len(header) for row in rows):
-        raise ValueError(f"every row of {src} needs {len(header)} columns")
-    snapshots = _read_snapshots(traj_dir / "trajectory.csv")
-    if not rows or len(snapshots) != len(rows):
+    src, traj_src = traj_dir / "conserved.csv", traj_dir / "trajectory.csv"
+    rows = lattice.read_csv(src, lattice.ConservedReport.COLUMNS)
+    snapshots = _read_snapshots(traj_src)
+    if not len(rows) or len(snapshots) != len(rows):
         raise ValueError(
-            f"trajectory.csv has {len(snapshots)} snapshots and conserved.csv {len(rows)} rows; "
+            f"{traj_src} has {len(snapshots)} snapshots and {src} {len(rows)} rows; "
             "they must match and be nonzero"
         )
-    for (t, _), row in zip(snapshots, rows):
-        if t != row[0]:
+    for (t, _), t_row in zip(snapshots, rows[:, 0]):
+        if t != t_row:
             raise ValueError(
-                f"the snapshot at t = {t!r} in {traj_dir / 'trajectory.csv'} does not match "
-                f"the row at t = {row[0]!r} in {src}"
+                f"the snapshot at t = {t!r} in {traj_src} does not match "
+                f"the row at t = {float(t_row)!r} in {src}"
             )
     # d1..d3 drift exactly from the %.17g snapshots: the d's stored in
     # conserved.csv are rounded far above their drift.  C1..C3 as recorded.
     d0 = lattice.exact_invariants(snapshots[0][1])
-    drifts = [
-        [float(d - e) for d, e in zip(lattice.exact_invariants(state), d0)]
-        + [x - x0 for x, x0 in zip(row[4:], rows[0][4:])]
-        for (_, state), row in zip(snapshots, rows)
-    ]
+    d_drift = [[float(d - e) for d, e in zip(lattice.exact_invariants(s), d0)] for _, s in snapshots]
+    drifts = np.column_stack([d_drift, rows[:, 4:] - rows[0, 4:]])
+    names = lattice.ConservedReport.COLUMNS[1:]
     outdir = Path(args.out) if args.out else traj_dir
     outdir.mkdir(parents=True, exist_ok=True)
-    lattice.write_csv(
-        outdir / "drift.csv",
-        ["t"] + [f"{c}_drift" for c in header[1:]],
-        [(np.array([row[0] for row in rows]), *np.array(drifts).T)],
-    )
-    for i, name in enumerate(header[1:]):
-        print(f"max |{name} drift| = {max(abs(drift[i]) for drift in drifts):.3e}")
+    lattice.write_csv(outdir / "drift.csv", ["t", *(f"{c}_drift" for c in names)], [(rows[:, 0], *drifts.T)])
+    for name, drift in zip(names, drifts.T):
+        print(f"max |{name} drift| = {np.abs(drift).max():.3e}")
     print(f"wrote {outdir}/drift.csv")
     return 0
 

@@ -154,6 +154,13 @@ class AnsatzPair(ContinuantWindow):
 MAX_FLOW = 64
 
 
+def _check_flow(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"flow index k must be >= 1, got {k}")
+    if k > MAX_FLOW:
+        raise ValueError(f"flow index k = {k} is above the bound MAX_FLOW = {MAX_FLOW}")
+
+
 def toda_rhs(k: int, window: ContinuantWindow) -> tuple[EpsSeries, EpsSeries]:
     """Symbolic flow stencils (XZ, YZ) at the base site, scale factor N deferred.
 
@@ -162,10 +169,7 @@ def toda_rhs(k: int, window: ContinuantWindow) -> tuple[EpsSeries, EpsSeries]:
     an exact integer window in place of the ansatz.  For k >= 2 they read
     the descending recursion a_p(n), p = k-1..0, at n = 0, -1 only.
     """
-    if k < 1:
-        raise ValueError(f"flow index k must be >= 1, got {k}")
-    if k > MAX_FLOW:
-        raise ValueError(f"flow index k = {k} is above the bound MAX_FLOW = {MAX_FLOW}")
+    _check_flow(k)
     if k == 1:
         XZ = window.B_of(0) - window.B_of(1)
         YZ = window.B_of(0) * (window.A_of(0) - window.A_of(-1))
@@ -245,6 +249,7 @@ def kdv_leading(j: int) -> DiffPoly:
     That coefficient sits at eps^(2j-2) and depends on R_0..R_(2j-3), so
     standard_R is extended by extend_R until it holds them (j >= 5).
     """
+    _check_flow(j)
     R = standard_R()
     for order in range(6, 2 * j - 2):
         out = extend_R(R)

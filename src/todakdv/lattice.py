@@ -25,6 +25,10 @@ time loop, the stacked (2N,) state x = (a, b).
 rhs_flow2_arrays, the one right side that RK4 and the Crank-Nicolson
 residual share, is factored over the differences u = a - a(k-1),
 v = a + a(k-1) and w = b(k+1) - b(k-1).
+
+Every CSV table is written by write_csv and read by read_csv, which rejects a
+wrong header, a row of another width or a field that is not a finite number,
+naming the file.
 """
 
 from __future__ import annotations
@@ -62,6 +66,7 @@ __all__ = [
     "C3_EXPANSION",
     "render_integral_series",
     "write_csv",
+    "read_csv",
     "write_state_csv",
     "read_state_csv",
 ]
@@ -545,6 +550,7 @@ def asymptotic_C(
 
 FMT = "%.17g"  # 17 significant digits: every float64 reads back exactly
 _CSV_CHUNK = 2048  # rows formatted per write, which bounds the text held at once
+_STATE_HEADER = ("n", "a", "b")
 
 
 def write_csv(
@@ -577,27 +583,38 @@ def write_csv(
                 fh.write((row * len(part)) % tuple(part.ravel().tolist()))
 
 
+def read_csv(path, header: Sequence[str]) -> np.ndarray:
+    """The rows of a CSV file with the given header, as a (rows, len(header)) float array.
+
+    Each field is read by float, so a FMT field reads back bit for bit.  Another
+    header (fields stripped), a row of another width or a field that is not a
+    finite number raises ValueError naming the file.
+    """
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows or [h.strip() for h in rows[0]] != list(header):
+        raise ValueError(f"expected header {','.join(header)} in {path}")
+    if any(len(row) != len(header) for row in rows[1:]):
+        raise ValueError(f"every row of {path} needs {len(header)} columns {','.join(header)}")
+    try:
+        values = np.array([float(x) for row in rows[1:] for x in row]).reshape(-1, len(header))
+    except ValueError as err:
+        raise ValueError(f"non-numeric field in {path}: {err}") from None
+    if not np.isfinite(values).all():
+        raise ValueError(f"non-finite field in {path}: {values[~np.isfinite(values)][0]}")
+    return values
+
+
 def write_state_csv(path, s: LatticeState) -> None:
-    write_csv(path, ["n", "a", "b"], [(np.arange(s.N), s.a, s.b)], row_format=f"%d,{FMT},{FMT}")
+    write_csv(path, _STATE_HEADER, [(np.arange(s.N), s.a, s.b)], row_format=f"%d,{FMT},{FMT}")
 
 
 def read_state_csv(path) -> LatticeState:
-    with open(path, newline="") as fh:
-        rd = csv.reader(fh)
-        header = next(rd, [])
-        if [h.strip() for h in header] != ["n", "a", "b"]:
-            raise ValueError(f"expected header n,a,b in {path}")
-        rows = list(rd)
-    if not rows:
-        raise ValueError(f"{path} has a header but no site rows")
-    if any(len(r) != 3 for r in rows):
-        raise ValueError(f"every row of {path} needs 3 columns n,a,b")
-    try:
-        rows = sorted((int(n), float(a), float(b)) for n, a, b in rows)
-    except ValueError as err:
-        raise ValueError(f"non-numeric field in {path}: {err}") from None
-    if [r[0] for r in rows] != list(range(len(rows))):
+    """The state in a state.csv file, whose rows list the sites n = 0..N-1 in any order."""
+    n, a, b = read_csv(path, _STATE_HEADER).T
+    order = np.argsort(n, kind="stable")
+    if not np.array_equal(n[order], np.arange(len(n))):
         raise ValueError(f"site indices n in {path} must be exactly 0..N-1, each once")
-    a = np.array([r[1] for r in rows])
-    b = np.array([r[2] for r in rows])
-    return LatticeState(len(rows), a, b)
+    if len(n) < 8:
+        raise ValueError(f"{path} lists {len(n)} sites; the lattice needs N >= 8")
+    return LatticeState(len(n), a[order], b[order])

@@ -198,6 +198,10 @@ def test_simulate_bad_run_config_usage(capsys, tmp_path, extra, message):
                      id="non_numeric_b"),
         pytest.param("n,a,b\n" + "".join(f"{1.5 if n == 1 else n},0.5,0.25\n" for n in range(8)),
                      id="fractional_index"),
+        pytest.param("n,a,b\n" + "".join(f"{n},{'nan' if n == 2 else 0.5},0.25\n" for n in range(8)),
+                     id="nan_a"),
+        pytest.param("n,a,b\n" + "".join(f"{n},0.5,0.25\n" for n in range(16)), id="other_N"),
+        pytest.param("n,a,b\n" + "".join(f"{n},0.5,0.25\n" for n in range(7)), id="seven_sites"),
     ],
 )
 def test_simulate_csv_init_bad_indices_usage(capsys, tmp_path, indices):
@@ -381,6 +385,72 @@ def test_conserved_rejects_snapshots_that_do_not_match(capsys, tmp_path, file, e
     assert code == 2 and "Traceback" not in err
     assert str(run / file) in err and len(err.splitlines()) == 1
     assert not (tmp_path / "drift").exists()
+
+
+# -- CSV input ----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def csv_run(tmp_path_factory):
+    """A finished run whose state.csv, trajectory.csv and conserved.csv the CLI reads back."""
+    run = tmp_path_factory.mktemp("csv") / "run"
+    assert main(["simulate", "--N", "16", "--dt", "1e-3", "--t-end", "0.004", "--scheme", "rk4",
+                 "--output-every", "2", "--out", str(run)]) == 0
+    return run
+
+
+def _upper_header(lines):
+    lines[0] = lines[0].upper()
+
+
+def _drop_last_field(lines):
+    lines[3] = lines[3].rsplit(",", 1)[0]
+
+
+def _set_last_field(value):
+    def edit(lines):
+        _drop_last_field(lines)
+        lines[3] += "," + value
+    return edit
+
+
+def _keep_header(lines):
+    del lines[1:]
+
+
+_CSV_FAULTS = {
+    "wrong_header": _upper_header,
+    "short_row": _drop_last_field,
+    "non_numeric": _set_last_field("x"),
+    "inf": _set_last_field("inf"),
+    "header_only": _keep_header,
+}
+
+
+@pytest.mark.parametrize("fault", _CSV_FAULTS)
+@pytest.mark.parametrize("file", ["state.csv", "trajectory.csv", "conserved.csv"])
+def test_csv_input_fault_exits_2_naming_the_file(capsys, tmp_path, csv_run, file, fault):
+    """Every table the CLI reads (state.csv through simulate --init csv:,
+    trajectory.csv and conserved.csv through conserved) is rejected with one
+    error line that names it, and no --out, for each fault read_csv knows."""
+    run = tmp_path / "run"
+    run.mkdir()
+    for name in ("state.csv", "trajectory.csv", "conserved.csv"):
+        (run / name).write_bytes((csv_run / name).read_bytes())
+    lines = (run / file).read_text().splitlines()
+    _CSV_FAULTS[fault](lines)
+    (run / file).write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    if file == "state.csv":
+        argv = ["simulate", "--N", "16", "--dt", "1e-3", "--t-end", "0.002", "--scheme", "rk4",
+                "--init", f"csv:{run / file}", "--out", str(out)]
+    else:
+        argv = ["conserved", "--traj", str(run), "--out", str(out)]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert str(run / file) in err
+    assert not out.exists()
 
 
 def test_simulate_lattice_not_dividing_reference_grid(capsys, tmp_path):

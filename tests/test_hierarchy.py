@@ -248,6 +248,22 @@ def test_kdv_leading():
     assert kdv_leading(1) == Z_COEFFS[(1, 0)]
 
 
+@pytest.mark.parametrize("j, message", [
+    pytest.param(0, "flow index k must be >= 1, got 0", id="zero"),
+    pytest.param(MAX_FLOW + 1, "flow index k = 65 is above the bound MAX_FLOW = 64", id="above_bound"),
+])
+def test_kdv_leading_rejects_flow_index_before_extending_R(monkeypatch, j, message):
+    """j is checked against toda_rhs's bounds before any extend_R step,
+    of which j = MAX_FLOW + 1 would need about 2j - 8."""
+    def no_extension(R):
+        raise AssertionError("extend_R ran for a flow index outside 1..MAX_FLOW")
+
+    monkeypatch.setattr("todakdv.hierarchy.extend_R", no_extension)
+    with pytest.raises(ValueError) as err:
+        kdv_leading(j)
+    assert str(err.value) == message
+
+
 @pytest.fixture(scope="module")
 def leading():
     return {j: kdv_leading(j) for j in range(1, 7)}

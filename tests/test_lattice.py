@@ -612,6 +612,15 @@ def test_state_csv_roundtrip_is_bit_exact(tmp_path_factory, s):
     assert np.array_equal(s2.b.view(np.uint64), s.b.view(np.uint64))
 
 
+def test_read_state_csv_takes_spaced_header_and_float_indices(tmp_path):
+    # every field is read by float, so an index written 1.0 is site 1; the
+    # rows may come in any order of n
+    path = tmp_path / "state.csv"
+    path.write_text(" n , a ,b\n" + "".join(f"{float(n)},{n},{-n}\n" for n in reversed(range(8))))
+    s = read_state_csv(path)
+    assert np.array_equal(s.a, np.arange(8.0)) and np.array_equal(s.b, -np.arange(8.0))
+
+
 def _state_csv_reference(path, s):
     """The per-row csv.writer loop that write_state_csv replaced."""
     with open(path, "w", newline="") as fh:

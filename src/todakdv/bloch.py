@@ -14,11 +14,12 @@ ordered product of the maps of S = ceil(sqrt(max|lambda| + max|g|)) short
 segments of [0, 1].  A segment map is a Taylor series in the segment offset,
 whose coefficients follow from the profile's closed-form derivatives; numpy
 sums it for all segments, lambdas and both solutions at once, so no ODE
-integrator (and no scipy) runs.  Each entry of a segment map is an entire
-function of lambda, so on a grid of more than 17 points that spans an
-interval the maps are summed at 17 Chebyshev nodes only, and their degree-16
-Chebyshev interpolants are evaluated on the grid; a smaller grid takes the
-same segments at its own lambdas.  Segments are handled a block at a time, so
+integrator (and no scipy) runs.  Every series is summed until its terms fall
+below 4 ulps of the map entries; there is no accuracy parameter.  Each entry
+of a segment map is an entire function of lambda, so on a grid of more than
+17 points that spans an interval the maps are summed at 17 Chebyshev nodes
+only, and their degree-16 Chebyshev interpolants are evaluated on the grid;
+a smaller grid takes the same segments at its own lambdas.  Segments are handled a block at a time, so
 memory stays bounded.  Real spectral bands are where |trace| <= 2.
 
 A scan keeps its result in columns: ``discriminant_scan`` returns one
@@ -139,11 +140,12 @@ _CHEB_FIT = np.polynomial.chebyshev.chebvander(_NODE_T, _NODES - 1).T * (2.0 / _
 _CHEB_FIT[0] *= 0.5
 
 # Taylor terms of a segment map before its segment is halved, and how often
-# it may be halved (the builtin profiles need at most twice); the smallest
-# term threshold (a few ulps of the O(1) map entries, so a tiny tol ends)
+# it may be halved (the builtin profiles need none up to max|lambda| = 1e6);
+# the term threshold, 4 ulps of the O(1) map entries, below which further
+# terms no longer change a sum
 _MAX_TERMS = 32
 _MAX_HALVINGS = 8
-_MIN_THRESHOLD = 4 * np.finfo(float).eps
+_THRESHOLD = 4 * np.finfo(float).eps
 # segment x lambda pairs per block: 8 MB of Taylor history (2 x _MAX_TERMS
 # floats a pair), or 512 kB of maps on the grid, which stay in cache while
 # the product runs over them
@@ -180,7 +182,7 @@ def _blocks(S: int, L: int):
 
 
 def _segment_maps(
-    g: Profile, lams: np.ndarray, starts: np.ndarray, h: float, tol: float, halvings: int = _MAX_HALVINGS
+    g: Profile, lams: np.ndarray, starts: np.ndarray, h: float, halvings: int = _MAX_HALVINGS
 ) -> np.ndarray:
     """Maps of the segments [x, x + h], x in ``starts``, of Hill's equation, per lambda.
 
@@ -189,7 +191,7 @@ def _segment_maps(
     have not died out within _MAX_TERMS terms is summed over two half
     segments instead, at most ``halvings`` times over.
     """
-    maps = _taylor_maps(g, lams, starts, h, tol)
+    maps = _taylor_maps(g, lams, starts, h)
     if maps is not None:
         return maps
     if not halvings:
@@ -197,13 +199,11 @@ def _segment_maps(
             f"monodromy integration failed: no Taylor series converges on segments of {h:.3g}"
         )
     half = 0.5 * h
-    return _mul(_segment_maps(g, lams, starts + half, half, tol, halvings - 1),
-                _segment_maps(g, lams, starts, half, tol, halvings - 1))
+    return _mul(_segment_maps(g, lams, starts + half, half, halvings - 1),
+                _segment_maps(g, lams, starts, half, halvings - 1))
 
 
-def _taylor_maps(
-    g: Profile, lams: np.ndarray, starts: np.ndarray, h: float, tol: float
-) -> np.ndarray | None:
+def _taylor_maps(g: Profile, lams: np.ndarray, starts: np.ndarray, h: float) -> np.ndarray | None:
     """Segment maps as in ``_segment_maps``, or None where a series has not died out.
 
     In the offset s = (x - x_k)/h a solution is psi = sum_n e_n s^n, and
@@ -213,10 +213,8 @@ def _taylor_maps(
 
     run for both solutions, all segments and all lambdas at once.  The
     series stops once two consecutive terms n |e_n| of every series fall
-    below tol/100 (at least a few ulps); they bound the terms of psi and of
-    its derivative.
+    below _THRESHOLD; they bound the terms of psi and of its derivative.
     """
-    thr = max(1e-2 * tol, _MIN_THRESHOLD)
     e = np.zeros((_MAX_TERMS, 2, len(starts), len(lams)))
     e[0, 0] = 1.0  # psi1 = 1, dpsi1/ds = 0
     e[1, 1] = 1.0  # psi2 = 0, dpsi2/ds = 1, that is psi2' = 1/h
@@ -235,7 +233,7 @@ def _taylor_maps(
         size = (n + 2) * float(np.max(np.abs(e[n + 2]), initial=0.0))
         if not size < math.inf:
             raise IntegrationError("monodromy integration failed: non-finite Taylor series")
-        small = small + 1 if size < thr else 0
+        small = small + 1 if size < _THRESHOLD else 0
         if small == 2:
             break
     else:
@@ -246,24 +244,24 @@ def _taylor_maps(
     return np.stack([psi[0], h * psi[1], dpsi[0] / h, dpsi[1]], axis=1)
 
 
-def _segment_fits(g: Profile, lo: float, hi: float, S: int, tol: float) -> np.ndarray:
+def _segment_fits(g: Profile, lo: float, hi: float, S: int) -> np.ndarray:
     """Chebyshev coefficients in lambda on [lo, hi] of every segment map entry.
 
     Returns an array (S, 4, _NODES); the last axis is the coefficient of T_k.
     """
     nodes = 0.5 * (hi + lo) + 0.5 * (hi - lo) * _NODE_T
-    maps = [_segment_maps(g, nodes, ks / S, 1.0 / S, tol) for ks in _blocks(S, _NODES)]
+    maps = [_segment_maps(g, nodes, ks / S, 1.0 / S) for ks in _blocks(S, _NODES)]
     return np.concatenate(maps) @ _CHEB_FIT.T
 
 
-def _continuous_entries(g: Profile, lams: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
+def _continuous_entries(g: Profile, lams: np.ndarray) -> tuple[np.ndarray, ...]:
     """Entries (m11, m12, m21, m22) of the Hill period map on [0, 1], per lambda.
 
     [0, 1] is cut into S = ceil(sqrt(R)) segments, R = max|lambda| + max|g|, so
     h^2 R <= 1 for the segment length h, and each segment map is a Taylor
     series in the offset (``_segment_maps``).  Each entry of a segment map is
     an entire function of lambda, and on such a short segment its degree-16
-    Chebyshev interpolant on the grid's range is exact far below ``tol``.  On a
+    Chebyshev interpolant on the grid's range is exact to rounding.  On a
     grid of more than 17 points that spans an interval, the maps are summed
     at the 17 Chebyshev nodes only and evaluated on the grid; a grid of equal
     lambdas takes one of them, and any other grid its own lambdas.  The maps
@@ -279,11 +277,11 @@ def _continuous_entries(g: Profile, lams: np.ndarray, tol: float) -> tuple[np.nd
             f"{_MAX_SEGMENTS} segments"
         )
     if L > 1 and hi == lo:
-        return tuple(np.repeat(m, L) for m in _continuous_entries(g, lams[:1], tol))
+        return tuple(np.repeat(m, L) for m in _continuous_entries(g, lams[:1]))
     S = max(1, math.ceil(math.sqrt(R)))
     fitted = hi > lo and L > _NODES
     if fitted:
-        coef = _segment_fits(g, lo, hi, S, tol)
+        coef = _segment_fits(g, lo, hi, S)
         t = (2 * lams - (hi + lo)) / (hi - lo)  # 0.5 (hi - lo) underflows on a subnormal span
         vander = np.polynomial.chebyshev.chebvander(t, _NODES - 1).T
     period = None
@@ -291,15 +289,15 @@ def _continuous_entries(g: Profile, lams: np.ndarray, tol: float) -> tuple[np.nd
         if fitted:  # one matrix product evaluates the block's interpolants
             maps = (coef[ks].reshape(-1, _NODES) @ vander).reshape(len(ks), 4, L)
         else:
-            maps = _segment_maps(g, lams, ks / S, 1.0 / S, tol)
+            maps = _segment_maps(g, lams, ks / S, 1.0 / S)
         maps = _chain(maps)
         period = maps if period is None else _mul(maps, period)
     return tuple(period)
 
 
-def continuous_traces(g: Profile, lams: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def continuous_traces(g: Profile, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Traces/determinants of the Hill period map for all lambdas at once."""
-    m11, m12, m21, m22 = _continuous_entries(g, np.asarray(lams, float), tol)
+    m11, m12, m21, m22 = _continuous_entries(g, np.asarray(lams, float))
     return m11 + m22, m11 * m22 - m12 * m21
 
 
@@ -314,7 +312,7 @@ def lattice_from_potential(g: Profile, N: int) -> tuple[np.ndarray, np.ndarray]:
     return state.to_AB()
 
 
-def discriminant_scan(g: Profile, N: int, lams: np.ndarray, tol: float = 1e-10) -> DiscriminantTable:
+def discriminant_scan(g: Profile, N: int, lams: np.ndarray) -> DiscriminantTable:
     """Tabulate discrete vs continuous discriminants over a lambda grid.
 
     The lattice is built, and so validated, also for an empty grid.
@@ -327,14 +325,13 @@ def discriminant_scan(g: Profile, N: int, lams: np.ndarray, tol: float = 1e-10) 
     # Hill period map to inf: no float warnings
     with np.errstate(over="ignore", invalid="ignore"):
         tr_d, det_d = discrete_traces(A, B, lams)
-        tr_c, det_c = continuous_traces(g, lams, tol=tol)
+        tr_c, det_c = continuous_traces(g, lams)
     return DiscriminantTable(lams, tr_d, tr_c, det_d, det_c)
 
 
 @dataclass(frozen=True)
 class BandDistanceResult:
     distance: float
-    grid_warning: bool  # a detected band narrower than 3 grid points
 
 
 def _directed_hausdorff(xs: np.ndarray, ys: np.ndarray) -> float:
@@ -345,21 +342,13 @@ def _directed_hausdorff(xs: np.ndarray, ys: np.ndarray) -> float:
     return float(np.max(np.minimum(np.abs(xs - left), np.abs(xs - right))))
 
 
-def _narrow_band(mask: np.ndarray) -> bool:
-    """Whether some run of True in the mask is shorter than 3."""
-    # +1 where a run starts, -1 one past where it ends
-    steps = np.diff(np.asarray(mask, np.int8), prepend=0, append=0)
-    lengths = np.flatnonzero(steps == -1) - np.flatnonzero(steps == 1)
-    return bool(np.any(lengths < 3))
-
-
 def band_distance(
     table: DiscriminantTable | Sequence[DiscriminantSample], K: float
 ) -> BandDistanceResult:
     """Hausdorff distance between discrete and continuous band sets on [-K, K].
 
-    Bands are the grid points with |trace| <= 2.  A band resolved by fewer
-    than 3 grid points sets the warning flag; so does an empty side.
+    Bands are the grid points with |trace| <= 2.  The distance is 0 when
+    both sides are empty and inf when one side is.
     """
     if not isinstance(table, DiscriminantTable):
         # The benchmark's spectrum check still passes DiscriminantSamples; the
@@ -367,16 +356,10 @@ def band_distance(
         table = DiscriminantTable.from_samples(table)
     sel = np.abs(table.lam) <= K
     lams = table.lam[sel]
-    tr_d = table.trace_discrete[sel]
-    tr_c = table.trace_continuous[sel]
-    mask_d = np.abs(tr_d) <= 2.0
-    mask_c = np.abs(tr_c) <= 2.0
-    warning = _narrow_band(mask_d) or _narrow_band(mask_c)
-    set_d = lams[mask_d]
-    set_c = lams[mask_c]
+    set_d = lams[np.abs(table.trace_discrete[sel]) <= 2.0]
+    set_c = lams[np.abs(table.trace_continuous[sel]) <= 2.0]
     if len(set_d) == 0 and len(set_c) == 0:
-        return BandDistanceResult(0.0, True)
+        return BandDistanceResult(0.0)
     if len(set_d) == 0 or len(set_c) == 0:
-        return BandDistanceResult(float("inf"), True)
-    dist = max(_directed_hausdorff(set_d, set_c), _directed_hausdorff(set_c, set_d))
-    return BandDistanceResult(dist, warning)
+        return BandDistanceResult(math.inf)
+    return BandDistanceResult(max(_directed_hausdorff(set_d, set_c), _directed_hausdorff(set_c, set_d)))

@@ -177,8 +177,6 @@ def _write_spectrum_csv(path: Path, table: bloch.DiscriminantTable) -> None:
 def cmd_spectrum(args) -> int:
     if not np.isfinite(args.lambda_max):
         raise ValueError(f"--lambda-max must be finite, got {args.lambda_max}")
-    if not 0 < args.tol < np.inf:
-        raise ValueError(f"--tol must be positive and finite, got {args.tol}")
     if args.N < 8:
         raise ValueError(f"--N must be >= 8, got {args.N}")
     if args.samples < 0:
@@ -188,7 +186,7 @@ def cmd_spectrum(args) -> int:
     prof = lattice.builtin_profile(args.g.split(":", 1)[1])
     lams = np.linspace(-args.lambda_max, args.lambda_max, args.samples)
     # exit 2 (non-finite lattice data, also for --samples 0) and 3 before --out exists
-    table = bloch.discriminant_scan(prof, args.N, lams, tol=args.tol)
+    table = bloch.discriminant_scan(prof, args.N, lams)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     write_config(
@@ -199,7 +197,6 @@ def cmd_spectrum(args) -> int:
             "N": args.N,
             "lambda_max": args.lambda_max,
             "samples": args.samples,
-            "tol": args.tol,
         },
     )
     _write_spectrum_csv(outdir / "spectrum.csv", table)
@@ -296,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--lambda-max", type=float, default=200.0)
     sp.add_argument("--samples", type=int, default=2048)
-    sp.add_argument("--tol", type=float, default=1e-10)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_spectrum)
 

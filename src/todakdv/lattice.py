@@ -215,14 +215,18 @@ def init_from_profile(profile: Profile | np.ndarray, N: int, variant: str = "con
     return LatticeState(N, a, b)
 
 
-def init_from_ansatz(profile: Profile, N: int, cap: int = 11) -> LatticeState:
+# eps order through which init_from_ansatz carries the correction series R
+_ANSATZ_CAP = 11
+
+
+def init_from_ansatz(profile: Profile, N: int) -> LatticeState:
     """Lattice state on the full corrected manifold, a = f - eps R(f).
 
     Unlike the stencil initializers this evaluates the complete verified
     correction series on exact derivative jets of the profile, so the state
     satisfies the hierarchy asymptotics to the order the series carries.
     """
-    R = standard_R(cap)
+    R = standard_R(_ANSATZ_CAP)
     x = np.arange(N) / N
     jets = profile.jet(x, max(R.max_order(), 0))
     r_val = R.evaluate(jets, 1.0 / N)
@@ -520,20 +524,22 @@ def render_integral_series(series: EpsSeries) -> str:
     return "\n".join(lines)
 
 
-def asymptotic_C(
-    profile: Profile, N: int, depth: int = 3, points: int = 4096
-) -> tuple[float, float, float]:
+# nodes of the periodic trapezoid rule behind asymptotic_C
+_QUADRATURE_POINTS = 4096
+
+
+def asymptotic_C(profile: Profile, N: int, depth: int = 3) -> tuple[float, float, float]:
     """Predicted C1, C2, C3 from the integral expansions at eps = 1/N.
 
     depth 1..3 controls how many of each series' nonzero terms are retained
     (C1 has three, C2 two, C3 one).  Integrals use the periodic trapezoid
-    rule on ``points`` nodes, the mean over them: spectrally accurate for
-    smooth f.
+    rule on _QUADRATURE_POINTS nodes, the mean over them: spectrally
+    accurate for smooth f.
     """
     if not 1 <= depth <= 3:
         raise ValueError("depth must be 1..3")
     eps = 1.0 / N
-    x = np.arange(points) / points
+    x = np.arange(_QUADRATURE_POINTS) / _QUADRATURE_POINTS
     out = []
     for series in (C1_EXPANSION, C2_EXPANSION, C3_EXPANSION):
         terms = [(k, poly) for k, poly in enumerate(series.coeffs) if not poly.is_zero()]

@@ -467,17 +467,22 @@ class ComparisonReport:
     reference_estimate: float
 
 
-def compare_to_kdv(traj: Trajectory, f0: Profile, t: float, modes: int = 256) -> ComparisonReport:
+# The KdV reference of a comparison takes at least this many modes.
+_COMPARE_MODES = 256
+
+
+def compare_to_kdv(traj: Trajectory, f0: Profile, t: float) -> ComparisonReport:
     """Max-norm and L2 error of (a+b)/2 against the reference at time t.
 
     Uses the recorded snapshot nearest to t and evaluates the reference at
     that snapshot's exact time, on the least multiple of N that is at least
-    max(modes, 2 N) modes, so that the reference grid refines the lattice.
-    The report carries the reference's step count and Richardson estimate.
+    max(_COMPARE_MODES, 2 N) modes, so that the reference grid refines the
+    lattice.  The report carries the reference's step count and Richardson
+    estimate.
     """
     t_used, state = traj.state_at(t)
     N = state.N
-    ref = reference_kdv(f0, 1.0 / N, t_used, modes=N * max(2, -(-modes // N)))
+    ref = reference_kdv(f0, 1.0 / N, t_used, modes=N * max(2, -(-_COMPARE_MODES // N)))
     ref_vals = ref.on_lattice(N)
     lattice_vals = state.average()
     err = lattice_vals - ref_vals

@@ -652,8 +652,7 @@ def test_spectrum_builds_the_lattice_once(capsys, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize(
     "option, value",
-    [("--lambda-max", "nan"), ("--lambda-max", "inf"), ("--lambda-max", "-inf"),
-     ("--tol", "0"), ("--tol", "nan"), ("--tol", "inf")],
+    [("--lambda-max", "nan"), ("--lambda-max", "inf"), ("--lambda-max", "-inf")],
 )
 def test_spectrum_nonfinite_args_rejected_before_scan(capsys, tmp_path, monkeypatch, option, value):
     # these reached the scan, which then did not finish: validation comes first
@@ -665,16 +664,25 @@ def test_spectrum_nonfinite_args_rejected_before_scan(capsys, tmp_path, monkeypa
     assert err.startswith(f"error: {option} must be")
 
 
-def test_spectrum_negative_tol_usage_without_warning(capsys, tmp_path):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code, _, err = run_cli(
-            capsys, "spectrum", "--N", "8", "--samples", "3", "--lambda-max", "1",
-            "--tol", "-1", "--out", str(tmp_path / "s"),
-        )
-    assert code == 2
-    assert err.splitlines() == ["error: --tol must be positive and finite, got -1.0"]
-    assert not caught and "Warning" not in err
+def test_spectrum_has_no_tol_option(capsys, tmp_path, monkeypatch):
+    # the Hill maps are always summed to the 4-ulp threshold: an old --tol is
+    # a usage error, not a run at some other accuracy
+    monkeypatch.setattr(bloch, "discriminant_scan", _no_scan)
+    out = tmp_path / "s"
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--N", "8", "--samples", "5", "--tol", "1e-10", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol 1e-10" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_spectrum_config_records_exactly_its_options(capsys, tmp_path):
+    out = tmp_path / "s"
+    code, *_ = run_cli(capsys, "spectrum", "--N", "8", "--samples", "5", "--out", str(out))
+    assert code == 0
+    assert (out / "config.txt").read_text().splitlines() == [
+        "N=8", "g=builtin:cos", "lambda_max=200.0", "samples=5", "subcommand=spectrum",
+    ]
 
 
 def test_spectrum_integration_failure_exits_3(capsys, tmp_path):

@@ -440,7 +440,7 @@ def test_extended_R_linear_part_is_tanh():
 def test_symbolic_stencils_match_numeric_lattice(ansatz, k):
     prof = builtin_profile("cos")
     N = 64
-    state = init_from_ansatz(prof, N, cap=11)
+    state = init_from_ansatz(prof, N)
     D1, D2 = toda_D(state, k)
     XZ, YZ = toda_rhs(k, ansatz)
     jets = prof.jet(np.array([0.0]), max(XZ.max_order(), YZ.max_order()))

@@ -25,6 +25,10 @@ only the triangle that survives truncation, once per series: the triangle
 is kept on the (immutable) series, and each shift only sums it with its
 weights.  ``dt_along`` forms one product per derivative order instead of one
 per monomial factor, and differentiates h only as far as truncation keeps.
+``EpsSeries.combine`` sums weighted products of series in one pass per
+coefficient, with no intermediate series.  The derivative-order guard reads
+the top order of each coefficient once per series and checks every
+derivative by arithmetic, since d/dx raises that order by exactly one.
 """
 
 from __future__ import annotations
@@ -239,17 +243,23 @@ def _linear_sum(terms: Iterable[tuple[int | Fraction, "DiffPoly"]]) -> "DiffPoly
     return _poly(num, den)
 
 
-def _product_sum(pairs: Iterable[tuple["DiffPoly", "DiffPoly"]]) -> "DiffPoly":
-    """Sum of p * q over (p, q) pairs, accumulated like ``_linear_sum``."""
-    pairs = [(p, q) for p, q in pairs if p._num and q._num]
-    if not pairs:
+def _product_sum(terms: Iterable[tuple[int, "DiffPoly", "DiffPoly | None"]]) -> "DiffPoly":
+    """Sum of w * p * q over (w, p, q) triples with int weights w, where a q
+    of None stands for the factor one, accumulated like ``_linear_sum``."""
+    terms = [(w, p, q) for w, p, q in terms if w and p._num and (q is None or q._num)]
+    if not terms:
         return _DIFFPOLY_ZERO
-    den = lcm(*[p._den * q._den for p, q in pairs])
+    den = lcm(*[p._den if q is None else p._den * q._den for _, p, q in terms])
     num: dict[Monomial, int] = {}
     get = num.get
     mul_get = _MUL_MEMO.get
-    for p, q in pairs:
-        s = den // (p._den * q._den)
+    for w, p, q in terms:
+        if q is None:
+            s = w * (den // p._den)
+            for m, c in p._num.items():
+                num[m] = get(m, 0) + c * s
+            continue
+        s = w * (den // (p._den * q._den))
         q_terms = q._num.items()
         for m1, c1 in p._num.items():
             c1 *= s
@@ -346,7 +356,7 @@ class DiffPoly:
             return self.scale(other)
         if not isinstance(other, DiffPoly):
             return NotImplemented
-        return _product_sum(((self, other),))
+        return _product_sum(((1, self, other),))
 
     __rmul__ = __mul__
 
@@ -524,11 +534,35 @@ class EpsSeries:
             return self.scale(other)
         if not isinstance(other, EpsSeries):
             return NotImplemented
-        cap = self._common_cap(other)
-        a, b = self._coeffs, other._coeffs
-        return EpsSeries([_product_sum((a[i], b[k - i]) for i in range(k + 1)) for k in range(cap + 1)])
+        return EpsSeries.combine([(1, self, other)])
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def combine(terms: Iterable[tuple[int, "EpsSeries", "EpsSeries | None"]]) -> "EpsSeries":
+        """Sum of c * S * T over (c, S, T) triples with int weights c, where a
+        T of None stands for the factor one, truncated at the smallest cap.
+
+        Each eps coefficient is one ``_product_sum`` over every pair of
+        nonzero coefficients that lands on it: one dict and one reduction per
+        coefficient, and no intermediate series.
+        """
+        terms = list(terms)
+        cap = min(x.order_cap for _, s, t in terms for x in (s, t) if x is not None)
+        parts: list[list] = [[] for _ in range(cap + 1)]
+        for c, s, t in terms:
+            a = [(i, p) for i, p in enumerate(s._coeffs[: cap + 1]) if p._num]
+            if t is None:
+                for i, p in a:
+                    parts[i].append((c, p, None))
+                continue
+            b = [(j, q) for j, q in enumerate(t._coeffs[: cap + 1]) if q._num]
+            for i, p in a:
+                for j, q in b:
+                    if i + j > cap:
+                        break
+                    parts[i + j].append((c, p, q))
+        return EpsSeries([_product_sum(p) for p in parts])
 
     def scale(self, c) -> "EpsSeries":
         return EpsSeries([p.scale(c) for p in self._coeffs])
@@ -569,16 +603,27 @@ class EpsSeries:
 
     # -- calculus ---------------------------------------------------------------
 
-    def _check_order(self, poly: DiffPoly) -> DiffPoly:
+    def _check_derivative(self, orders: Sequence[int], times: int) -> None:
+        """The derivative-order guard on the ``times``-th x-derivative of
+        coefficients whose top derivative orders are ``orders``.
+
+        d/dx raises the top order of a non-constant polynomial by exactly one
+        (its top monomials have distinct derivatives, each with the new top
+        order) and takes a constant to zero, so the guard needs only these
+        orders, taken once per series, and scans no derived polynomial.  It
+        raises for the first coefficient, in order, that a scan would reject.
+        """
         limit = 2 * self.order_cap
-        if poly.max_order() > limit:
-            raise DerivativeOrderError(
-                f"derivative order {poly.max_order()} exceeds safety cap {limit}"
-            )
-        return poly
+        if max(orders, default=-1) + times > limit:
+            for order in orders:
+                if order >= 0 and order + times > limit:
+                    raise DerivativeOrderError(
+                        f"derivative order {order + times} exceeds safety cap {limit}"
+                    )
 
     def x_derive(self) -> "EpsSeries":
-        return EpsSeries([self._check_order(c.x_derive()) for c in self._coeffs])
+        self._check_derivative([c.max_order() for c in self._coeffs], 1)
+        return EpsSeries([c.x_derive() for c in self._coeffs])
 
     def shift(self, n: int) -> "EpsSeries":
         """Taylor shift: the series evaluated at x + n*eps.
@@ -596,10 +641,12 @@ class EpsSeries:
         triangle = self._triangle
         if triangle is None:
             cap = self.order_cap
+            orders = [c.max_order() for c in self._coeffs]
             level = self._coeffs
             triangle = [level]
             for i in range(1, cap + 1):
-                level = [self._check_order(c.x_derive()) for c in level[: cap + 1 - i]]
+                self._check_derivative(orders[: cap + 1 - i], i)
+                level = [c.x_derive() for c in level[: cap + 1 - i]]
                 triangle.append(level)
             # cached only once every level has passed the guard
             self._triangle = triangle
@@ -621,6 +668,7 @@ class EpsSeries:
         """
         cap = min(self.order_cap, h.order_cap)
         h = h.truncate(cap)
+        h_orders = [c.max_order() for c in h._coeffs]
         h_derivs: list[Sequence[DiffPoly]] = [h._coeffs]
         pairs: list[list] = [[] for _ in range(cap + 1)]
         for k in range(cap + 1):
@@ -634,11 +682,12 @@ class EpsSeries:
             for order, num in partials.items():
                 while len(h_derivs) <= order:
                     # k only grows, so no later use reaches past eps^(cap-k)
-                    h_derivs.append([h._check_order(c.x_derive()) for c in h_derivs[-1][: cap + 1 - k]])
+                    h._check_derivative(h_orders[: cap + 1 - k], len(h_derivs))
+                    h_derivs.append([c.x_derive() for c in h_derivs[-1][: cap + 1 - k]])
                 partial = _poly(num, poly._den)
                 hd = h_derivs[order]
                 for j in range(cap + 1 - k):
-                    pairs[k + j].append((hd[j], partial))
+                    pairs[k + j].append((1, hd[j], partial))
         return EpsSeries([_product_sum(p) for p in pairs])
 
     def drop_derivatives(self) -> "EpsSeries":

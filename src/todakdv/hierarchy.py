@@ -8,7 +8,10 @@ evaluated at x + n*eps by Taylor shift, runs the hierarchy recursions for any
 flow 1 <= k <= MAX_FLOW, and verifies exactly (rational arithmetic, zero
 tolerance) that the induced evolution satisfies the lattice equations through
 eps^8.  Every flow reads one table of continuants d_i(n) per window
-(ContinuantWindow), since they do not depend on k.  The raw flows AA_i
+(ContinuantWindow), since they do not depend on k, and only at the base
+site: the values at site -1 are those at site 0 moved back one site.  Each
+continuant step and each hierarchy sum is one fused sum of products
+(EpsSeries.combine) rather than a chain of series operations.  The raw flows AA_i
 recombine into the right sides Z_k(f) by one rule, the Taylor coefficients of
 sqrt(1 + 4x) (flow_combination); the leading term of Z_k is the (2k-1)-th
 order member of the KdV hierarchy.
@@ -18,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .diffpoly import DiffPoly, EpsSeries, Monomial
 
@@ -85,10 +90,32 @@ class ContinuantWindow:
     does not depend on the flow index, so one table serves every flow run on
     the window; its d_i(N) are the exact spectral invariants.  Negative n uses
     the exact inverse relation.
+
+    Every value is formed by ``combine``, one sum of products per step, and a
+    value at site -1 is the one at site 0 moved back by ``back``.  The
+    defaults serve windows whose values are numpy arrays over all sites of a
+    periodic lattice, in any exact ring; AnsatzPair overrides both.
     """
 
     def __init__(self):
         self._d: dict[tuple[int, int], object] = {}
+
+    def combine(self, terms):
+        """Sum of c * S * T over (c, S, T) triples, where a T of None stands
+        for the factor one."""
+        total = self.zero
+        for c, s, t in terms:
+            term = s if t is None else s * t
+            if c == -1:
+                total = total - term
+            else:
+                total = total + (term if c == 1 else c * term)
+        return total
+
+    def back(self, x):
+        """T^-1 x: the value x at each site moved to the next site, so that
+        back(v(0)) = v(-1) for a value v(n) read at site n."""
+        return np.roll(x, 1)
 
     def d(self, i: int, n: int):
         if i < 0:
@@ -101,19 +128,13 @@ class ContinuantWindow:
         got = self._d.get(key)
         if got is not None:
             return got
-        if n > 0:
-            val = (
-                self.d(i, n - 1)
-                + self.A_of(n - 1) * self.d(i - 1, n - 1)
-                + self.B_of(n - 1) * self.d(i - 2, n - 2)
-            )
-        else:
-            val = (
-                self.d(i, n + 1)
-                - self.A_of(n) * self.d(i - 1, n)
-                - self.B_of(n) * self.d(i - 2, n - 1)
-            )
-        self._d[key] = val
+        # forward from d_i(n-1), or backward from d_i(n+1) for n < 0
+        sign, m, prev = (1, n - 1, self.d(i, n - 1)) if n > 0 else (-1, n, self.d(i, n + 1))
+        val = self._d[key] = self.combine([
+            (1, prev, None),
+            (sign, self.A_of(m), self.d(i - 1, m)),
+            (sign, self.B_of(m), self.d(i - 2, m - 1)),
+        ])
         return val
 
 
@@ -147,10 +168,16 @@ class AnsatzPair(ContinuantWindow):
             s = self._B[n] = self.base_B.shift(n)
         return s
 
+    def combine(self, terms) -> EpsSeries:
+        return EpsSeries.combine(terms)
 
-# The cost grows steeply with k (residual at the default cap, 2 vCPUs: 0.4 s
-# at k = 16, 1.6 s at 32, 6.5 s at 64); the bound keeps every accepted flow to
-# seconds and the continuant recursion far inside Python's depth limit.
+    def back(self, x: EpsSeries) -> EpsSeries:
+        return x.shift(-1)
+
+
+# The cost grows steeply with k (residual at the default cap, 2 vCPUs: 0.11-0.15 s
+# at k = 16, 0.5-0.65 s at 32, 2.1-2.4 s at 64); the bound keeps every accepted
+# flow to seconds and the continuant recursion far inside Python's depth limit.
 MAX_FLOW = 64
 
 
@@ -167,22 +194,26 @@ def toda_rhs(k: int, window: ContinuantWindow) -> tuple[EpsSeries, EpsSeries]:
     XZ is the right side of dA/dt and YZ of dB/dt, both divided by N; for
     k = 1 they are B(0)-B(1) and B(0)(A(0)-A(-1)).  lattice.toda_D passes
     an exact integer window in place of the ansatz.  For k >= 2 they read
-    the descending recursion a_p(n), p = k-1..0, at n = 0, -1 only.
+    the descending recursion a_p(n), p = k-1..0, at n = 0 only: the window
+    is translation covariant, so a_p(-1) is a_p(0) moved back one site,
+
+        XZ = G - T^-1 G  with G = a_1(0) B(1),    YZ = B(0) (a_0(0) - T^-1 a_0(0)),
+
+    with T^-1 the window's ``back``.
     """
     _check_flow(k)
+    B0 = window.B_of(0)
     if k == 1:
-        XZ = window.B_of(0) - window.B_of(1)
-        YZ = window.B_of(0) * (window.A_of(0) - window.A_of(-1))
+        XZ = B0 - window.B_of(1)
+        YZ = B0 * (window.A_of(0) - window.A_of(-1))
         return XZ, YZ
-    d, a = window.d, {}
-    for n in (0, -1):
-        for p in range(k - 1, -1, -1):
-            X = d(k - p, n + k) - d(k - p, n)
-            for r in range(p + 1, k):
-                X = X - a[r, n] * d(r - p, n + r)
-            a[p, n] = X
-    XZ = a[1, 0] * window.B_of(1) - a[1, -1] * window.B_of(0)
-    YZ = window.B_of(0) * (a[0, 0] - a[0, -1])
+    d, a, combine = window.d, {}, window.combine
+    for p in range(k - 1, -1, -1):
+        # d_(k-p)(0) = 0, so a_p(0) = d_(k-p)(k) - sum_r a_r(0) d_(r-p)(r)
+        a[p] = combine([(1, d(k - p, k), None)] + [(-1, a[r], d(r - p, r)) for r in range(p + 1, k)])
+    G = combine([(1, a[1], window.B_of(1))])
+    XZ = combine([(1, G, None), (-1, window.back(G), None)])
+    YZ = combine([(1, B0, a[0]), (-1, B0, window.back(a[0]))])
     return XZ, YZ
 
 

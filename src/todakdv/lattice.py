@@ -277,6 +277,8 @@ class _ExactWindow(ContinuantWindow):
 
     A_of(n)[m] = A(m+n)*D and B_of(n)[m] = B(m+n)*D^2 over the common
     denominator D of _dyadic_numerators, as numpy object arrays of Python ints.
+    It keeps the ring-generic ContinuantWindow.combine and the np.roll back,
+    so every stencil is formed by exact int arithmetic.
     """
 
     zero, one = 0, 1

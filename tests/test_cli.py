@@ -15,11 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import todakdv
-from todakdv import bloch, lattice, solver
+from todakdv import bloch, hierarchy, lattice, solver
 from todakdv.cli import _write_spectrum_csv, main, read_config, write_config
+from todakdv.diffpoly import EpsSeries
 from todakdv.lattice import FMT, builtin_profile, exact_invariants, init_from_profile, write_csv
 
 GOLDEN = Path(__file__).parent / "golden" / "v1"
+GOLDEN_V2 = Path(__file__).parent / "golden" / "v2"
 
 
 def run_cli(capsys, *argv):
@@ -65,6 +67,38 @@ def test_verify_higher_flows_pass(capsys, flow):
     code, out, _ = run_cli(capsys, "verify", "--flow", flow)
     assert code == 0
     assert out.splitlines()[-1] == "VERIFIED: residual vanishes exactly through eps^8"
+
+
+# -- exactness gate: verify and extend_R outputs, byte for byte -----------------------
+
+
+@pytest.mark.parametrize("argv, name", [
+    *[((f"{k}", "--order-cap", "12"), f"verify_flow{k}_cap12") for k in range(1, 7)],
+    (("12",), "verify_flow12"),
+])
+def test_verify_matches_golden_v2(capsys, argv, name):
+    code, out, _ = run_cli(capsys, "verify", "--flow", *argv)
+    assert code == 0
+    assert out == (GOLDEN_V2 / f"{name}.txt").read_text()
+
+
+def _extend_R_chain_text():
+    """The summaries of four extend_R steps from R_0..R_3, then the
+    coefficients R_4..R_7 they add."""
+    R = hierarchy.standard_R()
+    R = EpsSeries(list(R.coeffs[:4]), order_cap=R.order_cap)
+    lines = []
+    for step in range(1, 5):
+        out = hierarchy.extend_R(R)
+        assert out.status == "extended"
+        lines.append(f"step {step}: {out.summary()}")
+        R = out.new_R
+    lines += [f"R_{k} : {R.coeff(k)}" for k in range(4, 8)]
+    return "\n".join(lines) + "\n"
+
+
+def test_extend_R_chain_matches_golden_v2():
+    assert _extend_R_chain_text() == (GOLDEN_V2 / "extend_R_chain.txt").read_text()
 
 
 # -- expand (golden rendering contract) ------------------------------------------------

@@ -558,6 +558,126 @@ def test_derivative_order_guard():
         p.x_derive()
 
 
+@given(polys)
+@settings(max_examples=100, deadline=None)
+def test_x_derive_raises_the_top_order_by_exactly_one(p):
+    # what lets the guard work on orders instead of scanning derivatives
+    if p.max_order() >= 0:
+        assert p.x_derive().max_order() == p.max_order() + 1
+    else:
+        assert p.x_derive().is_zero()
+
+
+# -- the guard as a scan of every derived coefficient (test oracle) --
+#
+# Each function returns the message of the first derived polynomial whose
+# order exceeds 2 * cap, in the order the operation forms them, or None.
+
+
+def _scan(polys, cap):
+    for p in polys:
+        if p.max_order() > 2 * cap:
+            return f"derivative order {p.max_order()} exceeds safety cap {2 * cap}"
+    return None
+
+
+def _scan_x_derive(s):
+    return _scan([c.x_derive() for c in s.coeffs], s.order_cap)
+
+
+def _scan_shift(s):
+    cap, level = s.order_cap, s.coeffs
+    for i in range(1, cap + 1):
+        level = [c.x_derive() for c in level[: cap + 1 - i]]
+        if (msg := _scan(level, cap)) is not None:
+            return msg
+    return None
+
+
+def _scan_dt_along(p, h):
+    # h^(r) is formed once, through eps^(cap-k) for the first eps^k of p
+    # holding a factor f^(r)
+    cap = min(p.order_cap, h.order_cap)
+    levels = [h.coeffs[: cap + 1]]
+    for k in range(cap + 1):
+        top = max((order for m in p.coeff(k).terms for order, _ in m.pairs), default=-1)
+        while len(levels) <= top:
+            levels.append([c.x_derive() for c in levels[-1][: cap + 1 - k]])
+            if (msg := _scan(levels[-1], cap)) is not None:
+                return msg
+    return None
+
+
+def _raised(call):
+    try:
+        call()
+    except DerivativeOrderError as err:
+        return str(err)
+    return None
+
+
+@st.composite
+def near_limit_series(draw, cap):
+    # derivative orders from 0 to 2 * cap + 1 around the guard's limit 2 * cap
+    mono = st.builds(
+        Monomial, st.dictionaries(st.integers(0, 2 * cap + 1), st.integers(1, 2), max_size=2)
+    )
+    poly = st.builds(DiffPoly, st.dictionaries(mono, rationals, max_size=3))
+    return EpsSeries(draw(st.lists(poly, min_size=1, max_size=cap + 1)), order_cap=cap)
+
+
+@given(st.integers(1, 4).flatmap(lambda cap: st.tuples(near_limit_series(cap), near_limit_series(cap))),
+       st.sampled_from([-2, -1, 1, 3]))
+@settings(max_examples=200, deadline=None)
+def test_guard_raises_exactly_where_the_scan_does(ph, n):
+    p, h = ph
+    assert _raised(p.x_derive) == _scan_x_derive(p)
+    assert _raised(lambda: p.shift(n)) == _scan_shift(p)
+    assert _raised(lambda: p.dt_along(h)) == _scan_dt_along(p, h)
+
+
+def test_guard_examples_at_the_limit():
+    # cap 2, limit 4: f(4) may not be differentiated, f(3) once
+    at, below = EpsSeries.of_poly(f(4), 2), EpsSeries.of_poly(f(3), 2)
+    assert _raised(at.x_derive) == _scan_x_derive(at) == "derivative order 5 exceeds safety cap 4"
+    assert _raised(below.x_derive) is None
+    # the shift differentiates eps^0 twice: f(3) -> f(5)
+    assert _raised(lambda: below.shift(1)) == "derivative order 5 exceeds safety cap 4"
+    # and eps^1 once: f(3) eps -> f(4) eps^2 passes
+    assert EpsSeries.of_poly(f(3), 2, eps_power=1).shift(1).coeff(2) == f(4)
+    # the first offending coefficient is reported, not the largest order
+    two = EpsSeries([f(4), f(exp=2) + f(6)], order_cap=2)
+    assert _raised(two.x_derive) == _scan_x_derive(two) == "derivative order 5 exceeds safety cap 4"
+    # dt_along f'' needs h'' through eps^2: h = f(3) eps^2 reaches f(5)
+    h = EpsSeries.of_poly(f(3), 2, eps_power=2)
+    fpp = EpsSeries.of_poly(f(2), 2)
+    assert _raised(lambda: fpp.dt_along(h)) == _scan_dt_along(fpp, h) == "derivative order 5 exceeds safety cap 4"
+    # constants differentiate to zero and never raise
+    assert EpsSeries.const(3, 0).shift(2) == EpsSeries.const(3, 0)
+    assert _raised(EpsSeries.const(3, 0).x_derive) is None
+
+
+# -- fused sum of products --------------------------------------------------------
+
+
+@given(
+    st.integers(2, 5).flatmap(lambda cap: st.lists(
+        st.tuples(st.integers(-3, 3), series(cap), st.one_of(st.none(), series(cap))), min_size=1, max_size=4)),
+)
+@settings(max_examples=60, deadline=None)
+def test_combine_matches_fraction_oracle(terms):
+    cap = min(x.order_cap for _, s, t in terms for x in (s, t) if x is not None)
+    expect = [{} for _ in range(cap + 1)]
+    for c, s, t in terms:
+        a = _series_terms(s)[: cap + 1]
+        prod = a if t is None else _ref_series_mul(a, _series_terms(t))
+        expect = [_ref_add(e, _ref_scale(x, c)) for e, x in zip(expect, prod)]
+    got = EpsSeries.combine(terms)
+    assert _series_terms(got) == expect
+    for coeff in got.coeffs:
+        _assert_canonical(coeff)
+
+
 def test_drop_derivatives():
     p = DiffPoly.from_terms((1, [(0, 3)]), (2, [(0, 1), (1, 1)]), (5, []))
     assert p.drop_derivatives() == DiffPoly.from_terms((1, [(0, 3)]), (5, []))

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import random_fraction_state
 from todakdv.diffpoly import DiffPoly, EpsSeries, Monomial
 from todakdv.hierarchy import (
     MAX_FLOW,
     AnsatzPair,
+    ContinuantWindow,
     ObstructionError,
     extend_R,
     flow_rhs,
@@ -178,7 +180,7 @@ def test_d_forward_backward_consistency(ansatz):
             assert lhs == rhs, (i, n)
 
 
-@pytest.mark.parametrize("k, entries", [(4, 22), (6, 48), (8, 84)])
+@pytest.mark.parametrize("k, entries", [(4, 18), (6, 42), (8, 76)])
 def test_flows_share_one_continuant_table(k, entries):
     # d_i(n) does not depend on the flow index: the lower flows of Z_k only
     # read entries that the k-th flow has already put in the window's table
@@ -191,6 +193,86 @@ def test_flows_share_one_continuant_table(k, entries):
 
 
 # -- flow stencils -----------------------------------------------------------------
+
+
+def _toda_rhs_two_sided(k, window):
+    """toda_rhs reading a_p at both n = 0 and n = -1 (test oracle).
+
+    Keeps its own continuant table, negative n by the inverse relation, and
+    uses only the ring operations on the window's A_of, B_of, zero and one:
+    no ``combine``, no ``back`` and no shared table.
+    """
+    A, B, table = window.A_of, window.B_of, {}
+
+    def d(i, n):
+        if i < 0 or (i > 0 and n == 0):
+            return window.zero
+        if i == 0:
+            return window.one
+        if (i, n) not in table:
+            if n > 0:
+                table[i, n] = d(i, n - 1) + A(n - 1) * d(i - 1, n - 1) + B(n - 1) * d(i - 2, n - 2)
+            else:
+                table[i, n] = d(i, n + 1) - A(n) * d(i - 1, n) - B(n) * d(i - 2, n - 1)
+        return table[i, n]
+
+    if k == 1:
+        return B(0) - B(1), B(0) * (A(0) - A(-1))
+    a = {}
+    for n in (0, -1):
+        for p in range(k - 1, -1, -1):
+            X = d(k - p, n + k) - d(k - p, n)
+            for r in range(p + 1, k):
+                X = X - a[r, n] * d(r - p, n + r)
+            a[p, n] = X
+    return a[1, 0] * B(1) - a[1, -1] * B(0), B(0) * (a[0, 0] - a[0, -1])
+
+
+class _SiteWindow(ContinuantWindow):
+    """A = 2 + eps^2 a, B = -1 + eps^2 b as exact Fractions at every site of a
+    periodic lattice; back is the default np.roll."""
+
+    zero, one = 0, 1
+
+    def __init__(self, a, b):
+        super().__init__()
+        eps2 = F(1, len(a) ** 2)
+        self._A = np.array([2 + eps2 * x for x in a], dtype=object)
+        self._B = np.array([-1 + eps2 * x for x in b], dtype=object)
+
+    def A_of(self, n):
+        return np.roll(self._A, -n)
+
+    def B_of(self, n):
+        return np.roll(self._B, -n)
+
+
+@pytest.mark.parametrize("N", [9, 16])
+def test_toda_rhs_matches_two_sided_recursion_on_exact_sites(N):
+    # random rational data, far from smooth; k > N wraps around the lattice
+    a, b = random_fraction_state(N, seed=N)
+    window = _SiteWindow(a, b)
+    for k in range(1, 13):
+        XZ, YZ = toda_rhs(k, window)
+        XZ_two, YZ_two = _toda_rhs_two_sided(k, _SiteWindow(a, b))
+        assert XZ.tolist() == XZ_two.tolist(), k
+        assert YZ.tolist() == YZ_two.tolist(), k
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_toda_rhs_matches_two_sided_recursion_on_the_ansatz(k):
+    XZ, YZ = toda_rhs(k, AnsatzPair(standard_R(12)))
+    XZ_two, YZ_two = _toda_rhs_two_sided(k, AnsatzPair(standard_R(12)))
+    assert XZ == XZ_two
+    assert YZ == YZ_two
+
+
+def test_back_is_the_inverse_site_shift():
+    ans = AnsatzPair(standard_R(12))
+    assert ans.back(ans.A_of(1)) == ans.A_of(0)
+    assert ans.back(ans.B_of(0)) == ans.B_of(-1)
+    window = _SiteWindow(*random_fraction_state(9, seed=1))
+    assert window.back(window.A_of(0)).tolist() == window.A_of(-1).tolist()
 
 
 def test_toda_rhs_flow_index_validation(ansatz):

@@ -22,9 +22,10 @@ recombines them as ints before its one rounding, all its raw flows on one
 continuant table (_ExactWindow); the flow-2 stepper kernels rhs_flow2_arrays
 and solver.flow2_jacobian are written out in float, on the one layout of the
 time loop, the stacked (2N,) state x = (a, b).
-rhs_flow2_arrays, the one right side that RK4 and the Crank-Nicolson
-residual share, is factored over the differences u = a - a(k-1),
-v = a + a(k-1) and w = b(k+1) - b(k-1).
+rhs_flow2_arrays, the right side of RK4, is factored over the differences
+u = a - a(k-1), v = a + a(k-1) and w = b(k+1) - b(k-1); the Crank-Nicolson
+linearization solver.flow2_jacobian repeats its operations, and equals it
+byte for byte.
 
 Every CSV table is written by write_csv and read by read_csv, which rejects a
 wrong header, a row of another width or a field that is not a finite number,

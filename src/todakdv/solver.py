@@ -7,9 +7,11 @@ builds a LatticeState only for each snapshot it records.  The implicit step
 is a Newton iteration on the exact Jacobian, 10 N stencil values of a
 periodic block-tridiagonal matrix; with the sites folded as 0, N-1, 1, N-2,
 ... I - dt/2 J is a plain LAPACK band without corners, so one step costs
-O(N).  Each Newton iteration costs one right side, one Jacobian, one banded
-factor and one solve; a step takes the right side of its state and returns
-that of its result, which ``run`` hands to the next step.  The explicit
+O(N).  Each Newton point costs one linearization, the right side and the
+Jacobian from one pass (``flow2_jacobian``), then one banded factor and one
+solve; a step takes the linearization of its state and returns that of its
+result, which ``run`` hands to the next step.  A linearization is a function
+of the state alone, so carrying it changes no float.  The explicit
 stability diagnostic ``linear_spectral_radius`` is the closed form of the
 block-circulant stencil symbol, also O(N).  The reference KdV oracle solves
 the scaled df/dt = eps^2 (-1/4 f''' + 3 f f') pseudo-spectrally by
@@ -169,13 +171,16 @@ _STENCIL = (
 
 @dataclass(frozen=True)
 class Flow2Jacobian:
-    """Exact Jacobian of rhs_flow2 as its stencil values.
+    """The linearization of rhs_flow2 at one state: its right side and its
+    exact Jacobian as stencil values.
 
     ``values[e, k]`` is the entry of row k of block r in column k + shift of
-    block c, for (r, c, shift) = _STENCIL[e] and indices mod N.
+    block c, for (r, c, shift) = _STENCIL[e] and indices mod N; ``rhs`` is the
+    stacked right side (da, db).
     """
 
     values: np.ndarray  # (10, N)
+    rhs: np.ndarray  # (2N,)
 
     def toarray(self) -> np.ndarray:
         """The dense 2N x 2N matrix in stacked (a, b) order."""
@@ -188,25 +193,69 @@ class Flow2Jacobian:
 
 
 def flow2_jacobian(N: int, x: np.ndarray) -> Flow2Jacobian:
-    """Exact Jacobian of rhs_flow2 at x = (a, b), 10 N stencil values."""
+    """rhs_flow2 and its exact Jacobian at the float64 x = (a, b), in one pass.
+
+    Both read one set of neighbour views, and the differences they share
+    (bp - b, a + am, a + ap, 1 - eps^2 b, 2b) are formed once.  The right side
+    repeats the operations of rhs_flow2_arrays in their order, so it equals
+    rhs_flow2_arrays(N, x) byte for byte.  Each Jacobian row is built in place
+    in the operation order of the formula beside it, then all are scaled by N:
+        J[0] = J[7] = 1 - eps^2 b
+        J[1] = eps^2 (bp - b)
+        J[2] = -1 + eps^2 bp
+        J[3] = -2 - eps^2 (a + am)
+        J[4] = 2 + eps^2 (a + ap)
+        J[5] = -2 + eps^2 (2b - 2am + 2 eps^2 b am)
+        J[6] = 2 + eps^2 (-2b + 2a - 2 eps^2 b a)
+        J[8] = eps^2 (-2a + 2am + bp - bm + eps^2 (am^2 - a^2))
+        J[9] = -1 + eps^2 b
+    Rows 0-4 are d(da_k) / d(a_{k-1}, a_k, a_{k+1}, b_k, b_{k+1}) and rows
+    5-9 are d(db_k) / d(a_{k-1}, a_k, b_{k-1}, b_k, b_{k+1}), as in _STENCIL.
+    """
     eps2 = 1.0 / N**2
     a, b = x[:N], x[N:]
     am, ap = periodic_neighbours(a)
     bm, bp = periodic_neighbours(b)
     J = np.empty((10, N))
-    # d(da_k) / d(a_{k-1}, a_k, a_{k+1}, b_k, b_{k+1})
-    J[0] = J[7] = 1.0 - eps2 * b  # J[7] = d(db_k) / d(b_{k-1})
-    J[1] = eps2 * (bp - b)
-    J[2] = -1.0 + eps2 * bp
-    J[3] = -2.0 - eps2 * (a + am)
-    J[4] = 2.0 + eps2 * (a + ap)
-    # d(db_k) / d(a_{k-1}, a_k, b_{k-1}, b_k, b_{k+1})
-    J[5] = -2.0 + eps2 * (2 * b - 2 * am + 2 * eps2 * b * am)
-    J[6] = 2.0 + eps2 * (-2 * b + 2 * a - 2 * eps2 * b * a)
-    J[8] = eps2 * (-2 * a + 2 * am + bp - bm + eps2 * (am**2 - a**2))
-    J[9] = -1.0 + eps2 * b
+    d = np.subtract(bp, b, out=J[1])
+    v = np.add(a, am, out=J[3])
+    s = np.add(a, ap, out=J[4])
+    eb = eps2 * b
+    c = np.subtract(1.0, eb, out=J[0])
+    twob = 2.0 * b
+    u = a - am
+    w = bp - bm
+    f = np.empty(2 * N)
+    np.multiply(float(N), 2.0 * d - (ap - am) + eps2 * (bp * s - b * v), out=f[:N])
+    np.multiply(float(N), 2.0 * u - w + eps2 * (u * (v * c - twob) + b * w), out=f[N:])
+    # rows 1-6 without their factor eps^2 and constant (rows 1, 3 and 4 hold
+    # d, v and s already), then row 8 whole
+    J[2] = bp
+    twoam = 2.0 * am
+    e2b = (2.0 * eps2) * b
+    t = np.subtract(twob, twoam, out=J[5])
+    t += e2b * am
+    t = np.multiply(-2.0, b, out=J[6])
+    t += 2.0 * a
+    t -= e2b * a
+    t = np.multiply(-2.0, a, out=J[8])
+    t += twoam
+    t += bp
+    t -= bm
+    q = np.square(am)
+    q -= np.square(a)
+    q *= eps2
+    t += q
+    t *= eps2
+    J[1:7] *= eps2
+    J[2] += -1.0
+    np.subtract(-2.0, J[3], out=J[3])
+    J[4:7:2] += 2.0
+    J[5] += -2.0
+    J[7] = c
+    np.add(-1.0, eb, out=J[9])
     J *= float(N)
-    return Flow2Jacobian(J)
+    return Flow2Jacobian(J, f)
 
 
 # Band layout.  Stencil entry (r, c, shift) couples unknown (r, k) to
@@ -260,35 +309,37 @@ def lu_solve(lu: tuple[np.ndarray, np.ndarray, np.ndarray], rhs: np.ndarray) -> 
 def step_cn(
     N: int,
     x: np.ndarray,
-    f: np.ndarray,
+    lin: Flow2Jacobian,
     dt: float,
     cfg: SolverConfig | None = None,
     residual_log: list | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, Flow2Jacobian]:
     """Trapezoidal (Crank-Nicolson) step solved by Newton iteration.
 
-    Solves x' = x + dt/2 (f + rhs(x')) for the stacked state x = (a, b) and
-    its right side f = rhs_flow2_arrays(N, x), with the exact Jacobian; each
-    Newton iteration evaluates the right side once and factors I - dt/2 J by
-    a LAPACK banded LU (kl = ku = 5 in the folded order of _band_layout), so
-    a step costs O(N).  Returns (x', rhs(x')), the right side that the
-    converged residual used, for the next step to take as its f.  If
-    ``residual_log`` is a list, the max-norm Newton residuals are appended.
+    Solves x' = x + dt/2 (f + rhs(x')) for the stacked state x = (a, b), with
+    lin = flow2_jacobian(N, x) its right side f and exact Jacobian.  Each
+    Newton point is one flow2_jacobian evaluation: its right side gives the
+    residual and, unless that has converged, its Jacobian I - dt/2 J, factored
+    by a LAPACK banded LU (kl = ku = 5 in the folded order of _band_layout), so
+    a step costs O(N).  Returns (x', flow2_jacobian(N, x')), the linearization
+    of the converged point, for the next step to take as its lin; it is a
+    function of x' alone, so chained steps equal steps from fresh evaluations.
+    If ``residual_log`` is a list, the max-norm Newton residuals are appended.
     """
     cfg = cfg or SolverConfig(dt=dt, t_end=dt)
-    base = x + 0.5 * dt * f
+    base = x + 0.5 * dt * lin.rhs
     res_norm = np.inf
     for it in range(cfg.newton_max_iter):
         if it:
-            f = rhs_flow2_arrays(N, x)
-        resid = x - base - 0.5 * dt * f
-        res_norm = float(np.max(np.abs(resid)))
+            lin = flow2_jacobian(N, x)
+        resid = x - base - 0.5 * dt * lin.rhs
+        res_norm = float(np.abs(resid).max())
         if residual_log is not None:
             residual_log.append(res_norm)
         if res_norm <= cfg.newton_tol:
-            return x, f
+            return x, lin
         try:
-            lu = lu_factor(flow2_jacobian(N, x), dt)
+            lu = lu_factor(lin, dt)
         except np.linalg.LinAlgError as err:
             raise NewtonError(f"Newton matrix I - dt/2 J is singular: {err}", residual=res_norm) from err
         x = x - lu_solve(lu, resid)
@@ -325,14 +376,14 @@ def run(s0: LatticeState, cfg: SolverConfig) -> Trajectory:
     samples = [(0.0, s0, _report(s0, 0.0))]
     N = s0.N
     x = np.concatenate((s0.a, s0.b))
-    f = rhs_flow2_arrays(N, x) if cfg.scheme == "cn" else None
+    lin = flow2_jacobian(N, x) if cfg.scheme == "cn" else None
     for step in range(1, n_steps + 1):
         t = step * cfg.dt
         try:
             if cfg.scheme == "rk4":
                 x = step_rk4(N, x, cfg.dt)
             else:
-                x, f = step_cn(N, x, f, cfg.dt, cfg)
+                x, lin = step_cn(N, x, lin, cfg.dt, cfg)
         except BlowUpError as err:
             raise BlowUpError(
                 f"blow-up at step {step} (t = {t:g}): {err}", step=step, t=t

@@ -239,6 +239,19 @@ def test_continuous_traces_match_full_period_oracle(tag):
     assert np.max(np.abs(det - 1.0)) <= np.max(np.abs(oracle_det - 1.0))
 
 
+@pytest.mark.parametrize("tag, kappa", [("zero", 0.0), ("const:-2", -2.0)])
+def test_continuous_traces_of_constant_potentials_match_the_closed_form(tag, kappa):
+    """On lambda in [-200, 200], 16384 points, the trace of g = kappa is
+    2 cos sqrt(lambda - kappa), 2 cosh sqrt(kappa - lambda) below kappa, to
+    1e-12 max(1, |trace|): an exact oracle, where the DOP853 one above is
+    itself off by about 7e-13."""
+    lams = np.linspace(-200, 200, 16384)
+    trace, _ = continuous_traces(builtin_profile(tag), lams)
+    root = np.sqrt(np.abs(lams - kappa))
+    exact = np.where(lams >= kappa, 2.0 * np.cos(root), 2.0 * np.cosh(root))
+    assert np.all(np.abs(trace - exact) <= 1e-12 * np.maximum(1.0, np.abs(exact)))
+
+
 @pytest.mark.parametrize("tag", _HILL_PROFILES)
 def test_segment_fits_have_negligible_chebyshev_tails(monkeypatch, tag):
     fits = []

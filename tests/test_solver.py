@@ -116,7 +116,7 @@ def test_cn_step_matches_dense_newton():
             break
         J = flow2_jacobian(N, x).toarray()
         x = x - np.linalg.solve(np.eye(2 * N) - 0.5 * dt * J, resid)
-    x1, _ = step_cn(N, x0, f(x0), dt, cfg)
+    x1, _ = step_cn(N, x0, flow2_jacobian(N, x0), dt, cfg)
     assert np.max(np.abs(x1 - x)) <= 1e-12
 
 
@@ -154,14 +154,14 @@ def _singular_jacobian(N, x):
     values = np.zeros((len(solver._STENCIL), N))
     values[solver._STENCIL.index((0, 0, 0))] = 2.0 / dt
     values[solver._STENCIL.index((1, 1, 0))] = 2.0 / dt
-    return Flow2Jacobian(values)
+    return Flow2Jacobian(values, rhs_flow2_arrays(N, x))
 
 
 def test_singular_band_factor_is_newton_error(monkeypatch):
     monkeypatch.setattr(solver, "flow2_jacobian", _singular_jacobian)
     x = stacked(random_smooth_state(16, seed=12))
     with pytest.raises(NewtonError, match="singular") as exc:
-        step_cn(16, x, rhs_flow2_arrays(16, x), 1e-3)
+        step_cn(16, x, solver.flow2_jacobian(16, x), 1e-3)
     assert exc.value.residual > 0
 
 
@@ -176,20 +176,37 @@ def test_singular_band_factor_exits_3_with_message(monkeypatch, capsys, tmp_path
 
 
 def _cn(N, x, dt, cfg=None):
-    """One CN step from x, its right side evaluated afresh; the new x."""
-    return step_cn(N, x, rhs_flow2_arrays(N, x), dt, cfg)[0]
+    """The CN step with separate evaluations, the oracle of step_cn: each
+    Newton iteration evaluates rhs_flow2_arrays, and factors the Jacobian of
+    the stacked-row formula _jacobian_oracle; returns the new x."""
+    cfg = cfg or SolverConfig(dt=dt, t_end=dt)
+    f = rhs_flow2_arrays(N, x)
+    base = x + 0.5 * dt * f
+    for it in range(cfg.newton_max_iter):
+        if it:
+            f = rhs_flow2_arrays(N, x)
+        resid = x - base - 0.5 * dt * f
+        if float(np.max(np.abs(resid))) <= cfg.newton_tol:
+            return x
+        x = x - lu_solve(lu_factor(Flow2Jacobian(_jacobian_oracle(N, x), f), dt), resid)
+    raise AssertionError("the oracle step did not converge")
+
+
+def _step(N, x, dt, cfg=None):
+    """One step_cn from x and a fresh linearization; the new x."""
+    return step_cn(N, x, flow2_jacobian(N, x), dt, cfg)[0]
 
 
 def test_cn_constant_fixed_point():
     x = np.full(32, 0.5)
-    assert _cn(16, x, 0.1) == pytest.approx(x, abs=1e-13)
+    assert _step(16, x, 0.1) == pytest.approx(x, abs=1e-13)
 
 
 def test_cn_agrees_with_rk4_to_third_order():
     x = stacked(random_smooth_state(16, seed=4, amp=0.5))
     errs = []
     for dt in (2e-4, 1e-4):
-        errs.append(np.max(np.abs(_cn(16, x, dt) - step_rk4(16, x, dt))))
+        errs.append(np.max(np.abs(_step(16, x, dt) - step_rk4(16, x, dt))))
     assert errs[0] / errs[1] == pytest.approx(8.0, rel=0.3)  # O(dt^3) gap
 
 
@@ -197,8 +214,8 @@ def test_cn_time_reversibility():
     x = stacked(random_smooth_state(16, seed=5))
     tol = 1e-13
     cfg = SolverConfig(dt=1e-3, t_end=1e-3, newton_tol=tol)
-    fwd, f = step_cn(16, x, rhs_flow2_arrays(16, x), 1e-3, cfg)
-    back, _ = step_cn(16, fwd, f, -1e-3, cfg)
+    fwd, lin = step_cn(16, x, flow2_jacobian(16, x), 1e-3, cfg)
+    back, _ = step_cn(16, fwd, lin, -1e-3, cfg)
     assert np.max(np.abs(back - x)) <= 10 * tol
 
 
@@ -206,7 +223,7 @@ def test_cn_newton_quadratic_convergence():
     x = stacked(random_smooth_state(32, seed=6, amp=3.0))
     log: list = []
     cfg = SolverConfig(dt=5e-3, t_end=5e-3, newton_tol=1e-14)
-    step_cn(32, x, rhs_flow2_arrays(32, x), 5e-3, cfg, residual_log=log)
+    step_cn(32, x, flow2_jacobian(32, x), 5e-3, cfg, residual_log=log)
     rs = [r for r in log if r > 0]
     # once inside the basin, each residual is at worst C * previous^2
     small = [i for i in range(len(rs) - 1) if rs[i] <= 1e-4]
@@ -219,7 +236,7 @@ def test_cn_newton_failure_reports_residual():
     x = stacked(random_smooth_state(16, seed=7))
     cfg = SolverConfig(dt=1e-3, t_end=1e-3, newton_tol=1e-300, newton_max_iter=3)
     with pytest.raises(NewtonError) as exc:
-        _cn(16, x, 1e-3, cfg)
+        _step(16, x, 1e-3, cfg)
     assert exc.value.residual > 0
 
 
@@ -241,16 +258,19 @@ def _counting(monkeypatch, name):
     [(32, 1e-4, "cos", 1), (33, 1e-3, "cos", 1), (64, 0.02, "cos2", 2), (31, 0.01, "cos2", 2)],
 )
 def test_cn_run_evaluates_each_right_side_once(monkeypatch, N, dt, name, iters):
-    """One right side per Newton iteration plus one for the initial state, and
-    the same final state as steps that evaluate their right side afresh."""
+    """One linearization (right side and Jacobian) per Newton iteration plus
+    one for the initial state, no separate right side, and the same final
+    state as the oracle steps that evaluate everything afresh."""
     s0 = init_from_profile(builtin_profile(name), N)
     steps = 6
     cfg = SolverConfig(dt=dt, t_end=steps * dt, output_every=4)
     rhs_calls = _counting(monkeypatch, "rhs_flow2_arrays")
-    jacobians = _counting(monkeypatch, "flow2_jacobian")
+    linearizations = _counting(monkeypatch, "flow2_jacobian")
+    factors = _counting(monkeypatch, "lu_factor")
     final = run(s0, cfg).samples[-1][1]
-    assert len(jacobians) == iters * steps
-    assert len(rhs_calls) == 1 + len(jacobians)
+    assert len(factors) == iters * steps
+    assert len(linearizations) == 1 + iters * steps
+    assert len(rhs_calls) == 0
     x = stacked(s0)
     for _ in range(steps):
         x = _cn(N, x, dt, cfg)
@@ -279,16 +299,24 @@ def test_rk4_run_snapshots_equal_chained_steps(monkeypatch, N, dt, name, steps, 
         assert rep == conserved_report(want, t_want)
 
 
+def _assert_linearization_of(lin, N, x):
+    """lin is byte for byte flow2_jacobian(N, x), and its right side is
+    rhs_flow2_arrays(N, x)."""
+    fresh = flow2_jacobian(N, x.copy())
+    assert lin.values.tobytes() == fresh.values.tobytes()
+    assert lin.rhs.tobytes() == fresh.rhs.tobytes() == rhs_flow2_arrays(N, x).tobytes()
+
+
 def test_cn_step_carries_the_right_side_of_its_result():
-    """step_cn returns the right side of its result, byte for byte the one
-    rhs_flow2_arrays gives, and a step from it equals a step from a fresh one."""
+    """step_cn returns the linearization of its result, byte for byte a fresh
+    one, and a step from it equals the oracle step."""
     N = 24
     x0 = stacked(random_smooth_state(N, seed=13))
-    x1, f1 = step_cn(N, x0, rhs_flow2_arrays(N, x0), 1e-3)
-    assert f1.tobytes() == rhs_flow2_arrays(N, x1).tobytes()
-    x2, f2 = step_cn(N, x1, f1, 1e-3)
+    x1, lin1 = step_cn(N, x0, flow2_jacobian(N, x0), 1e-3)
+    _assert_linearization_of(lin1, N, x1)
+    x2, lin2 = step_cn(N, x1, lin1, 1e-3)
     assert x2.tobytes() == _cn(N, x1.copy(), 1e-3).tobytes()
-    assert f2.tobytes() == rhs_flow2_arrays(N, x2).tobytes()
+    _assert_linearization_of(lin2, N, x2)
 
 
 @pytest.mark.parametrize("scheme", ["rk4", "cn"])
@@ -310,11 +338,11 @@ def test_run_builds_a_state_only_per_recorded_sample(monkeypatch, scheme):
     assert all(got is want for (_, got, _), want in zip(traj.samples[1:], built))
 
 
-def _jacobian_oracle(s):
-    """flow2_jacobian as it was: ten row expressions stacked, then scaled by N."""
-    N = s.N
+def _jacobian_oracle(N, x):
+    """The flow-2 Jacobian formula, the oracle of flow2_jacobian's values: ten
+    row expressions stacked, then scaled by N."""
     eps2 = 1.0 / N**2
-    a, b = s.a, s.b
+    a, b = x[:N], x[N:]
     am, ap = np.roll(a, 1), np.roll(a, -1)
     bm, bp = np.roll(b, 1), np.roll(b, -1)
     return float(N) * np.array([
@@ -337,7 +365,7 @@ def test_jacobian_and_band_match_stacked_assembly(s, dt):
     """The preallocated Jacobian and the flat-index band write are bit for bit
     the stacked-array Jacobian and the np.put band."""
     J = flow2_jacobian(s.N, stacked(s))
-    assert J.values.tobytes() == _jacobian_oracle(s).tobytes()
+    assert J.values.tobytes() == _jacobian_oracle(s.N, stacked(s)).tobytes()
     index, _ = solver._band_layout(s.N)
     band = np.zeros((2 * s.N, solver._LDAB))
     np.put(band, index, (-0.5 * dt) * J.values)
@@ -346,6 +374,28 @@ def test_jacobian_and_band_match_stacked_assembly(s, dt):
         mp.setattr(solver, "dgbtrf", lambda ab, kl, ku, overwrite_ab: (ab.copy(), None, 0))
         written, _, _ = lu_factor(J, dt)
     assert written.tobytes() == band.T.tobytes()
+
+
+@st.composite
+def _scaled_states(draw):
+    """Smooth random states of amplitude 1e-3 to 1e3."""
+    N = draw(st.integers(min_value=8, max_value=64))
+    amp = 10.0 ** draw(st.floats(min_value=-3.0, max_value=3.0))
+    return random_smooth_state(N, seed=draw(st.integers(min_value=0, max_value=2**16)), amp=amp)
+
+
+@settings(max_examples=80, deadline=None)
+@given(s=st.one_of(mixed_states(), _scaled_states()))
+@example(s=random_smooth_state(8, seed=1, amp=1e3))
+@example(s=random_smooth_state(9, seed=2, amp=1e-3))
+def test_linearization_is_the_right_side_and_the_jacobian_formula(s):
+    """flow2_jacobian's right side is rhs_flow2_arrays byte for byte and its
+    values the stacked-row Jacobian formula byte for byte: this pins the CN
+    right side to the RK4 one, which is written out separately."""
+    N, x = s.N, stacked(s)
+    lin = flow2_jacobian(N, x)
+    assert lin.rhs.tobytes() == rhs_flow2_arrays(N, x).tobytes()
+    assert lin.values.tobytes() == _jacobian_oracle(N, x).tobytes()
 
 
 def test_run_t_end_zero():

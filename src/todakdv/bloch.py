@@ -19,8 +19,9 @@ below 4 ulps of the map entries; there is no accuracy parameter.  Each entry
 of a segment map is an entire function of lambda, so on a grid of more than
 17 points that spans an interval the maps are summed at 17 Chebyshev nodes
 only, and their degree-16 Chebyshev interpolants are evaluated on the grid;
-a smaller grid takes the same segments at its own lambdas.  Segments are handled a block at a time, so
-memory stays bounded.  Real spectral bands are where |trace| <= 2.
+a smaller grid takes the same segments at its own lambdas.  Segments are
+handled a block at a time, so memory stays bounded.  Real spectral bands are
+where |trace| <= 2.
 
 A scan keeps its result in columns: ``discriminant_scan`` returns one
 ``DiscriminantTable`` of five float arrays (lambda, the two traces, the two

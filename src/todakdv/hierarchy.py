@@ -14,7 +14,9 @@ continuant step and each hierarchy sum is one fused sum of products
 (EpsSeries.combine) rather than a chain of series operations.  The raw flows AA_i
 recombine into the right sides Z_k(f) by one rule, the Taylor coefficients of
 sqrt(1 + 4x) (flow_combination); the leading term of Z_k is the (2k-1)-th
-order member of the KdV hierarchy.
+order member of the KdV hierarchy.  extend_R finds the next coefficient of
+the correction series R by exact integration of the flow-1 defect; it either
+extends R or reports the defect as an obstruction.
 """
 
 from __future__ import annotations
@@ -334,7 +336,7 @@ def integrate_total_derivative(p: DiffPoly) -> DiffPoly:
 class ExtendResult:
     """Outcome of one correction-series extension step."""
 
-    status: str  # "extended" | "obstruction" | "flat"
+    status: str  # "extended" | "obstruction"
     order: int | None = None  # index of the new R coefficient, if any
     phi: DiffPoly | None = None
     new_R: EpsSeries | None = None
@@ -342,8 +344,6 @@ class ExtendResult:
     first_defect_order: int | None = None
 
     def summary(self) -> str:
-        if self.status == "flat":
-            return "residual already vanishes at this cap; canonical choice phi = 0"
         if self.status == "extended":
             return (
                 f"extended: R coefficient at eps^{self.order} is {self.phi} "
@@ -355,7 +355,7 @@ class ExtendResult:
         )
 
 
-def extend_R(R: EpsSeries, *, cap: int | None = None) -> ExtendResult:
+def extend_R(R: EpsSeries) -> ExtendResult:
     """Attempt to compute the next coefficient of the correction series.
 
     Rebuilds the ansatz from ``R`` (assumed valid through its highest nonzero
@@ -365,22 +365,18 @@ def extend_R(R: EpsSeries, *, cap: int | None = None) -> ExtendResult:
     depend on R, so the flow-1 residual is the one to extend against; the
     extended R then fixes the residuals of the higher flows as well.  The
     candidate is accepted only if the rebuilt residual defect moves past q;
-    otherwise the defect is reported as an obstruction.
+    otherwise the defect is reported as an obstruction.  So there are two
+    outcomes, "extended" (with the new R) and "obstruction".
 
-    With the default cap the working window always reaches the first expected
-    defect order.  An explicit smaller ``cap`` is honored as-is; if the
-    residual already vanishes on the whole visible window the operation
-    reports "flat" and returns the canonical choice phi = 0.
+    The working cap is max(known + 7, DEFAULT_CAP) for R_known the highest
+    nonzero coefficient, so the residual window reaches eps^(known + 4), the
+    order of the defect that R_(known+1) fixes: the window always holds the
+    next defect unless that coefficient is zero, and none of R_0..R_9 is.
     """
     known = max((k for k, c in enumerate(R.coeffs) if not c.is_zero()), default=-1)
-    work_cap = cap if cap is not None else max(known + 7, DEFAULT_CAP)
-    if work_cap < 6:
-        raise ValueError("extend_R needs cap >= 6")
-    R_work = EpsSeries(list(R.coeffs), order_cap=work_cap)
+    R_work = EpsSeries(list(R.coeffs), order_cap=max(known + 7, DEFAULT_CAP))
     res = residual(1, AnsatzPair(R_work))
     q = res.first_nonzero_order()
-    if q is None:
-        return ExtendResult(status="flat", phi=DiffPoly.zero(), new_R=R_work)
     defect = res.coeff(q)
     try:
         phi = integrate_total_derivative(defect).scale(F(1, 2))

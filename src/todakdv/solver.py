@@ -11,11 +11,13 @@ O(N).  Each Newton point costs one linearization, the right side and the
 Jacobian from one pass (``flow2_jacobian``), then one banded factor and one
 solve; a step takes the linearization of its state and returns that of its
 result, which ``run`` hands to the next step.  A linearization is a function
-of the state alone, so carrying it changes no float.  The explicit
+of the state alone, so carrying it changes no float.  Newton stops at a
+max-norm residual of 1e-12 and fails after 25 iterations.  The explicit
 stability diagnostic ``linear_spectral_radius`` is the closed form of the
 block-circulant stencil symbol, also O(N).  The reference KdV oracle solves
 the scaled df/dt = eps^2 (-1/4 f''' + 3 f f') pseudo-spectrally by
-integrating-factor RK4 with global step doubling, in numpy alone, and shares
+integrating-factor RK4 with global step doubling to the global tolerance
+atol + rtol max|u|, rtol = 1e-11 and atol = 1e-13, in numpy alone, and shares
 no code with the lattice right side.
 """
 
@@ -111,15 +113,11 @@ class SolverConfig:
     dt: float
     t_end: float
     scheme: str = "cn"  # "rk4" | "cn"
-    newton_tol: float = 1e-12
-    newton_max_iter: int = 25
     output_every: int = 1
 
     def __post_init__(self):
         if self.dt <= 0 or not np.isfinite(self.dt * self.t_end):
             raise ValueError("need dt > 0 and finite dt * t_end")
-        if self.newton_tol <= 0:
-            raise ValueError("newton_tol must be positive")
         if self.scheme not in ("rk4", "cn"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.output_every < 1:
@@ -306,12 +304,15 @@ def lu_solve(lu: tuple[np.ndarray, np.ndarray, np.ndarray], rhs: np.ndarray) -> 
     return x
 
 
+_NEWTON_TOL = 1e-12
+_NEWTON_MAX_ITER = 25
+
+
 def step_cn(
     N: int,
     x: np.ndarray,
     lin: Flow2Jacobian,
     dt: float,
-    cfg: SolverConfig | None = None,
     residual_log: list | None = None,
 ) -> tuple[np.ndarray, Flow2Jacobian]:
     """Trapezoidal (Crank-Nicolson) step solved by Newton iteration.
@@ -324,19 +325,20 @@ def step_cn(
     a step costs O(N).  Returns (x', flow2_jacobian(N, x')), the linearization
     of the converged point, for the next step to take as its lin; it is a
     function of x' alone, so chained steps equal steps from fresh evaluations.
-    If ``residual_log`` is a list, the max-norm Newton residuals are appended.
+    The iteration stops at a max-norm residual of at most _NEWTON_TOL = 1e-12
+    and raises NewtonError after _NEWTON_MAX_ITER = 25 iterations.  If
+    ``residual_log`` is a list, the max-norm Newton residuals are appended.
     """
-    cfg = cfg or SolverConfig(dt=dt, t_end=dt)
     base = x + 0.5 * dt * lin.rhs
     res_norm = np.inf
-    for it in range(cfg.newton_max_iter):
+    for it in range(_NEWTON_MAX_ITER):
         if it:
             lin = flow2_jacobian(N, x)
         resid = x - base - 0.5 * dt * lin.rhs
         res_norm = float(np.abs(resid).max())
         if residual_log is not None:
             residual_log.append(res_norm)
-        if res_norm <= cfg.newton_tol:
+        if res_norm <= _NEWTON_TOL:
             return x, lin
         try:
             lu = lu_factor(lin, dt)
@@ -344,7 +346,7 @@ def step_cn(
             raise NewtonError(f"Newton matrix I - dt/2 J is singular: {err}", residual=res_norm) from err
         x = x - lu_solve(lu, resid)
     raise NewtonError(
-        f"Newton did not reach tol {cfg.newton_tol:g} in {cfg.newton_max_iter} iterations",
+        f"Newton did not reach tol {_NEWTON_TOL:g} in {_NEWTON_MAX_ITER} iterations",
         residual=res_norm,
     )
 
@@ -383,7 +385,7 @@ def run(s0: LatticeState, cfg: SolverConfig) -> Trajectory:
             if cfg.scheme == "rk4":
                 x = step_rk4(N, x, cfg.dt)
             else:
-                x, lin = step_cn(N, x, lin, cfg.dt, cfg)
+                x, lin = step_cn(N, x, lin, cfg.dt)
         except BlowUpError as err:
             raise BlowUpError(
                 f"blow-up at step {step} (t = {t:g}): {err}", step=step, t=t
@@ -446,14 +448,11 @@ def _if_rk4(v: np.ndarray, M: int, omega: np.ndarray, d: np.ndarray, h: float, n
     return v
 
 
-def reference_kdv(
-    f0: Profile,
-    eps: float,
-    t: float,
-    modes: int = 256,
-    rtol: float = 1e-11,
-    atol: float = 1e-13,
-) -> ReferenceSolution:
+_REFERENCE_RTOL = 1e-11
+_REFERENCE_ATOL = 1e-13
+
+
+def reference_kdv(f0: Profile, eps: float, t: float, modes: int = 256) -> ReferenceSolution:
     """Solve df/dt = eps^2 (-1/4 f''' + 3 f f') on [0, 1], spectrally in x.
 
     Derivatives are exact in Fourier space.  Lawson's integrating-factor RK4
@@ -461,8 +460,9 @@ def reference_kdv(
     each step, and steps only 3 eps^2 f f'.  Runs of n and 2n equal steps are
     compared, n doubling from the explicit stability limit of the nonlinear
     term, until the Richardson estimate max|u_2n - u_n|/15 is at most
-    atol + rtol max|u_2n|; the result is u_2n + (u_2n - u_n)/15, and rtol,
-    atol are global tolerances.  A run that ends non-finite counts as not
+    atol + rtol max|u_2n|, for the fixed global tolerances rtol =
+    _REFERENCE_RTOL = 1e-11 and atol = _REFERENCE_ATOL = 1e-13; the result is
+    u_2n + (u_2n - u_n)/15.  A run that ends non-finite counts as not
     converged.  A non-finite initial state, or a pair whose finer run would
     take more than _MAX_STEPS = 2**18 steps, raises IntegrationError.
     Deliberately shares no code with the lattice stencils.
@@ -497,12 +497,12 @@ def reference_kdv(
         while 2 * n <= _MAX_STEPS:
             u_2n = np.fft.irfft(_if_rk4(v0, M, omega, d, t / (2 * n), 2 * n), n=M)
             est = float(np.max(np.abs(u_2n - u_n))) / 15.0
-            if est <= atol + rtol * float(np.max(np.abs(u_2n))):
+            if est <= _REFERENCE_ATOL + _REFERENCE_RTOL * float(np.max(np.abs(u_2n))):
                 return ReferenceSolution(x, u_2n + (u_2n - u_n) / 15.0, t, eps, 2 * n, est)
             u_n, n = u_2n, 2 * n
     raise IntegrationError(
         f"reference KdV integration failed: Richardson estimate {est:.3g} above "
-        f"rtol = {rtol:g}, atol = {atol:g} within {_MAX_STEPS} steps"
+        f"rtol = {_REFERENCE_RTOL:g}, atol = {_REFERENCE_ATOL:g} within {_MAX_STEPS} steps"
     )
 
 

@@ -61,6 +61,26 @@ def test_verify_flow_above_the_bound_is_usage_error(capsys, flow):
     assert err == f"error: flow index k = {flow} is above the bound MAX_FLOW = 64\n"
 
 
+@pytest.mark.parametrize("cap", ["0", "5", "6", "10", "15", "1000"])
+def test_verify_order_cap_outside_its_range_is_usage_error(capsys, monkeypatch, cap):
+    """Below 11 the residual stops short of eps^8, above 14 a run would take
+    minutes to hours: both exit 2 before any series is built."""
+    def no_work(*args):
+        raise AssertionError("verify built a series for a rejected --order-cap")
+
+    monkeypatch.setattr(hierarchy, "standard_R", no_work)
+    code, out, err = run_cli(capsys, "verify", "--flow", "2", "--order-cap", cap)
+    assert code == 2 and out == ""
+    assert err == f"error: --order-cap must be between 11 and 14, got {cap}\n"
+
+
+def test_verify_order_cap_at_the_bound_verifies(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--flow", "1", "--order-cap", "14")
+    assert code == 0
+    assert out.startswith("flow 1: residual coefficients through eps^11\n")
+    assert out.splitlines()[-1] == "VERIFIED: residual vanishes exactly through eps^8"
+
+
 @pytest.mark.parametrize("flow", ["5", "6"])
 def test_verify_higher_flows_pass(capsys, flow):
     # the six-term R fixes the raw residual of flows 5 and 6 too

@@ -475,12 +475,17 @@ def test_extend_recovers_first_two_corrections():
     assert out2.phi == DiffPoly.f(exp=2, coeff=F(-1, 8))
 
 
-def test_extend_flat_window_returns_canonical_zero():
-    # at cap 11 the residual window ends at eps^8, before the next defect
-    out = extend_R(standard_R(11), cap=11)
-    assert out.status == "flat"
-    assert out.phi == DiffPoly.zero()
-    assert out.new_R.truncate(5) == standard_R(11).truncate(5)
+def test_extend_chain_from_zero_reaches_every_defect_through_R9():
+    """From R = 0 every step finds its defect inside the working window and
+    extends R: each of R_0..R_9 is nonzero, so no window ever ends before the
+    next defect, and R_0..R_5 are those of standard_R."""
+    R = EpsSeries.zero(11)
+    for order in range(10):
+        out = extend_R(R)
+        assert out.status == "extended" and out.order == order
+        assert not out.phi.is_zero()
+        R = out.new_R
+    assert R.truncate(5) == standard_R(11).truncate(5)
 
 
 def test_extend_full_R_continues_and_fixes_all_flows():

@@ -43,8 +43,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(dt=0.1, t_end=1.0, scheme="leapfrog")
     with pytest.raises(ValueError):
-        SolverConfig(dt=0.1, t_end=1.0, newton_tol=-1)
-    with pytest.raises(ValueError):
         SolverConfig(dt=0.1, t_end=1.0, output_every=0)
     with pytest.raises(ValueError):
         SolverConfig(dt=0.003, t_end=0.01)
@@ -97,11 +95,11 @@ def test_spectral_radius_closed_form_matches_dense_eigenvalues():
         assert linear_spectral_radius(N) == pytest.approx(dense, rel=1e-12), N
 
 
-def test_cn_step_matches_dense_newton():
+def test_cn_step_matches_dense_newton(monkeypatch):
     N, dt = 256, 5e-3
     s = random_smooth_state(N, seed=11, amp=2.0)
     tol = 1e-13
-    cfg = SolverConfig(dt=dt, t_end=dt, newton_tol=tol)
+    monkeypatch.setattr(solver, "_NEWTON_TOL", tol)
 
     def f(x):
         da, db = rhs_flow2(LatticeState(N, x[:N], x[N:]))
@@ -110,13 +108,13 @@ def test_cn_step_matches_dense_newton():
     x0 = stacked(s)
     base = x0 + 0.5 * dt * f(x0)
     x = x0.copy()
-    for _ in range(cfg.newton_max_iter):
+    for _ in range(solver._NEWTON_MAX_ITER):
         resid = x - base - 0.5 * dt * f(x)
         if np.max(np.abs(resid)) <= tol:
             break
         J = flow2_jacobian(N, x).toarray()
         x = x - np.linalg.solve(np.eye(2 * N) - 0.5 * dt * J, resid)
-    x1, _ = step_cn(N, x0, flow2_jacobian(N, x0), dt, cfg)
+    x1, _ = step_cn(N, x0, flow2_jacobian(N, x0), dt)
     assert np.max(np.abs(x1 - x)) <= 1e-12
 
 
@@ -175,26 +173,25 @@ def test_singular_band_factor_exits_3_with_message(monkeypatch, capsys, tmp_path
     assert "Traceback" not in err
 
 
-def _cn(N, x, dt, cfg=None):
+def _cn(N, x, dt):
     """The CN step with separate evaluations, the oracle of step_cn: each
     Newton iteration evaluates rhs_flow2_arrays, and factors the Jacobian of
     the stacked-row formula _jacobian_oracle; returns the new x."""
-    cfg = cfg or SolverConfig(dt=dt, t_end=dt)
     f = rhs_flow2_arrays(N, x)
     base = x + 0.5 * dt * f
-    for it in range(cfg.newton_max_iter):
+    for it in range(solver._NEWTON_MAX_ITER):
         if it:
             f = rhs_flow2_arrays(N, x)
         resid = x - base - 0.5 * dt * f
-        if float(np.max(np.abs(resid))) <= cfg.newton_tol:
+        if float(np.max(np.abs(resid))) <= solver._NEWTON_TOL:
             return x
         x = x - lu_solve(lu_factor(Flow2Jacobian(_jacobian_oracle(N, x), f), dt), resid)
     raise AssertionError("the oracle step did not converge")
 
 
-def _step(N, x, dt, cfg=None):
+def _step(N, x, dt):
     """One step_cn from x and a fresh linearization; the new x."""
-    return step_cn(N, x, flow2_jacobian(N, x), dt, cfg)[0]
+    return step_cn(N, x, flow2_jacobian(N, x), dt)[0]
 
 
 def test_cn_constant_fixed_point():
@@ -210,20 +207,20 @@ def test_cn_agrees_with_rk4_to_third_order():
     assert errs[0] / errs[1] == pytest.approx(8.0, rel=0.3)  # O(dt^3) gap
 
 
-def test_cn_time_reversibility():
+def test_cn_time_reversibility(monkeypatch):
     x = stacked(random_smooth_state(16, seed=5))
     tol = 1e-13
-    cfg = SolverConfig(dt=1e-3, t_end=1e-3, newton_tol=tol)
-    fwd, lin = step_cn(16, x, flow2_jacobian(16, x), 1e-3, cfg)
-    back, _ = step_cn(16, fwd, lin, -1e-3, cfg)
+    monkeypatch.setattr(solver, "_NEWTON_TOL", tol)
+    fwd, lin = step_cn(16, x, flow2_jacobian(16, x), 1e-3)
+    back, _ = step_cn(16, fwd, lin, -1e-3)
     assert np.max(np.abs(back - x)) <= 10 * tol
 
 
-def test_cn_newton_quadratic_convergence():
+def test_cn_newton_quadratic_convergence(monkeypatch):
     x = stacked(random_smooth_state(32, seed=6, amp=3.0))
     log: list = []
-    cfg = SolverConfig(dt=5e-3, t_end=5e-3, newton_tol=1e-14)
-    step_cn(32, x, flow2_jacobian(32, x), 5e-3, cfg, residual_log=log)
+    monkeypatch.setattr(solver, "_NEWTON_TOL", 1e-14)
+    step_cn(32, x, flow2_jacobian(32, x), 5e-3, residual_log=log)
     rs = [r for r in log if r > 0]
     # once inside the basin, each residual is at worst C * previous^2
     small = [i for i in range(len(rs) - 1) if rs[i] <= 1e-4]
@@ -232,11 +229,12 @@ def test_cn_newton_quadratic_convergence():
         assert rs[i + 1] <= 1e3 * rs[i] ** 2 + 1e-15, rs
 
 
-def test_cn_newton_failure_reports_residual():
+def test_cn_newton_failure_reports_residual(monkeypatch):
     x = stacked(random_smooth_state(16, seed=7))
-    cfg = SolverConfig(dt=1e-3, t_end=1e-3, newton_tol=1e-300, newton_max_iter=3)
+    monkeypatch.setattr(solver, "_NEWTON_TOL", 1e-300)
+    monkeypatch.setattr(solver, "_NEWTON_MAX_ITER", 3)
     with pytest.raises(NewtonError) as exc:
-        _step(16, x, 1e-3, cfg)
+        _step(16, x, 1e-3)
     assert exc.value.residual > 0
 
 
@@ -273,7 +271,7 @@ def test_cn_run_evaluates_each_right_side_once(monkeypatch, N, dt, name, iters):
     assert len(rhs_calls) == 0
     x = stacked(s0)
     for _ in range(steps):
-        x = _cn(N, x, dt, cfg)
+        x = _cn(N, x, dt)
     assert stacked(final).tobytes() == x.tobytes()
 
 
@@ -504,14 +502,16 @@ def _reference_oracle(prof, eps, t, M):
 # tau = eps^2 t = 1/256 and 1/102.4: a global tolerance holds on long horizons,
 # where DOP853 at the default local tolerances was about 1e-9 off
 @pytest.mark.parametrize("N, t", [(16, 1.0), (32, 10.0)])
-def test_reference_matches_a_tight_oracle_on_long_horizons(N, t):
+def test_reference_matches_a_tight_oracle_on_long_horizons(monkeypatch, N, t):
     prof = builtin_profile("cos2")
     oracle = _reference_oracle(prof, 1.0 / N, t, 256)
     ref = reference_kdv(prof, 1.0 / N, t, modes=256)
     assert np.max(np.abs(ref.values - oracle)) <= 1e-10
     assert ref.error_estimate <= 1e-13 + 1e-11 * np.max(np.abs(ref.values))
     # the reported estimate is the size of the error where the oracle can see it
-    loose = reference_kdv(prof, 1.0 / N, t, modes=256, rtol=1e-6, atol=0.0)
+    monkeypatch.setattr(solver, "_REFERENCE_RTOL", 1e-6)
+    monkeypatch.setattr(solver, "_REFERENCE_ATOL", 0.0)
+    loose = reference_kdv(prof, 1.0 / N, t, modes=256)
     assert loose.steps < ref.steps
     assert loose.error_estimate <= 1e-6 * np.max(np.abs(loose.values))
     assert np.max(np.abs(loose.values - oracle)) <= 2 * loose.error_estimate

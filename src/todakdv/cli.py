@@ -150,7 +150,6 @@ def cmd_simulate(args) -> int:
         outdir / "trajectory.csv",
         _TRAJECTORY_HEADER,
         ((np.broadcast_to(t, s.N), np.arange(s.N), s.a, s.b) for t, s, _ in traj.samples),
-        row_format=f"{lattice.FMT},%d,{lattice.FMT},{lattice.FMT}",
     )
     lattice.write_csv(
         outdir / "conserved.csv",

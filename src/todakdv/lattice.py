@@ -29,12 +29,20 @@ byte for byte.
 
 Every CSV table is written by write_csv and read by read_csv, which rejects a
 wrong header, a row of another width or a field that is not a finite number,
-naming the file.
+naming the file.  write_csv prints every field as FMT = "%.17g" does, 17
+significant digits.  A block of fewer than _VECTOR_ROWS = 2048 rows goes
+through one CPython % template per chunk of _CSV_CHUNK = 2048 rows; a longer
+block goes to _format_rows, which prints the same bytes in numpy, one chunk of
+_CSV_CHUNK rows at a time.  There _digits17 computes a field's 17 digits
+exactly, by Dekker's two-product and a round half to even, wherever %g prints
+no exponent; every other field (zeros, infinities, nans, exponent forms) keeps
+FMT % v.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -558,38 +566,173 @@ def asymptotic_C(profile: Profile, N: int, depth: int = 3) -> tuple[float, float
 
 
 FMT = "%.17g"  # 17 significant digits: every float64 reads back exactly
-_CSV_CHUNK = 2048  # rows formatted per write, which bounds the text held at once
+_CSV_CHUNK = 2048  # rows formatted per write: bounds the text and numpy work arrays (a few MB) held at once
+_VECTOR_ROWS = 2048  # about where _format_rows, building its tables on first use, breaks even with %
 _STATE_HEADER = ("n", "a", "b")
 
 
-def write_csv(
-    path, header: Sequence[str], blocks: Iterable[Sequence[np.ndarray]], row_format: str | None = None
-) -> None:
-    """Write blocks of equal-length 1-D columns, one %-format per field, FMT by default.
+def write_csv(path, header: Sequence[str], blocks: Iterable[Sequence[np.ndarray]]) -> None:
+    """Write blocks of equal-length 1-D columns, every field FMT % float(value).
 
     A column that is a broadcast scalar (stride 0, as from np.broadcast_to)
-    is formatted once and spliced into the row template as a literal; the
-    other columns fill one (row * rows) % values template per chunk of
-    _CSV_CHUNK rows.  The file is byte for byte what csv.writer writes for
-    the formatted fields: none of them needs quoting, and csv.writer ends
-    lines in \\r\\n.
+    is formatted once.  A block of fewer than _VECTOR_ROWS rows fills one
+    (row * rows) % values template per chunk of _CSV_CHUNK rows, with the
+    constant fields spliced into the row as literals.  A longer block is
+    formatted by _format_rows, in numpy, _CSV_CHUNK rows at a time, which
+    prints the same bytes.  Either way the file is byte for byte what
+    csv.writer writes for the FMT fields: none of them needs quoting, and
+    csv.writer ends lines in \\r\\n.  An integer such as a site index prints
+    as %d prints it, for every integer below 2^53.
     """
-    formats = (row_format or ",".join([FMT] * len(header))).split(",")
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
         for block in blocks:
             rows = len(block[0])
             if any(len(col) != rows for col in block):
                 raise ValueError("the columns of a CSV block must have equal lengths")
             if rows == 0:
                 continue
-            fields = [fmt % col[0].item() if col.strides == (0,) else fmt
-                      for fmt, col in zip(formats, block)]
-            row = ",".join(fields) + "\r\n"
+            fields = [FMT % col[0].item() if col.strides == (0,) else None for col in block]
+            row = ",".join(FMT if field is None else field for field in fields) + "\r\n"
             values = np.column_stack([col for col in block if col.strides != (0,)] or [np.empty((rows, 0))])
             for start in range(0, rows, _CSV_CHUNK):
                 part = values[start : start + _CSV_CHUNK]
-                fh.write((row * len(part)) % tuple(part.ravel().tolist()))
+                if rows >= _VECTOR_ROWS:
+                    fh.write(_format_rows(part, fields))
+                else:
+                    fh.write(((row * len(part)) % tuple(part.ravel().tolist())).encode())
+
+
+# _format_rows assembles a field from a 28-byte source row: its sign ("-" or
+# NUL), "0.", its 17 digits, four spare bytes, and its separator NUL padded
+# (",\0\0\0" or "\r\n\0\0").  One gather of _WIDTH bytes through the pattern
+# of its decimal exponent X and digit count picks its text; every NUL is
+# dropped at the end.  The source row of a field that FMT prints holds that
+# text, NUL padded, in bytes 0..23 instead.
+_SIGN, _ZERO, _DOT, _DIGIT, _END, _NUL = 0, 1, 2, 3, 24, 27
+_SOURCE = 28
+_TEXT = 24  # the longest FMT text, "-2.2250738585072014e-308"
+_WIDTH = _TEXT + 2  # and a separator
+_HEADS = np.frombuffer(b"\0" b"0.0" b"-0.0", np.uint32)  # source bytes 0..3; the first digit adds to byte 3
+_ENDS = np.frombuffer(b",\0\0\0" b"\r\n\0\0", np.uint32)  # source bytes 24..27
+_FALLBACK = 21 * 17  # the pattern of FMT text follows those of X = -4..16, 1..17 digits
+_POW10 = np.array([float(10**p) for p in range(21)])  # 10^p is an exact double for p <= 22
+_SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitter for float64
+
+
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x = hi + lo exactly, hi and lo of at most 26 significant bits each."""
+    c = _SPLIT * x
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+@functools.cache
+def _format_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(quads, last, patterns), built once, by the first long block.
+
+    quads[g] holds the four ASCII digits of g = 0..9999 as one uint32, and
+    last[g] the 1-based place of its last nonzero digit (-20 for g = 0).
+    patterns[(X + 4) * 17 + digits - 1] lists the source bytes of a
+    positional field and its separator, NUL padded: X in [-4, 16] is the
+    decimal exponent and digits in 1..17 the significant digits left once
+    trailing zeros go (the integer digits always stay).  patterns[_FALLBACK]
+    copies FMT text.
+    """
+    g = np.arange(10000)
+    pairs = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), np.uint16)
+    quads = np.stack([pairs[g // 100], pairs[g % 100]], axis=1).view(np.uint32)[:, 0]
+    last = np.where(g > 0, 4 - (g % 10 == 0) - (g % 100 == 0) - (g % 1000 == 0), -20).astype(np.int8)
+    patterns = np.full((_FALLBACK + 1, _WIDTH), _NUL, np.uint8)
+    for X in range(-4, 17):
+        for digits in range(1, 18):
+            places = list(range(_DIGIT, _DIGIT + max(digits, X + 1)))
+            if X < 0:
+                body = [_ZERO, _DOT] + [_ZERO] * (-X - 1) + places
+            elif digits > X + 1:
+                body = places[: X + 1] + [_DOT] + places[X + 1 :]
+            else:
+                body = places
+            text = [_SIGN] + body + [_END, _END + 1]
+            patterns[(X + 4) * 17 + digits - 1, : len(text)] = text
+    patterns[_FALLBACK] = list(range(_TEXT)) + [_END, _END + 1]
+    return quads, last, patterns
+
+
+def _digits17(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(positional, X, D): where positional, FMT % v prints the sign, D and X.
+
+    positional marks the finite, nonzero v that %.17g prints without an
+    exponent: X = floor(log10 |v|) lies in [-4, 16], and D in [10^16, 10^17)
+    is |v| 10^(16 - X) rounded half to even, the 17 significant digits.  A v
+    whose log10 estimate of X is one off (near a power of ten), or whose
+    rounding would carry into an 18th digit, is left unmarked as well.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        estimate = np.floor(np.log10(np.abs(v)))
+    positional = (estimate >= -5) & (estimate <= 17)
+    a = np.where(positional, np.abs(v), 1.0)
+    X = np.clip(np.where(positional, estimate, 0.0), -4, 16).astype(np.intp)
+    # Dekker's two-product: a 10^p = hi + lo exactly (numpy fuses no multiply-add)
+    p = 16 - X
+    hi = a * _POW10[p]
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _POW10_HI[p], _POW10_LO[p]
+    lo = ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    # hi >= 2^53 is an even integer, so lo rounded half to even rounds hi + lo so
+    D = np.where(positional, hi, 1e16).astype(np.int64)
+    D += np.rint(np.where(positional, lo, 0.0)).astype(np.int64)
+    # No double lies within 8e-17 (relative) below 10^X, X in [-4, 16], so
+    # D < 10^16 exactly when X is above floor(log10 |v|), and D >= 10^17
+    # when X is below it or the rounding carries.
+    positional &= (D >= 10**16) & (D < 10**17)
+    return positional, X, D
+
+
+def _format_rows(values: np.ndarray, fields: Sequence[str | None]) -> bytes:
+    """The CSV rows of a (rows, k) array, each field exactly FMT % float(value).
+
+    fields lists the columns of a row in order: the text of a constant
+    column, None for each column of values.  A field that _digits17 marks
+    positional takes its digits from a 4-digit table, keeps them up to the
+    last nonzero one, and gets its sign, "0." and zeros or decimal point by
+    the gather of its pattern; any other field is FMT % v.  One mask then
+    drops the NUL padding of every field.
+    """
+    quads, last, patterns = _format_tables()
+    rows, k = values.shape
+    v = values.astype(np.float64, copy=False).ravel()
+    positional, X, D = _digits17(v)
+    top = D // 10**8
+    lead = top // 10**8
+    mid, low = top - lead * 10**8, D - top * 10**8
+    columns = [j for j, field in enumerate(fields) if field is None]
+    source = np.empty((len(v), _SOURCE), np.uint8)
+    words = source.view(np.uint32)
+    words[:, 0] = np.take(_HEADS, v < 0)
+    source[:, _DIGIT] += lead.astype(np.uint8)
+    words[:, 6] = np.tile(np.take(_ENDS, np.array(columns) == len(fields) - 1), rows)
+    kept = np.ones(len(v), np.intp)
+    for i, group in enumerate((mid // 10000, mid % 10000, low // 10000, low % 10000)):
+        words[:, 1 + i] = np.take(quads, group)
+        np.maximum(kept, np.take(last, group) + 1 + 4 * i, out=kept)
+    code = (X + 4) * 17 + kept - 1
+    fallback = np.flatnonzero(~positional)
+    if len(fallback):
+        code[fallback] = _FALLBACK
+        text = ((f"%-{_TEXT}.17g" * len(fallback)) % tuple(v[fallback].tolist())).encode().replace(b" ", b"\0")
+        source[fallback, :_TEXT] = np.frombuffer(text, np.uint8).reshape(-1, _TEXT)
+    index = np.add(np.arange(0, len(v) * _SOURCE, _SOURCE)[:, None], np.take(patterns, code, axis=0))
+    out = np.empty((rows, len(fields), _WIDTH), np.uint8)
+    out[:, columns] = np.take(source, index).reshape(rows, k, _WIDTH)
+    for j, field in enumerate(fields):
+        if field is not None:
+            end = "\r\n" if j == len(fields) - 1 else ","
+            out[:, j] = np.frombuffer((field + end).encode().ljust(_WIDTH, b"\0"), np.uint8)
+    return out[out != 0].tobytes()
 
 
 def read_csv(path, header: Sequence[str]) -> np.ndarray:
@@ -615,7 +758,7 @@ def read_csv(path, header: Sequence[str]) -> np.ndarray:
 
 
 def write_state_csv(path, s: LatticeState) -> None:
-    write_csv(path, _STATE_HEADER, [(np.arange(s.N), s.a, s.b)], row_format=f"%d,{FMT},{FMT}")
+    write_csv(path, _STATE_HEADER, [(np.arange(s.N), s.a, s.b)])
 
 
 def read_state_csv(path) -> LatticeState:

@@ -582,14 +582,16 @@ def _spectrum_csv_reference(path, table):
 
 
 _AWKWARD = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e308, 0.1, -2.0, 1 / 3, 4.0e-17]
+_LONG = lattice._VECTOR_ROWS + lattice._CSV_CHUNK + 5  # numpy-formatted, over chunk boundaries
 
 
-@pytest.mark.parametrize("rows", [0, 1, 2, len(_AWKWARD)])
+@pytest.mark.parametrize("rows", [0, 1, 2, len(_AWKWARD), _LONG])
 def test_spectrum_csv_writer_matches_csv_module(tmp_path, rows):
     # det: the det_discrete column as a stride-0 broadcast of one value, as
-    # discrete_traces returns it, which the writer formats once
+    # discrete_traces returns it, which the writer formats once; the long
+    # block tiles _AWKWARD, so FMT-printed fields sit among positional ones
     for k, det in enumerate([None, -0.0, math.nan, math.inf, -math.inf, 5e-324]):
-        cols = [np.roll(np.array(_AWKWARD), shift)[:rows] for shift in range(5)]
+        cols = [np.resize(np.roll(np.array(_AWKWARD), shift), rows) for shift in range(5)]
         if det is not None:
             cols[3] = np.broadcast_to(det, rows)
             assert cols[3].strides == (0,)
@@ -601,6 +603,17 @@ def test_spectrum_csv_writer_matches_csv_module(tmp_path, rows):
         if det is not None and rows:
             det_field = new.splitlines()[1].split(b",")[3].decode()
             assert det_field == {-0.0: "-0", 5e-324: "4.9406564584124654e-324"}.get(det, FMT % det)
+
+
+def test_spectrum_scan_csv_matches_csv_module(capsys, tmp_path):
+    # a benchmark-sized scan: 16384 rows of positional fields from the real traces
+    out = tmp_path / "s"
+    code, *_ = run_cli(capsys, "spectrum", "--g", "builtin:cos2", "--N", "512", "--samples", "16384",
+                       "--out", str(out))
+    assert code == 0
+    table = bloch.discriminant_scan(builtin_profile("cos2"), 512, np.linspace(-200, 200, 16384))
+    _spectrum_csv_reference(tmp_path / "ref.csv", table)
+    assert (out / "spectrum.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 @pytest.mark.parametrize("rows", [0, 1, len(_AWKWARD)])
@@ -618,8 +631,7 @@ def test_trajectory_csv_writer_matches_csv_module(tmp_path, rows):
              n[i : i + 3], a[i : i + 3], b[i : i + 3])
             for i in range(0, rows, 3)
         ]
-        write_csv(tmp_path / "new.csv", ["t", "n", "a", "b"], blocks,
-                  row_format=f"{FMT},%d,{FMT},{FMT}")
+        write_csv(tmp_path / "new.csv", ["t", "n", "a", "b"], blocks)
         with open(tmp_path / "ref.csv", "w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(["t", "n", "a", "b"])
@@ -637,7 +649,7 @@ def test_csv_writer_chunks_match_csv_module(tmp_path, monkeypatch, chunk, rows):
     n = np.arange(rows)
     cols = (np.roll(x, 1), np.broadcast_to(-0.0, rows), np.broadcast_to(7919, rows), n, x)
     header = ["x", "c", "k", "n", "y"]
-    write_csv(tmp_path / "new.csv", header, [cols], row_format=f"{FMT},{FMT},%d,%d,{FMT}")
+    write_csv(tmp_path / "new.csv", header, [cols])
     with open(tmp_path / "ref.csv", "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(header)
@@ -647,10 +659,9 @@ def test_csv_writer_chunks_match_csv_module(tmp_path, monkeypatch, chunk, rows):
 
 
 def test_csv_writer_block_of_only_constant_columns(tmp_path):
-    # each constant field takes its own format: %d of 2.5 is 2
-    write_csv(tmp_path / "x.csv", ["t", "n"], [(np.broadcast_to(-0.0, 3), np.broadcast_to(2.5, 3))],
-              row_format=f"{FMT},%d")
-    assert (tmp_path / "x.csv").read_bytes() == b"t,n\r\n" + b"-0,2\r\n" * 3
+    for rows in (3, lattice._VECTOR_ROWS):
+        write_csv(tmp_path / "x.csv", ["t", "n"], [(np.broadcast_to(-0.0, rows), np.broadcast_to(2.5, rows))])
+        assert (tmp_path / "x.csv").read_bytes() == b"t,n\r\n" + b"-0,2.5\r\n" * rows
 
 
 def test_csv_writer_rejects_ragged_block(tmp_path):

@@ -1,11 +1,13 @@
 import csv
 import math
 import warnings
+from decimal import Decimal
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import exact_flow_rhs, mixed_states, random_fraction_state, random_smooth_state, stacked
 from todakdv.hierarchy import ContinuantWindow, toda_rhs
@@ -14,8 +16,12 @@ from todakdv.lattice import (
     C2_EXPANSION,
     C3_EXPANSION,
     ConservedReport,
+    FMT,
     LatticeState,
+    _CSV_CHUNK,
+    _VECTOR_ROWS,
     _dyadic_numerators,
+    _format_rows,
     _invariant_ints,
     asymptotic_C,
     builtin_profile,
@@ -631,13 +637,65 @@ def _state_csv_reference(path, s):
 
 
 _AWKWARD = np.array([-0.0, 0.0, 5e-324, -(2.0**-1030), 1e300, -1e300, 0.1, 1 / 3])
+_LONG = _VECTOR_ROWS + _CSV_CHUNK + 5  # rows formatted by _format_rows, over chunk boundaries
 
 
 @settings(max_examples=40, deadline=None)
 @given(s=mixed_states())
 @example(s=LatticeState(8, _AWKWARD, -_AWKWARD[::-1]))  # -0.0, subnormals, 1e300
+@example(s=LatticeState(_LONG, np.resize(_AWKWARD, _LONG), -np.resize(_AWKWARD[::-1], _LONG)))
 def test_state_csv_matches_csv_module(tmp_path_factory, s):
     path = tmp_path_factory.mktemp("state")
     write_state_csv(path / "new.csv", s)
     _state_csv_reference(path / "ref.csv", s)
     assert (path / "new.csv").read_bytes() == (path / "ref.csv").read_bytes()
+
+
+def _assert_formats_as_fmt(values, columns=1):
+    """_format_rows prints every float as FMT does, in rows of the given width."""
+    values = np.asarray(values, dtype=np.float64)
+    values = values[: len(values) // columns * columns].reshape(-1, columns)
+    row = ",".join([FMT] * columns) + "\r\n"
+    for start in range(0, len(values), _CSV_CHUNK):
+        part = values[start : start + _CSV_CHUNK]
+        expected = ((row * len(part)) % tuple(part.ravel().tolist())).encode()
+        assert _format_rows(part, [None] * columns) == expected
+
+
+def test_format_rows_matches_fmt_on_random_bit_patterns():
+    # every float64 bit pattern is as likely: mostly exponent fields, with
+    # positional ones, subnormals, infinities and nans among them
+    bits = np.random.default_rng(20261020).integers(0, 2**64, 10**6, dtype=np.uint64, endpoint=False)
+    _assert_formats_as_fmt(bits.view(np.float64), columns=5)
+
+
+def test_format_rows_matches_fmt_on_edge_values():
+    edges = [0.0, math.inf, math.nan, 5e-324, np.finfo(np.float64).max, 9.9999999999999995e-5,
+             99999999999999999.0, 2.0**53 - 1, 2.0**53 + 1]
+    for k in range(-6, 19):
+        edges += [10.0**k, np.nextafter(10.0**k, 0), np.nextafter(10.0**k, math.inf)]
+    values = np.array(edges + [-x for x in edges])
+    _assert_formats_as_fmt(values)
+    _assert_formats_as_fmt(values, columns=3)
+
+
+def test_format_rows_rounds_half_way_ties_to_even():
+    # v = m / 2^(p+1) with m = o 5^p < 2^53 (o odd) is a double whose decimal
+    # value o 5^(2p+1) / 10^(p+1) ends in 5; with 18 significant digits its
+    # 17-digit rounding is a tie, which %.17g rounds half to even.  Past
+    # p = 12, 5^(2p+1) alone has more than 18 digits.
+    ties = []
+    for p in range(1, 13):
+        scale = 5 ** (2 * p + 1)
+        odd = range(-(-(10**17) // scale) | 1, min(10**18 // scale, 2**53 // 5**p), 2)[:4000]
+        ties += [o * 5**p / 2 ** (p + 1) for o in odd]
+    assert len(ties) > 35000
+    digits = [Decimal(t).as_tuple().digits for t in ties]
+    assert all(len(d) == 18 and d[-1] == 5 for d in digits)
+    _assert_formats_as_fmt(ties + [-t for t in ties])
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.floats(), min_size=1, max_size=40))
+def test_format_rows_matches_fmt_on_any_floats(values):
+    _assert_formats_as_fmt(values)

@@ -59,13 +59,11 @@ def cmd_verify(args) -> int:
             f"--order-cap must be between {hierarchy.DEFAULT_CAP} and {_MAX_ORDER_CAP}, "
             f"got {args.order_cap}"
         )
+    if args.truncate_R is not None and args.truncate_R < 1:
+        raise ValueError(f"--truncate-R must keep at least one coefficient, got {args.truncate_R}")
     R = hierarchy.standard_R(args.order_cap)
     if args.truncate_R is not None:
-        if args.truncate_R < 1:
-            print("--truncate-R must keep at least one coefficient", file=sys.stderr)
-            return 2
-        coeffs = list(R.coeffs[: args.truncate_R])
-        R = EpsSeries(coeffs, order_cap=args.order_cap)
+        R = EpsSeries(list(R.coeffs[: args.truncate_R]), order_cap=args.order_cap)
     ansatz = hierarchy.AnsatzPair(R)
     res = hierarchy.residual(args.flow, ansatz)
     print(f"flow {args.flow}: residual coefficients through eps^{res.order_cap}")
@@ -146,29 +144,34 @@ def cmd_simulate(args) -> int:
             "output_every": args.output_every,
         },
     )
+    # one table: each snapshot's t repeated over its N sites, then the next snapshot
+    times, states, reports = zip(*traj.samples)
     lattice.write_csv(
         outdir / "trajectory.csv",
         _TRAJECTORY_HEADER,
-        ((np.broadcast_to(t, s.N), np.arange(s.N), s.a, s.b) for t, s, _ in traj.samples),
+        (
+            np.repeat(times, args.N),
+            np.tile(np.arange(args.N), len(states)),
+            np.concatenate([s.a for s in states]),
+            np.concatenate([s.b for s in states]),
+        ),
     )
     lattice.write_csv(
-        outdir / "conserved.csv",
-        lattice.ConservedReport.COLUMNS,
-        [np.array([rep.row() for _, _, rep in traj.samples]).T],
+        outdir / "conserved.csv", lattice.ConservedReport.COLUMNS, np.array([r.row() for r in reports]).T
     )
-    lattice.write_state_csv(outdir / "state.csv", traj.samples[-1][1])  # restartable
+    lattice.write_state_csv(outdir / "state.csv", states[-1])  # restartable
     if kdv is not None:
         lattice.write_csv(
             outdir / "comparison.csv",
             ["x", "lattice", "reference", "error"],
-            [(kdv.x, kdv.lattice, kdv.reference, kdv.lattice - kdv.reference)],
+            (kdv.x, kdv.lattice, kdv.reference, kdv.lattice - kdv.reference),
         )
         print(
             f"comparison at t={kdv.t:g}: max err {kdv.max_err:.3e}, l2 err {kdv.l2_err:.3e} "
             f"(reference: {kdv.reference_steps} steps, "
             f"Richardson estimate {kdv.reference_estimate:.1e})"
         )
-    print(f"wrote {outdir}/trajectory.csv, conserved.csv ({len(traj.samples)} snapshots)")
+    print(f"wrote {outdir}/trajectory.csv, conserved.csv ({len(states)} snapshots)")
     return 0
 
 
@@ -176,8 +179,8 @@ def _write_spectrum_csv(path: Path, table: bloch.DiscriminantTable) -> None:
     lattice.write_csv(
         path,
         ["lambda", "trace_discrete", "trace_continuous", "det_discrete", "det_continuous"],
-        [(table.lam, table.trace_discrete, table.trace_continuous, table.det_discrete,
-          table.det_continuous)],
+        (table.lam, table.trace_discrete, table.trace_continuous, table.det_discrete,
+         table.det_continuous),
     )
 
 
@@ -257,7 +260,7 @@ def cmd_conserved(args) -> int:
     names = lattice.ConservedReport.COLUMNS[1:]
     outdir = Path(args.out) if args.out else traj_dir
     outdir.mkdir(parents=True, exist_ok=True)
-    lattice.write_csv(outdir / "drift.csv", ["t", *(f"{c}_drift" for c in names)], [(rows[:, 0], *drifts.T)])
+    lattice.write_csv(outdir / "drift.csv", ["t", *(f"{c}_drift" for c in names)], (rows[:, 0], *drifts.T))
     for name, drift in zip(names, drifts.T):
         print(f"max |{name} drift| = {np.abs(drift).max():.3e}")
     print(f"wrote {outdir}/drift.csv")

@@ -30,13 +30,11 @@ byte for byte.
 Every CSV table is written by write_csv and read by read_csv, which rejects a
 wrong header, a row of another width or a field that is not a finite number,
 naming the file.  write_csv prints every field as FMT = "%.17g" does, 17
-significant digits.  A block of fewer than _VECTOR_ROWS = 2048 rows goes
-through one CPython % template per chunk of _CSV_CHUNK = 2048 rows; a longer
-block goes to _format_rows, which prints the same bytes in numpy, one chunk of
-_CSV_CHUNK rows at a time.  There _digits17 computes a field's 17 digits
-exactly, by Dekker's two-product and a round half to even, wherever %g prints
-no exponent; every other field (zeros, infinities, nans, exponent forms) keeps
-FMT % v.
+significant digits, by one path: _format_rows formats the table in numpy, one
+chunk of _CSV_CHUNK = 2048 rows at a time.  There _digits17 computes a
+field's 17 digits exactly, by Dekker's two-product and a round half to even,
+wherever %g prints no exponent; every other field (zeros, infinities, nans,
+exponent forms) keeps FMT % v.
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -566,41 +564,32 @@ def asymptotic_C(profile: Profile, N: int, depth: int = 3) -> tuple[float, float
 
 
 FMT = "%.17g"  # 17 significant digits: every float64 reads back exactly
-_CSV_CHUNK = 2048  # rows formatted per write: bounds the text and numpy work arrays (a few MB) held at once
-_VECTOR_ROWS = 2048  # about where _format_rows, building its tables on first use, breaks even with %
+_CSV_CHUNK = 2048  # rows formatted per call: bounds the numpy work arrays held at once (about 3 MB at four columns)
 _STATE_HEADER = ("n", "a", "b")
 
 
-def write_csv(path, header: Sequence[str], blocks: Iterable[Sequence[np.ndarray]]) -> None:
-    """Write blocks of equal-length 1-D columns, every field FMT % float(value).
+def write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+    """Write a table of equal-length 1-D columns, every field FMT % float(value).
 
-    A column that is a broadcast scalar (stride 0, as from np.broadcast_to)
-    is formatted once.  A block of fewer than _VECTOR_ROWS rows fills one
-    (row * rows) % values template per chunk of _CSV_CHUNK rows, with the
-    constant fields spliced into the row as literals.  A longer block is
-    formatted by _format_rows, in numpy, _CSV_CHUNK rows at a time, which
-    prints the same bytes.  Either way the file is byte for byte what
-    csv.writer writes for the FMT fields: none of them needs quoting, and
-    csv.writer ends lines in \\r\\n.  An integer such as a site index prints
-    as %d prints it, for every integer below 2^53.
+    _format_rows formats the rows in numpy, _CSV_CHUNK at a time; the
+    varying columns are stacked one chunk at a time, and a column that is a
+    broadcast scalar (stride 0, as from np.broadcast_to) is formatted once.
+    The file is byte for byte what csv.writer writes for the FMT fields: none
+    of them needs quoting, and csv.writer ends lines in \\r\\n.  An integer
+    such as a site index prints as %d prints it, for every integer below 2^53.
+    A table of no rows is its header line.
     """
+    rows = len(columns[0])
+    if any(len(col) != rows for col in columns):
+        raise ValueError("the columns of a CSV table must have equal lengths")
+    fields = [FMT % col[0].item() if rows and col.strides == (0,) else None for col in columns]
+    varying = [col for col, field in zip(columns, fields) if field is None]
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
-        for block in blocks:
-            rows = len(block[0])
-            if any(len(col) != rows for col in block):
-                raise ValueError("the columns of a CSV block must have equal lengths")
-            if rows == 0:
-                continue
-            fields = [FMT % col[0].item() if col.strides == (0,) else None for col in block]
-            row = ",".join(FMT if field is None else field for field in fields) + "\r\n"
-            values = np.column_stack([col for col in block if col.strides != (0,)] or [np.empty((rows, 0))])
-            for start in range(0, rows, _CSV_CHUNK):
-                part = values[start : start + _CSV_CHUNK]
-                if rows >= _VECTOR_ROWS:
-                    fh.write(_format_rows(part, fields))
-                else:
-                    fh.write(((row * len(part)) % tuple(part.ravel().tolist())).encode())
+        for start in range(0, rows, _CSV_CHUNK):
+            stop = min(start + _CSV_CHUNK, rows)
+            part = np.column_stack([col[start:stop] for col in varying] or [np.empty((stop - start, 0))])
+            fh.write(_format_rows(part, fields))
 
 
 # _format_rows assembles a field from a 28-byte source row: its sign ("-" or
@@ -632,7 +621,7 @@ _POW10_HI, _POW10_LO = _split(_POW10)
 
 @functools.cache
 def _format_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(quads, last, patterns), built once, by the first long block.
+    """(quads, last, patterns), built once, by the first write.
 
     quads[g] holds the four ASCII digits of g = 0..9999 as one uint32, and
     last[g] the 1-based place of its last nonzero digit (-20 for g = 0).
@@ -758,7 +747,7 @@ def read_csv(path, header: Sequence[str]) -> np.ndarray:
 
 
 def write_state_csv(path, s: LatticeState) -> None:
-    write_csv(path, _STATE_HEADER, [(np.arange(s.N), s.a, s.b)])
+    write_csv(path, _STATE_HEADER, (np.arange(s.N), s.a, s.b))
 
 
 def read_state_csv(path) -> LatticeState:

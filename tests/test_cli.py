@@ -74,6 +74,18 @@ def test_verify_order_cap_outside_its_range_is_usage_error(capsys, monkeypatch, 
     assert err == f"error: --order-cap must be between 11 and 14, got {cap}\n"
 
 
+@pytest.mark.parametrize("keep", ["0", "-3"])
+def test_verify_truncate_R_below_one_is_usage_error(capsys, monkeypatch, keep):
+    """A series of no coefficients exits 2 before any series is built."""
+    def no_work(*args):
+        raise AssertionError("verify built a series for a rejected --truncate-R")
+
+    monkeypatch.setattr(hierarchy, "standard_R", no_work)
+    code, out, err = run_cli(capsys, "verify", "--flow", "2", "--truncate-R", keep)
+    assert code == 2 and out == ""
+    assert err == f"error: --truncate-R must keep at least one coefficient, got {keep}\n"
+
+
 def test_verify_order_cap_at_the_bound_verifies(capsys):
     code, out, _ = run_cli(capsys, "verify", "--flow", "1", "--order-cap", "14")
     assert code == 0
@@ -582,7 +594,7 @@ def _spectrum_csv_reference(path, table):
 
 
 _AWKWARD = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e308, 0.1, -2.0, 1 / 3, 4.0e-17]
-_LONG = lattice._VECTOR_ROWS + lattice._CSV_CHUNK + 5  # numpy-formatted, over chunk boundaries
+_LONG = 2 * lattice._CSV_CHUNK + 5  # over chunk boundaries, with a short last chunk
 
 
 @pytest.mark.parametrize("rows", [0, 1, 2, len(_AWKWARD), _LONG])
@@ -618,20 +630,15 @@ def test_spectrum_scan_csv_matches_csv_module(capsys, tmp_path):
 
 @pytest.mark.parametrize("rows", [0, 1, len(_AWKWARD)])
 def test_trajectory_csv_writer_matches_csv_module(tmp_path, rows):
-    # the trajectory.csv layout: FMT floats around an integer site index, in
-    # blocks of 3 rows after one of 0 rows; with const_t each block's t is a
-    # stride-0 broadcast of one value, as cmd_simulate passes it
+    # the trajectory.csv layout: FMT floats around an integer site index, as
+    # one table; with const_t the snapshots of 3 rows are concatenated, each
+    # snapshot's t repeated over its rows, as cmd_simulate passes them
     for const_t in (False, True):
         t, a, b = (np.roll(np.array(_AWKWARD), shift)[:rows] for shift in range(3))
         n = np.arange(rows) * 7919
         if const_t:
             t = np.repeat(t[::3], 3)[:rows]
-        blocks = [(np.broadcast_to(-0.0, 0), n[:0], a[:0], b[:0])] + [
-            (np.broadcast_to(t[i], len(n[i : i + 3])) if const_t else t[i : i + 3],
-             n[i : i + 3], a[i : i + 3], b[i : i + 3])
-            for i in range(0, rows, 3)
-        ]
-        write_csv(tmp_path / "new.csv", ["t", "n", "a", "b"], blocks)
+        write_csv(tmp_path / "new.csv", ["t", "n", "a", "b"], (t, n, a, b))
         with open(tmp_path / "ref.csv", "w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(["t", "n", "a", "b"])
@@ -640,7 +647,56 @@ def test_trajectory_csv_writer_matches_csv_module(tmp_path, rows):
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
-@pytest.mark.parametrize("chunk, rows", [(3, 3), (3, 10), (None, 2 * 2048 + 5)])
+def _csv_module_bytes(path, header, rows):
+    """What csv.writer writes for these rows: every float FMT % v, an int as it is."""
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(header)
+        wr.writerows([v if isinstance(v, int) else FMT % v for v in row] for row in rows)
+    return path.read_bytes()
+
+
+def test_simulate_and_conserved_tables_match_csv_module(capsys, tmp_path):
+    # the explicit benchmark's shape: 21 snapshots of N = 128 sites make a
+    # trajectory table past one chunk of rows, whose t = 0 and n = 0 fields
+    # print by FMT among positional ones
+    N, every = 128, 4
+    cfg = solver.SolverConfig(dt=2e-3, t_end=0.16, scheme="rk4", output_every=every)
+    csv_state = init_from_profile(builtin_profile("cos2"), N)
+    _csv_module_bytes(tmp_path / "init.csv", ["n", "a", "b"], zip(range(N), csv_state.a, csv_state.b))
+    argv = ["simulate", "--scheme", "rk4", "--N", str(N), "--dt", "2e-3", "--t-end", "0.16",
+            "--output-every", str(every)]
+    for init, state0, profile in [
+        (f"csv:{tmp_path / 'init.csv'}", csv_state, None),
+        ("builtin:cos", init_from_profile(builtin_profile("cos"), N), builtin_profile("cos")),
+    ]:
+        out = tmp_path / init.split(":")[0]
+        assert run_cli(capsys, *argv, "--init", init, "--out", str(out))[0] == 0
+        assert run_cli(capsys, "conserved", "--traj", str(out))[0] == 0
+        traj = solver.run(state0, cfg)
+        times, states, reports = zip(*traj.samples)
+        assert len(states) == 21 and len(states) * N > lattice._CSV_CHUNK
+        d0 = exact_invariants(states[0])
+        expected = {
+            "trajectory.csv": (["t", "n", "a", "b"],
+                               [(t, n, s.a[n], s.b[n]) for t, s in zip(times, states) for n in range(N)]),
+            "conserved.csv": (lattice.ConservedReport.COLUMNS, [r.row() for r in reports]),
+            "state.csv": (["n", "a", "b"], [(n, states[-1].a[n], states[-1].b[n]) for n in range(N)]),
+            "drift.csv": (["t", *(f"{c}_drift" for c in lattice.ConservedReport.COLUMNS[1:])], [
+                (r.t, *(float(d - e) for d, e in zip(exact_invariants(s), d0)),
+                 r.C1 - reports[0].C1, r.C2 - reports[0].C2, r.C3 - reports[0].C3)
+                for s, r in zip(states, reports)
+            ]),
+        }
+        if profile is not None:
+            kdv = solver.compare_to_kdv(traj, profile, cfg.t_end)
+            expected["comparison.csv"] = (["x", "lattice", "reference", "error"],
+                                          zip(kdv.x, kdv.lattice, kdv.reference, kdv.lattice - kdv.reference))
+        for name, (header, rows) in expected.items():
+            assert (out / name).read_bytes() == _csv_module_bytes(tmp_path / "ref.csv", header, rows), name
+
+
+@pytest.mark.parametrize("chunk, rows", [(3, 3), (3, 10), (None, _LONG)])
 def test_csv_writer_chunks_match_csv_module(tmp_path, monkeypatch, chunk, rows):
     # rows are formatted chunk by chunk; the last chunk may be short
     if chunk is not None:
@@ -649,7 +705,7 @@ def test_csv_writer_chunks_match_csv_module(tmp_path, monkeypatch, chunk, rows):
     n = np.arange(rows)
     cols = (np.roll(x, 1), np.broadcast_to(-0.0, rows), np.broadcast_to(7919, rows), n, x)
     header = ["x", "c", "k", "n", "y"]
-    write_csv(tmp_path / "new.csv", header, [cols])
+    write_csv(tmp_path / "new.csv", header, cols)
     with open(tmp_path / "ref.csv", "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(header)
@@ -659,14 +715,16 @@ def test_csv_writer_chunks_match_csv_module(tmp_path, monkeypatch, chunk, rows):
 
 
 def test_csv_writer_block_of_only_constant_columns(tmp_path):
-    for rows in (3, lattice._VECTOR_ROWS):
-        write_csv(tmp_path / "x.csv", ["t", "n"], [(np.broadcast_to(-0.0, rows), np.broadcast_to(2.5, rows))])
+    # no rows is the header alone; one row past a chunk is a second chunk
+    for rows in (0, 3, lattice._CSV_CHUNK + 1):
+        write_csv(tmp_path / "x.csv", ["t", "n"], (np.broadcast_to(-0.0, rows), np.broadcast_to(2.5, rows)))
         assert (tmp_path / "x.csv").read_bytes() == b"t,n\r\n" + b"-0,2.5\r\n" * rows
 
 
 def test_csv_writer_rejects_ragged_block(tmp_path):
     with pytest.raises(ValueError, match="equal lengths"):
-        write_csv(tmp_path / "x.csv", ["t", "a"], [(np.broadcast_to(1.0, 3), np.zeros(2))])
+        write_csv(tmp_path / "x.csv", ["t", "a"], (np.broadcast_to(1.0, 3), np.zeros(2)))
+    assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize(

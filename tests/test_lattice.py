@@ -19,7 +19,6 @@ from todakdv.lattice import (
     FMT,
     LatticeState,
     _CSV_CHUNK,
-    _VECTOR_ROWS,
     _dyadic_numerators,
     _format_rows,
     _invariant_ints,
@@ -637,7 +636,7 @@ def _state_csv_reference(path, s):
 
 
 _AWKWARD = np.array([-0.0, 0.0, 5e-324, -(2.0**-1030), 1e300, -1e300, 0.1, 1 / 3])
-_LONG = _VECTOR_ROWS + _CSV_CHUNK + 5  # rows formatted by _format_rows, over chunk boundaries
+_LONG = 2 * _CSV_CHUNK + 5  # over chunk boundaries, with a short last chunk
 
 
 @settings(max_examples=40, deadline=None)

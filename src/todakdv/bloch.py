@@ -6,8 +6,13 @@ The discrete operator acts on periodic sequences,
 
 so the eigenvalue relation propagates by the transfer matrix
 [[A(n) - lambda eps^2, B(n)], [1, 0]]; the product over one period is the
-monodromy and its trace the Floquet discriminant.  The transfer products for
-all lambdas run as one in-place three-term recurrence on two row buffers.
+monodromy and its trace the Floquet discriminant.  The transfer products run
+as one in-place three-term recurrence on two row buffers, for a batch of
+lambdas at once.  On a long grid the recurrence runs at 17 Chebyshev nodes
+per lambda-panel of width at most 32, and the trace's degree-16 interpolant
+gives the grid values; grid points where the trace is small beside its
+panel's largest node value, or not finite, and every other grid run the
+recurrence at their own lambdas (``discrete_traces``).
 
 The continuous side is Hill's operator -psi'' + g psi.  Its period map is the
 ordered product of the maps of S = ceil(sqrt(max|lambda| + max|g|)) short
@@ -94,6 +99,25 @@ class DiscriminantTable:
         return cls(*rows.T)
 
 
+# Chebyshev nodes (first kind) in lambda per Hill segment map or discrete-trace
+# panel, and the matrix taking values at them to the coefficients of the
+# degree-16 interpolant
+_NODES = 17
+_NODE_T = np.cos(np.pi * (np.arange(_NODES) + 0.5) / _NODES)
+_CHEB_FIT = np.polynomial.chebyshev.chebvander(_NODE_T, _NODES - 1).T * (2.0 / _NODES)
+_CHEB_FIT[0] *= 0.5
+
+# lambda width of a discrete-trace panel.  Near its branch point the discrete
+# trace is close to 2 cos sqrt(lambda - kappa), entire of order 1/2; on a
+# panel of half-width 16 its Chebyshev coefficients fall to about 1e-23 by
+# k = 17, below the loop's own rounding.  An interpolant's rounding scales
+# with the largest node value of its panel, the loop's with the local value,
+# so a grid point where max(1, |trace|) is below 1/_RANGE of its panel's
+# largest |node value| takes the loop.
+_PANEL = 32.0
+_RANGE = 8.0
+
+
 def _discrete_entries(A, B, lams: np.ndarray) -> tuple[np.ndarray, ...]:
     """Entries (m11, m12, m21, m22) of the transfer-matrix product, per lambda.
 
@@ -124,21 +148,65 @@ def _discrete_entries(A, B, lams: np.ndarray) -> tuple[np.ndarray, ...]:
 def discrete_traces(A: np.ndarray, B: np.ndarray, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized monodromy traces and determinants over a lambda grid.
 
+    The trace is a polynomial in lambda of degree N.  A grid of L points on
+    a finite span lo < hi, cut into P = ceil((hi - lo)/32) equal panels with
+    17 P < L, runs the transfer loop (``_discrete_entries``) at the 17
+    Chebyshev nodes of each panel only, and sums the degree-16 interpolant
+    of the trace on each panel at that panel's grid points by Clenshaw's
+    recurrence.  The loop then runs again at the grid points whose
+    interpolant is not finite (every point of a panel with a non-finite
+    node value) or where max(1, |interpolant|) is below 1/8 of the panel's
+    largest |node value|: the interpolant's rounding scales with that
+    value, so there it would exceed the loop's.  Every other grid runs the
+    loop at all its lambdas.  The two paths agree to the loop's own
+    rounding, about N^2 ulps.
+
     Each transfer matrix has determinant -B(n), so the monodromy determinant
     is prod(-B(n)) at every lambda; it is returned in that closed form,
     because m11 m22 - m12 m21 cancels where the entries are large, as a
     read-only stride-0 broadcast of that one value.
     """
-    m11, _, _, m22 = _discrete_entries(A, B, np.asarray(lams, float))
-    return m11 + m22, np.broadcast_to(np.prod(-np.asarray(B, float)), m11.shape)
+    lams = np.asarray(lams, float)
+    det = np.broadcast_to(np.prod(-np.asarray(B, float)), lams.shape)
+    L = len(lams)
+    lo, hi = (float(np.min(lams)), float(np.max(lams))) if L else (0.0, 0.0)
+    span = hi - lo  # inf where lo and hi are near -/+1e308, nan for a nan lambda
+    panels = math.ceil(span / _PANEL) if 0 < span < math.inf else 0
+    half = 0.5 * (span / panels) if panels else 0.0  # 0 on a span of one subnormal step
+    if not (half > 0 and panels * _NODES < L):
+        m11, _, _, m22 = _discrete_entries(A, B, lams)
+        return m11 + m22, det
+    centre = lo + (2 * np.arange(panels) + 1) * half
+    m11, _, _, m22 = _discrete_entries(A, B, np.add.outer(centre, half * _NODE_T).ravel())
+    nodes = (m11 + m22).reshape(panels, _NODES)
+    coef = (nodes @ _CHEB_FIT.T).T  # row k: the T_k coefficient of every panel
+    # each grid point's panel, and twice its offset t in [-1, 1] there, taken
+    # from the panel centre: lambda - centre is exact or nearly, as the node
+    # positions are, where an offset from lo would lose ulps of lambda - lo
+    panel = np.minimum(((lams - lo) / (2 * half)).astype(np.intp), panels - 1)
+    t2 = lams - np.take(centre, panel)
+    t2 /= half
+    t2 *= 2.0
+    b1, b2 = np.zeros(L), np.zeros(L)
+    for c in coef[:0:-1]:  # b_k = c_k + 2t b_(k+1) - b_(k+2), in place of b_(k+2)
+        b2 -= np.take(c, panel)
+        np.subtract(t2 * b1, b2, out=b2)
+        b1, b2 = b2, b1
+    t2 *= 0.5
+    trace = b1  # c_0 + t b_1 - b_2, in place of b_1
+    trace *= t2
+    trace -= b2
+    trace += np.take(coef[0], panel)
+    scale = np.maximum(np.abs(trace, out=b2), 1.0, out=b2)
+    scale *= _RANGE
+    # nan-safe: a nan trace or panel peak fails the comparison
+    kept = np.isfinite(trace) & (scale >= np.take(np.max(np.abs(nodes), axis=1), panel))
+    redo = np.flatnonzero(~kept)
+    if len(redo):
+        m11, _, _, m22 = _discrete_entries(A, B, lams[redo])
+        trace[redo] = m11 + m22
+    return trace, det
 
-
-# Chebyshev nodes (first kind) in lambda per segment map, and the matrix taking
-# values at them to the coefficients of the degree-16 interpolant
-_NODES = 17
-_NODE_T = np.cos(np.pi * (np.arange(_NODES) + 0.5) / _NODES)
-_CHEB_FIT = np.polynomial.chebyshev.chebvander(_NODE_T, _NODES - 1).T * (2.0 / _NODES)
-_CHEB_FIT[0] *= 0.5
 
 # Taylor terms of a segment map before its segment is halved, and how often
 # it may be halved (the builtin profiles need none up to max|lambda| = 1e6);

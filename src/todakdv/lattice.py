@@ -33,8 +33,9 @@ naming the file.  write_csv prints every field as FMT = "%.17g" does, 17
 significant digits, by one path: _format_rows formats the table in numpy, one
 chunk of _CSV_CHUNK = 2048 rows at a time.  There _digits17 computes a
 field's 17 digits exactly, by Dekker's two-product and a round half to even,
-wherever %g prints no exponent; every other field (zeros, infinities, nans,
-exponent forms) keeps FMT % v.
+wherever %g prints no exponent; a zero takes its sign and "0" by a pattern
+of its own, and every other field (infinities, nans, exponent forms) keeps
+FMT % v.
 """
 
 from __future__ import annotations
@@ -605,6 +606,7 @@ _WIDTH = _TEXT + 2  # and a separator
 _HEADS = np.frombuffer(b"\0" b"0.0" b"-0.0", np.uint32)  # source bytes 0..3; the first digit adds to byte 3
 _ENDS = np.frombuffer(b",\0\0\0" b"\r\n\0\0", np.uint32)  # source bytes 24..27
 _FALLBACK = 21 * 17  # the pattern of FMT text follows those of X = -4..16, 1..17 digits
+_ZERO_CODE = _FALLBACK + 1  # and then that of "0" or "-0"
 _POW10 = np.array([float(10**p) for p in range(21)])  # 10^p is an exact double for p <= 22
 _SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitter for float64
 
@@ -629,13 +631,13 @@ def _format_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     positional field and its separator, NUL padded: X in [-4, 16] is the
     decimal exponent and digits in 1..17 the significant digits left once
     trailing zeros go (the integer digits always stay).  patterns[_FALLBACK]
-    copies FMT text.
+    copies FMT text, and patterns[_ZERO_CODE] the sign and "0" of a zero.
     """
     g = np.arange(10000)
     pairs = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), np.uint16)
     quads = np.stack([pairs[g // 100], pairs[g % 100]], axis=1).view(np.uint32)[:, 0]
     last = np.where(g > 0, 4 - (g % 10 == 0) - (g % 100 == 0) - (g % 1000 == 0), -20).astype(np.int8)
-    patterns = np.full((_FALLBACK + 1, _WIDTH), _NUL, np.uint8)
+    patterns = np.full((_ZERO_CODE + 1, _WIDTH), _NUL, np.uint8)
     for X in range(-4, 17):
         for digits in range(1, 18):
             places = list(range(_DIGIT, _DIGIT + max(digits, X + 1)))
@@ -648,6 +650,7 @@ def _format_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             text = [_SIGN] + body + [_END, _END + 1]
             patterns[(X + 4) * 17 + digits - 1, : len(text)] = text
     patterns[_FALLBACK] = list(range(_TEXT)) + [_END, _END + 1]
+    patterns[_ZERO_CODE, :4] = [_SIGN, _ZERO, _END, _END + 1]
     return quads, last, patterns
 
 
@@ -688,8 +691,9 @@ def _format_rows(values: np.ndarray, fields: Sequence[str | None]) -> bytes:
     column, None for each column of values.  A field that _digits17 marks
     positional takes its digits from a 4-digit table, keeps them up to the
     last nonzero one, and gets its sign, "0." and zeros or decimal point by
-    the gather of its pattern; any other field is FMT % v.  One mask then
-    drops the NUL padding of every field.
+    the gather of its pattern.  A zero gets "0", signed by its sign bit,
+    from a pattern of its own, and any other field is FMT % v.  One mask
+    then drops the NUL padding of every field.
     """
     quads, last, patterns = _format_tables()
     rows, k = values.shape
@@ -701,7 +705,7 @@ def _format_rows(values: np.ndarray, fields: Sequence[str | None]) -> bytes:
     columns = [j for j, field in enumerate(fields) if field is None]
     source = np.empty((len(v), _SOURCE), np.uint8)
     words = source.view(np.uint32)
-    words[:, 0] = np.take(_HEADS, v < 0)
+    words[:, 0] = np.take(_HEADS, np.signbit(v))
     source[:, _DIGIT] += lead.astype(np.uint8)
     words[:, 6] = np.tile(np.take(_ENDS, np.array(columns) == len(fields) - 1), rows)
     kept = np.ones(len(v), np.intp)
@@ -709,9 +713,11 @@ def _format_rows(values: np.ndarray, fields: Sequence[str | None]) -> bytes:
         words[:, 1 + i] = np.take(quads, group)
         np.maximum(kept, np.take(last, group) + 1 + 4 * i, out=kept)
     code = (X + 4) * 17 + kept - 1
-    fallback = np.flatnonzero(~positional)
+    special = np.flatnonzero(~positional)
+    zero = v[special] == 0
+    code[special] = np.where(zero, _ZERO_CODE, _FALLBACK)
+    fallback = special[~zero]
     if len(fallback):
-        code[fallback] = _FALLBACK
         text = ((f"%-{_TEXT}.17g" * len(fallback)) % tuple(v[fallback].tolist())).encode().replace(b" ", b"\0")
         source[fallback, :_TEXT] = np.frombuffer(text, np.uint8).reshape(-1, _TEXT)
     index = np.add(np.arange(0, len(v) * _SOURCE, _SOURCE)[:, None], np.take(patterns, code, axis=0))

@@ -153,6 +153,170 @@ def test_discrete_entries_match_loop_bytewise(case):
         assert g.tobytes() == e.tobytes()
 
 
+def _loop_traces(A, B, lams):
+    m11, _, _, m22 = bloch._discrete_entries(A, B, lams)
+    return m11 + m22
+
+
+def _exact_traces(A, B, lams):
+    """Exact traces of the float lattice (A, B) at the float lambdas, rounded once.
+
+    Every float is a dyadic Fraction, so with K = N^2 2^s for a common 2^s
+    the recurrence X_(n+1) = (A(n) - lambda/N^2) X_n + B(n) X_(n-1) runs on
+    the integers Y_n = K^n X_n:  Y_(n+1) = u_n Y_n + beta_n Y_(n-1), with
+    u_n = (A(n) - lambda/N^2) K and beta_n = B(n) K^2.  The trace is
+    X_N[0] + X_(N-1)[1] = (Y_N[0] + K Y_(N-1)[1]) / K^N.
+    """
+    A, B, lams = (np.asarray(x, float).tolist() for x in (A, B, lams))
+    N = len(A)
+    s = max(F(v).denominator.bit_length() - 1 for v in A + B + lams)
+    K = N * N << s
+    a = [int(F(x) * 2**s) * N * N for x in A]
+    b = [int(F(x) * 2**s) for x in B]
+    beta = [bn * N**4 << s for bn in b]
+    traces = []
+    for lam in lams:
+        l = int(F(lam) * 2**s)
+        p11, p12 = 1, 0  # Y_0
+        y11, y12 = a[0] - l, b[0] * N * N  # Y_1: Y_(-1) = (0, 1/K)
+        for n in range(1, N):
+            u = a[n] - l
+            y11, y12, p11, p12 = u * y11 + beta[n] * p11, u * y12 + beta[n] * p12, y11, y12
+        traces.append(float(F(y11 + K * p12, K**N)))
+    return np.array(traces)
+
+
+def test_exact_traces_match_fraction_products():
+    # the integer recurrence against the plain product of Fraction matrices
+    rng = np.random.default_rng(11)
+    for N in (1, 2, 5, 37):
+        A, B = rng.uniform(-3.0, 3.0, N), rng.uniform(-3.0, 3.0, N)
+        lams = rng.normal(0.0, 1e3, 4)
+        for lam, got in zip(lams.tolist(), _exact_traces(A, B, lams).tolist()):
+            M = [[F(1), F(0)], [F(0), F(1)]]
+            for an, bn in zip(A.tolist(), B.tolist()):
+                t11 = F(an) - F(lam) / N**2
+                M = [[t11 * M[0][0] + F(bn) * M[1][0], t11 * M[0][1] + F(bn) * M[1][1]], M[0]]
+            assert got == float(M[0][0] + M[1][1])
+
+
+@pytest.mark.parametrize(
+    "case",
+    [f"{tag}-{N}" for N in (64, 128) for tag in ("cos", "cos2", "zero", "const:-2")]
+    + [f"random-{N}-{seed}" for N in (37, 64) for seed in range(4)],
+)
+def test_discrete_traces_are_as_exact_as_the_loop(case):
+    """Against exact rational traces, the panel path's largest error is at
+    most twice the loop's, both relative to max(1, |trace|).
+
+    The sample is every 16th grid lambda and the 8 where the two paths
+    differ most.  The loop's error is spiky in lambda and the interpolant's
+    smooth, so a sample of a few random lambdas misses the loop's largest
+    errors while the 8 catch the interpolant's.  Random lattices vary by
+    orders of magnitude within a panel: without the loop at small values,
+    random-64-1 and random-64-2 read 8.4 and 7.2 times the loop's error.
+    """
+    if case.startswith("random"):
+        _, N, seed = case.split("-")
+        rng = np.random.default_rng(int(seed))
+        A, B = rng.uniform(-3.0, 3.0, int(N)), rng.uniform(-3.0, 3.0, int(N))
+        lams = np.linspace(-5000, 5000, 16384)
+    else:
+        tag, N = case.rsplit("-", 1)
+        A, B = lattice_from_potential(builtin_profile(tag), int(N))
+        lams = np.linspace(-200, 200, 16384)
+    panel, _ = discrete_traces(A, B, lams)
+    loop = _loop_traces(A, B, lams)
+    assert not np.array_equal(panel, loop)  # the grid takes the panel path
+    apart = np.abs(panel - loop) / np.maximum(1.0, np.abs(loop))
+    sample = np.union1d(np.argsort(apart)[-8:], np.arange(0, len(lams), 16))
+    exact = _exact_traces(A, B, lams[sample])
+
+    def largest_error(trace):
+        return np.max(np.abs(trace[sample] - exact) / np.maximum(1.0, np.abs(exact)))
+
+    assert largest_error(panel) <= 2 * largest_error(loop)
+
+
+def _recording_entries(monkeypatch):
+    """Record the lambda count of every ``_discrete_entries`` call."""
+    sizes = []
+    entries = bloch._discrete_entries
+
+    def recording(A, B, lams):
+        sizes.append(len(lams))
+        return entries(A, B, lams)
+
+    monkeypatch.setattr(bloch, "_discrete_entries", recording)
+    return sizes
+
+
+def test_discrete_traces_run_the_loop_at_the_panel_nodes(monkeypatch):
+    # spectrum --N 512 --lambda-max 200 --samples 16384: ceil(400/32) = 13
+    # panels of 17 nodes, then the loop again only where the trace is small
+    # beside its panel's largest node value
+    A, B = lattice_from_potential(builtin_profile("cos"), 512)
+    sizes = _recording_entries(monkeypatch)
+    discrete_traces(A, B, np.linspace(-200, 200, 16384))
+    assert sizes[0] == 13 * 17 and len(sizes) <= 2 and sum(sizes) < 16384 // 8
+
+
+_ALL_EQUAL = np.full(4096, -7.5)
+_SUBNORMAL_STEP = np.array([0.0, 5e-324] * 20)  # a span whose half underflows
+_UNSORTED = np.concatenate([np.random.default_rng(3).normal(0.0, 1e3, 200), [0.0, -0.0, 1e300, -1e300]])
+_HUGE = np.concatenate([[-1e308, 1e308], np.linspace(-1.0, 1.0, 4096)])  # hi - lo overflows
+
+
+@pytest.mark.parametrize(
+    "lams",
+    [np.linspace(-200, 200, 13 * 17), _ALL_EQUAL, _SUBNORMAL_STEP, _UNSORTED, _HUGE],
+    ids=["17P>=L", "all-equal", "subnormal-step", "unsorted", "1e308"],
+)
+def test_discrete_traces_take_the_loop_on_other_grids(monkeypatch, lams):
+    rng = np.random.default_rng(3)
+    A, B = rng.uniform(-3.0, 3.0, 37), rng.uniform(-3.0, 3.0, 37)
+    sizes = _recording_entries(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # nor a division by the zero half of a subnormal span
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace, _ = discrete_traces(A, B, lams)
+    assert sizes == [len(lams)]
+    monkeypatch.undo()
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert trace.tobytes() == _loop_traces(A, B, lams).tobytes()
+
+
+def test_discrete_traces_keep_the_loops_overflow(monkeypatch):
+    # far below the spectrum the N = 512 trace overflows near lambda = -5.9e5:
+    # of 625 panels, those with an overflowing node take the loop's inf and nan
+    A, B = lattice_from_potential(builtin_profile("cos"), 512)
+    lams = np.linspace(-5.99e5, -5.79e5, 16384)
+    sizes = _recording_entries(monkeypatch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace, _ = discrete_traces(A, B, lams)
+        assert sizes[0] == 625 * 17
+        loop = _loop_traces(A, B, lams)
+    wild = ~np.isfinite(loop)
+    assert np.isnan(loop).any() and np.isinf(loop).any() and not wild.all()
+    assert trace[wild].tobytes() == loop[wild].tobytes()
+    assert np.all(np.isfinite(trace[~wild]))
+    assert np.all(np.abs(trace[~wild] - loop[~wild]) <= 1e-12 * np.abs(loop[~wild]))
+
+
+def test_discrete_traces_memory_is_below_the_loops():
+    A, B = lattice_from_potential(builtin_profile("cos"), 512)
+    lams = np.linspace(-200, 200, 16384)
+    peaks = []
+    for scan in (discrete_traces, bloch._discrete_entries):
+        tracemalloc.start()
+        try:
+            scan(A, B, lams)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1] < 1.2e6
+
+
 def test_continuous_free_closed_forms():
     zero = builtin_profile("zero")
     assert _continuous_at(zero, 0.0) == pytest.approx((1, 1, 0, 1), abs=1e-9)

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import exact_flow_rhs, mixed_states, random_fraction_state, random_smooth_state, stacked
+from todakdv import lattice
 from todakdv.hierarchy import ContinuantWindow, toda_rhs
 from todakdv.lattice import (
     C1_EXPANSION,
@@ -676,6 +677,18 @@ def test_format_rows_matches_fmt_on_edge_values():
     values = np.array(edges + [-x for x in edges])
     _assert_formats_as_fmt(values)
     _assert_formats_as_fmt(values, columns=3)
+
+
+def test_format_rows_prints_signed_zeros_without_the_fmt_fallback(monkeypatch):
+    # with the fallback pattern blanked, a field printed by FMT % v (inf
+    # here) loses its text and separator, while +-0 keep theirs: they take a
+    # pattern of their own, signed by the sign bit
+    quads, last, patterns = lattice._format_tables()
+    blank = patterns.copy()
+    blank[lattice._FALLBACK] = lattice._NUL
+    monkeypatch.setattr(lattice, "_format_tables", lambda: (quads, last, blank))
+    zeros = np.array([[0.0, -0.0, 1.5], [-0.0, math.inf, 0.0]])
+    assert _format_rows(zeros, [None] * 3) == b"0,-0,1.5\r\n-0,0\r\n"
 
 
 def test_format_rows_rounds_half_way_ties_to_even():

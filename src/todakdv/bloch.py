@@ -8,11 +8,14 @@ so the eigenvalue relation propagates by the transfer matrix
 [[A(n) - lambda eps^2, B(n)], [1, 0]]; the product over one period is the
 monodromy and its trace the Floquet discriminant.  The transfer products run
 as one in-place three-term recurrence on two row buffers, for a batch of
-lambdas at once.  On a long grid the recurrence runs at 17 Chebyshev nodes
-per lambda-panel of width at most 32, and the trace's degree-16 interpolant
-gives the grid values; grid points where the trace is small beside its
-panel's largest node value, or not finite, and every other grid run the
-recurrence at their own lambdas (``discrete_traces``).
+lambdas at once.
+
+Both monodromies reach a long lambda grid by one rule (``_on_panels``): the
+grid is cut into panels of width at most 32, the monodromy is computed at 17
+Chebyshev nodes per panel only, and the degree-16 interpolants of its trace
+(and, on the Hill side, its determinant) give the grid values.  Grid points
+where the trace is small beside its panel's largest node value, or a value
+is not finite, and every other grid take the monodromy at their own lambdas.
 
 The continuous side is Hill's operator -psi'' + g psi.  Its period map is the
 ordered product of the maps of S = ceil(sqrt(max|lambda| + max|g|)) short
@@ -22,11 +25,13 @@ sums it for all segments, lambdas and both solutions at once, so no ODE
 integrator (and no scipy) runs.  Every series is summed until its terms fall
 below 4 ulps of the map entries; there is no accuracy parameter.  Each entry
 of a segment map is an entire function of lambda, so on a grid of more than
-17 points that spans an interval the maps are summed at 17 Chebyshev nodes
-only, and their degree-16 Chebyshev interpolants are evaluated on the grid;
-a smaller grid takes the same segments at its own lambdas.  Segments are
-handled a block at a time, so memory stays bounded.  Real spectral bands are
-where |trace| <= 2.
+17 points that spans an interval the maps are summed once, at 17 Chebyshev
+nodes of the grid's range, and the period map is the product of their
+degree-16 Chebyshev interpolants; a smaller grid takes the same segments at
+its own lambdas.  On a long grid that product is formed at the panel nodes
+and small-trace points of the rule above only.  Segments are handled a block
+at a time, so memory stays bounded.  Real spectral bands are where
+|trace| <= 2.
 
 A scan keeps its result in columns: ``discriminant_scan`` returns one
 ``DiscriminantTable`` of five float arrays (lambda, the two traces, the two
@@ -99,21 +104,22 @@ class DiscriminantTable:
         return cls(*rows.T)
 
 
-# Chebyshev nodes (first kind) in lambda per Hill segment map or discrete-trace
-# panel, and the matrix taking values at them to the coefficients of the
-# degree-16 interpolant
+# Chebyshev nodes (first kind) in lambda per Hill segment fit or lambda-panel,
+# and the matrix taking values at them to the coefficients of the degree-16
+# interpolant
 _NODES = 17
 _NODE_T = np.cos(np.pi * (np.arange(_NODES) + 0.5) / _NODES)
 _CHEB_FIT = np.polynomial.chebyshev.chebvander(_NODE_T, _NODES - 1).T * (2.0 / _NODES)
 _CHEB_FIT[0] *= 0.5
 
-# lambda width of a discrete-trace panel.  Near its branch point the discrete
-# trace is close to 2 cos sqrt(lambda - kappa), entire of order 1/2; on a
-# panel of half-width 16 its Chebyshev coefficients fall to about 1e-23 by
-# k = 17, below the loop's own rounding.  An interpolant's rounding scales
-# with the largest node value of its panel, the loop's with the local value,
-# so a grid point where max(1, |trace|) is below 1/_RANGE of its panel's
-# largest |node value| takes the loop.
+# lambda width of a panel of ``_on_panels``.  Near its branch point a trace,
+# discrete or Hill, is close to 2 cos sqrt(lambda - kappa), entire of order
+# 1/2; on a panel of half-width 16 its Chebyshev coefficients fall to about
+# 1e-23 by k = 17, below the rounding of a direct evaluation.  An
+# interpolant's rounding scales with the largest node value of its panel, a
+# direct evaluation's with the local value, so a grid point where
+# max(1, |trace|) is below 1/_RANGE of its panel's largest |node value| is
+# evaluated directly.
 _PANEL = 32.0
 _RANGE = 8.0
 
@@ -145,19 +151,71 @@ def _discrete_entries(A, B, lams: np.ndarray) -> tuple[np.ndarray, ...]:
     return top[0], top[1], bottom[0], bottom[1]
 
 
+def _on_panels(values, lams: np.ndarray) -> np.ndarray:
+    """The rows of ``values`` on a lambda grid, interpolated on panels where it is long.
+
+    ``values(at)`` returns k rows of values at the lambdas ``at``, an array
+    (k, len(at)); row 0 is a trace.  A grid of L points on a finite span
+    lo < hi, cut into P = ceil((hi - lo)/32) equal panels with 17 P < L,
+    calls it at the 17 Chebyshev nodes of each panel only, and sums the
+    degree-16 interpolant of every row on each panel at that panel's grid
+    points by Clenshaw's recurrence.  It calls ``values`` again, for every
+    row, at the grid points where an interpolant is not finite (every point
+    of a panel with a non-finite node value) or where max(1, |row 0|) is
+    below 1/8 of the panel's largest |row 0 node value|: the interpolant's
+    rounding scales with that value, so there it would exceed that of a
+    direct evaluation.  Every other grid calls ``values`` at all its lambdas.
+    """
+    L = len(lams)
+    lo, hi = (float(np.min(lams)), float(np.max(lams))) if L else (0.0, 0.0)
+    span = hi - lo  # inf where lo and hi are near -/+1e308, nan for a nan lambda
+    panels = math.ceil(span / _PANEL) if 0 < span < math.inf else 0
+    half = 0.5 * (span / panels) if panels else 0.0  # 0 on a span of one subnormal step
+    if not (half > 0 and panels * _NODES < L):
+        return values(lams)
+    centre = lo + (2 * np.arange(panels) + 1) * half
+    nodes = values(np.add.outer(centre, half * _NODE_T).ravel())
+    rows = len(nodes)
+    nodes = nodes.reshape(rows * panels, _NODES)
+    # [k, row, panel]: the T_k coefficient of every row on every panel
+    coef = (nodes @ _CHEB_FIT.T).T.reshape(_NODES, rows, panels)
+    # each grid point's panel, and twice its offset t in [-1, 1] there, taken
+    # from the panel centre: lambda - centre is exact or nearly, as the node
+    # positions are, where an offset from lo would lose ulps of lambda - lo
+    panel = np.minimum(((lams - lo) / (2 * half)).astype(np.intp), panels - 1)
+    t2 = lams - np.take(centre, panel)
+    t2 /= half
+    t2 *= 2.0
+    b1, b2 = np.zeros((rows, L)), np.zeros((rows, L))
+    for c in coef[:0:-1]:  # b_k = c_k + 2t b_(k+1) - b_(k+2), in place of b_(k+2)
+        b2 -= np.take(c, panel, axis=1)
+        np.subtract(t2 * b1, b2, out=b2)
+        b1, b2 = b2, b1
+    t2 *= 0.5
+    out = b1  # c_0 + t b_1 - b_2, in place of b_1
+    out *= t2
+    out -= b2
+    out += np.take(coef[0], panel, axis=1)
+    scale = np.maximum(np.abs(out[0], out=b2[0]), 1.0, out=b2[0])
+    scale *= _RANGE
+    # nan-safe: a nan value or panel peak fails the comparison
+    peak = np.max(np.abs(nodes[:panels]), axis=1)  # of row 0 on every panel
+    kept = np.isfinite(out).all(axis=0) & (scale >= np.take(peak, panel))
+    redo = np.flatnonzero(~kept)
+    if len(redo):
+        out[:, redo] = values(lams[redo])
+    return out
+
+
 def discrete_traces(A: np.ndarray, B: np.ndarray, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized monodromy traces and determinants over a lambda grid.
 
-    The trace is a polynomial in lambda of degree N.  A grid of L points on
-    a finite span lo < hi, cut into P = ceil((hi - lo)/32) equal panels with
-    17 P < L, runs the transfer loop (``_discrete_entries``) at the 17
-    Chebyshev nodes of each panel only, and sums the degree-16 interpolant
-    of the trace on each panel at that panel's grid points by Clenshaw's
-    recurrence.  The loop then runs again at the grid points whose
-    interpolant is not finite (every point of a panel with a non-finite
-    node value) or where max(1, |interpolant|) is below 1/8 of the panel's
-    largest |node value|: the interpolant's rounding scales with that
-    value, so there it would exceed the loop's.  Every other grid runs the
+    The trace is a polynomial in lambda of degree N.  It comes from the
+    transfer loop (``_discrete_entries``) through ``_on_panels``: a long
+    grid runs the loop at the 17 Chebyshev nodes of each lambda-panel of
+    width at most 32, sums the trace's degree-16 interpolants on the grid,
+    and runs the loop again only where the trace is small beside its
+    panel's largest node value or not finite; every other grid runs the
     loop at all its lambdas.  The two paths agree to the loop's own
     rounding, about N^2 ulps.
 
@@ -168,44 +226,12 @@ def discrete_traces(A: np.ndarray, B: np.ndarray, lams: np.ndarray) -> tuple[np.
     """
     lams = np.asarray(lams, float)
     det = np.broadcast_to(np.prod(-np.asarray(B, float)), lams.shape)
-    L = len(lams)
-    lo, hi = (float(np.min(lams)), float(np.max(lams))) if L else (0.0, 0.0)
-    span = hi - lo  # inf where lo and hi are near -/+1e308, nan for a nan lambda
-    panels = math.ceil(span / _PANEL) if 0 < span < math.inf else 0
-    half = 0.5 * (span / panels) if panels else 0.0  # 0 on a span of one subnormal step
-    if not (half > 0 and panels * _NODES < L):
-        m11, _, _, m22 = _discrete_entries(A, B, lams)
-        return m11 + m22, det
-    centre = lo + (2 * np.arange(panels) + 1) * half
-    m11, _, _, m22 = _discrete_entries(A, B, np.add.outer(centre, half * _NODE_T).ravel())
-    nodes = (m11 + m22).reshape(panels, _NODES)
-    coef = (nodes @ _CHEB_FIT.T).T  # row k: the T_k coefficient of every panel
-    # each grid point's panel, and twice its offset t in [-1, 1] there, taken
-    # from the panel centre: lambda - centre is exact or nearly, as the node
-    # positions are, where an offset from lo would lose ulps of lambda - lo
-    panel = np.minimum(((lams - lo) / (2 * half)).astype(np.intp), panels - 1)
-    t2 = lams - np.take(centre, panel)
-    t2 /= half
-    t2 *= 2.0
-    b1, b2 = np.zeros(L), np.zeros(L)
-    for c in coef[:0:-1]:  # b_k = c_k + 2t b_(k+1) - b_(k+2), in place of b_(k+2)
-        b2 -= np.take(c, panel)
-        np.subtract(t2 * b1, b2, out=b2)
-        b1, b2 = b2, b1
-    t2 *= 0.5
-    trace = b1  # c_0 + t b_1 - b_2, in place of b_1
-    trace *= t2
-    trace -= b2
-    trace += np.take(coef[0], panel)
-    scale = np.maximum(np.abs(trace, out=b2), 1.0, out=b2)
-    scale *= _RANGE
-    # nan-safe: a nan trace or panel peak fails the comparison
-    kept = np.isfinite(trace) & (scale >= np.take(np.max(np.abs(nodes), axis=1), panel))
-    redo = np.flatnonzero(~kept)
-    if len(redo):
-        m11, _, _, m22 = _discrete_entries(A, B, lams[redo])
-        trace[redo] = m11 + m22
-    return trace, det
+
+    def trace(at):
+        m11, _, _, m22 = _discrete_entries(A, B, at)
+        return (m11 + m22)[None]
+
+    return _on_panels(trace, lams)[0], det
 
 
 # Taylor terms of a segment map before its segment is halved, and how often
@@ -323,19 +349,22 @@ def _segment_fits(g: Profile, lo: float, hi: float, S: int) -> np.ndarray:
     return np.concatenate(maps) @ _CHEB_FIT.T
 
 
-def _continuous_entries(g: Profile, lams: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Entries (m11, m12, m21, m22) of the Hill period map on [0, 1], per lambda.
+def _period_map(g: Profile, lams: np.ndarray):
+    """The function taking lambdas of the grid ``lams`` to the entries
+    (m11, m12, m21, m22) of the Hill period map on [0, 1] there.
 
-    [0, 1] is cut into S = ceil(sqrt(R)) segments, R = max|lambda| + max|g|, so
-    h^2 R <= 1 for the segment length h, and each segment map is a Taylor
-    series in the offset (``_segment_maps``).  Each entry of a segment map is
-    an entire function of lambda, and on such a short segment its degree-16
-    Chebyshev interpolant on the grid's range is exact to rounding.  On a
-    grid of more than 17 points that spans an interval, the maps are summed
-    at the 17 Chebyshev nodes only and evaluated on the grid; a grid of equal
-    lambdas takes one of them, and any other grid its own lambdas.  The maps
-    are multiplied in order, a block of segments at a time, so memory stays
-    bounded however large R is.
+    [0, 1] is cut into S = ceil(sqrt(R)) segments, R = max|lambda| + max|g|
+    over the grid, so h^2 R <= 1 for the segment length h, and each segment
+    map is a Taylor series in the offset (``_segment_maps``).  Each entry of
+    a segment map is an entire function of lambda, and on such a short
+    segment its degree-16 Chebyshev interpolant on the grid's range is exact
+    to rounding.  On a grid of more than 17 points that spans an interval,
+    the maps are summed once, at the 17 Chebyshev nodes of that range
+    (``_segment_fits``), and the function evaluates their interpolants; on
+    a grid of equal lambdas it sums them at that one lambda, and on any
+    other grid at the lambdas it is given.  The maps are multiplied in
+    order, a block of segments at a time, so memory stays bounded however
+    large R is.
     """
     L = len(lams)
     lo, hi = (float(np.min(lams)), float(np.max(lams))) if L else (0.0, 0.0)
@@ -345,29 +374,53 @@ def _continuous_entries(g: Profile, lams: np.ndarray) -> tuple[np.ndarray, ...]:
             f"monodromy integration failed: max|lambda| + max|g| = {R:.3g} needs more than "
             f"{_MAX_SEGMENTS} segments"
         )
-    if L > 1 and hi == lo:
-        return tuple(np.repeat(m, L) for m in _continuous_entries(g, lams[:1]))
     S = max(1, math.ceil(math.sqrt(R)))
-    fitted = hi > lo and L > _NODES
-    if fitted:
-        coef = _segment_fits(g, lo, hi, S)
-        t = (2 * lams - (hi + lo)) / (hi - lo)  # 0.5 (hi - lo) underflows on a subnormal span
-        vander = np.polynomial.chebyshev.chebvander(t, _NODES - 1).T
-    period = None
-    for ks in _blocks(S, L):
-        if fitted:  # one matrix product evaluates the block's interpolants
-            maps = (coef[ks].reshape(-1, _NODES) @ vander).reshape(len(ks), 4, L)
-        else:
-            maps = _segment_maps(g, lams, ks / S, 1.0 / S)
-        maps = _chain(maps)
-        period = maps if period is None else _mul(maps, period)
-    return tuple(period)
+    coef = _segment_fits(g, lo, hi, S) if hi > lo and L > _NODES else None
+
+    def entries(at):
+        if coef is not None:  # one matrix product evaluates a block's interpolants
+            t = (2 * at - (hi + lo)) / (hi - lo)  # 0.5 (hi - lo) underflows on a subnormal span
+            vander = np.polynomial.chebyshev.chebvander(t, _NODES - 1).T
+        period = None
+        for ks in _blocks(S, len(at)):
+            if coef is not None:
+                maps = (coef[ks].reshape(-1, _NODES) @ vander).reshape(len(ks), 4, len(at))
+            else:
+                maps = _segment_maps(g, at, ks / S, 1.0 / S)
+            maps = _chain(maps)
+            period = maps if period is None else _mul(maps, period)
+        return tuple(period)
+
+    if L > 1 and hi == lo:
+        return lambda at: tuple(np.repeat(m, len(at)) for m in entries(at[:1]))
+    return entries
+
+
+def _continuous_entries(g: Profile, lams: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Entries (m11, m12, m21, m22) of the Hill period map, per lambda (``_period_map``)."""
+    return _period_map(g, lams)(lams)
 
 
 def continuous_traces(g: Profile, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Traces/determinants of the Hill period map for all lambdas at once."""
-    m11, m12, m21, m22 = _continuous_entries(g, np.asarray(lams, float))
-    return m11 + m22, m11 * m22 - m12 * m21
+    """Traces/determinants of the Hill period map for all lambdas at once.
+
+    Both come from the period map of ``_period_map`` through ``_on_panels``,
+    the discrete side's rule: on a long grid the map is evaluated at the 17
+    Chebyshev nodes of each lambda-panel of width at most 32, the degree-16
+    interpolants of trace and determinant give the grid values, and the map
+    is evaluated again, for both, only where the trace is small beside its
+    panel's largest node value or a value is not finite.  Every other grid
+    takes the map at all its lambdas.
+    """
+    lams = np.asarray(lams, float)
+    period = _period_map(g, lams)
+
+    def trace_det(at):
+        m11, m12, m21, m22 = period(at)
+        return np.stack([m11 + m22, m11 * m22 - m12 * m21])
+
+    trace, det = _on_panels(trace_det, lams)
+    return trace, det
 
 
 def lattice_from_potential(g: Profile, N: int) -> tuple[np.ndarray, np.ndarray]:

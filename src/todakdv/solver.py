@@ -306,6 +306,11 @@ def lu_solve(lu: tuple[np.ndarray, np.ndarray, np.ndarray], rhs: np.ndarray) -> 
 
 _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 25
+# The residual x - base - dt/2 rhs(x) is formed from terms of rhs of size
+# about N |x| before they cancel, so its rounding floor is about
+# ulp dt N |x|: a Newton point whose residual is within 4 ulps (1 + |dt| N)
+# max|x| has converged even where that is above _NEWTON_TOL.
+_NEWTON_FLOOR = 4 * np.finfo(float).eps
 
 
 def step_cn(
@@ -326,8 +331,10 @@ def step_cn(
     of the converged point, for the next step to take as its lin; it is a
     function of x' alone, so chained steps equal steps from fresh evaluations.
     The iteration stops at a max-norm residual of at most _NEWTON_TOL = 1e-12
-    and raises NewtonError after _NEWTON_MAX_ITER = 25 iterations.  If
-    ``residual_log`` is a list, the max-norm Newton residuals are appended.
+    or, after the first Newton update, at most its rounding floor
+    4 ulps (1 + |dt| N) max|x| (``_NEWTON_FLOOR``), and raises NewtonError
+    after _NEWTON_MAX_ITER = 25 iterations.  If ``residual_log`` is a list,
+    the max-norm Newton residuals are appended.
     """
     base = x + 0.5 * dt * lin.rhs
     res_norm = np.inf
@@ -338,7 +345,9 @@ def step_cn(
         res_norm = float(np.abs(resid).max())
         if residual_log is not None:
             residual_log.append(res_norm)
-        if res_norm <= _NEWTON_TOL:
+        if res_norm <= _NEWTON_TOL or (
+            it and res_norm <= _NEWTON_FLOOR * (1 + abs(dt) * N) * np.abs(x).max()
+        ):
             return x, lin
         try:
             lu = lu_factor(lin, dt)
@@ -346,7 +355,7 @@ def step_cn(
             raise NewtonError(f"Newton matrix I - dt/2 J is singular: {err}", residual=res_norm) from err
         x = x - lu_solve(lu, resid)
     raise NewtonError(
-        f"Newton did not reach tol {_NEWTON_TOL:g} in {_NEWTON_MAX_ITER} iterations",
+        f"Newton did not reach tol {_NEWTON_TOL:g} or its rounding floor in {_NEWTON_MAX_ITER} iterations",
         residual=res_norm,
     )
 

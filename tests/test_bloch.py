@@ -432,6 +432,100 @@ def test_segment_fits_have_negligible_chebyshev_tails(monkeypatch, tag):
     assert np.max(np.abs(coef[..., -1])) < 1e-12
 
 
+def _recording_period_map(monkeypatch):
+    """Record the lambda count of every evaluation of a ``_period_map``, and
+    the arguments of every ``_segment_fits`` call."""
+    sizes, fits = [], []
+    period_map, segment_fits = bloch._period_map, bloch._segment_fits
+
+    def recording_map(g, lams):
+        period = period_map(g, lams)
+
+        def recording(at):
+            sizes.append(len(at))
+            return period(at)
+
+        return recording
+
+    def recording_fits(*args):
+        fits.append(args)
+        return segment_fits(*args)
+
+    monkeypatch.setattr(bloch, "_period_map", recording_map)
+    monkeypatch.setattr(bloch, "_segment_fits", recording_fits)
+    return sizes, fits
+
+
+def test_continuous_traces_evaluate_the_map_at_the_panel_nodes(monkeypatch):
+    # spectrum --lambda-max 200 --samples 16384: the segment maps are fitted
+    # once on [-200, 200], and the period map is evaluated at 13 panels of
+    # 17 nodes, then again only where the trace is small beside its panel's
+    # largest node value
+    sizes, fits = _recording_period_map(monkeypatch)
+    continuous_traces(builtin_profile("cos"), np.linspace(-200, 200, 16384))
+    assert [args[1:3] for args in fits] == [(-200.0, 200.0)]
+    assert sizes[0] == 13 * 17 and len(sizes) <= 2 and sum(sizes) < 16384 // 8
+
+
+@pytest.mark.parametrize("tag", _HILL_PROFILES)
+def test_continuous_traces_are_as_exact_as_the_map_on_the_grid(tag):
+    """Against an oracle, the panel path's largest trace error is at most
+    twice that of the period map evaluated at every grid lambda
+    (``_continuous_entries``), both relative to max(1, |trace|).
+
+    The sample is every 16th grid lambda and the 8 where the two differ
+    most.  The oracle is the closed form 2 cos sqrt(lambda - kappa) for a
+    constant potential and the full-period DOP853 solve for the others.
+    Both errors are about 3.6e-13 or 6.6e-13, the error of the segment fits,
+    so the two paths must also agree to 3e-14: they read 1.1e-14 to 1.4e-14
+    apart, and 4.0e-14 to 4.9e-14 without the direct evaluation at small
+    traces.
+    """
+    g = _hill_profile(tag)
+    lams = np.linspace(-200, 200, 16384)
+    panel, _ = continuous_traces(g, lams)
+    grid, _ = _trace_det(*bloch._continuous_entries(g, lams))
+    assert not np.array_equal(panel, grid)  # the grid takes the panel path
+    apart = np.abs(panel - grid) / np.maximum(1.0, np.abs(grid))
+    assert np.max(apart) <= 3e-14
+    sample = np.union1d(np.argsort(apart)[-8:], np.arange(0, len(lams), 16))
+    if tag in ("zero", "const:-2"):
+        mu = lams[sample] - g(np.zeros(1))[0]
+        root = np.sqrt(np.abs(mu))
+        exact = np.where(mu >= 0, 2.0 * np.cos(root), 2.0 * np.cosh(root))
+    else:
+        exact, _ = _trace_det(*_continuous_entries_full_period(g, lams[sample], 1e-13))
+
+    def largest_error(trace):
+        return np.max(np.abs(trace[sample] - exact) / np.maximum(1.0, np.abs(exact)))
+
+    assert largest_error(panel) <= 2 * largest_error(grid)
+
+
+@pytest.mark.parametrize(
+    "lams",
+    [np.linspace(-200, 200, 13 * 17), _ALL_EQUAL, _SUBNORMAL_STEP, _UNSORTED[:-2], _HUGE],
+    ids=["17P>=L", "all-equal", "subnormal-step", "unsorted", "1e308"],
+)
+def test_continuous_traces_take_the_map_on_other_grids(monkeypatch, lams):
+    g = builtin_profile("cos")
+    if lams is _HUGE:  # max|lambda| = 1e308: both raise before a map is summed
+        for scan in (bloch._continuous_entries, continuous_traces):
+            with pytest.raises(IntegrationError, match=r"= 1e\+308 needs more than 1048576 segments$"):
+                scan(g, lams)
+        return
+    with np.errstate(over="ignore", invalid="ignore"):
+        m11, m12, m21, m22 = bloch._continuous_entries(g, lams)
+    sizes, _ = _recording_period_map(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace, det = continuous_traces(g, lams)
+    assert sizes == [len(lams)]
+    assert trace.tobytes() == (m11 + m22).tobytes()
+    assert det.tobytes() == (m11 * m22 - m12 * m21).tobytes()
+
+
 @pytest.mark.parametrize(
     "lams",
     [np.zeros(100), np.full(40, -7.5), np.array([12.0]), np.linspace(-200, 200, 17),
@@ -537,9 +631,27 @@ def test_unsummable_hill_maps_raise_integration_error(g, message):
         continuous_traces(g, np.array([0.0]))
 
 
+def test_continuous_traces_keep_the_maps_overflow():
+    # near lambda = -1.25e5 the period map's entries pass 1e154, so m11 m22
+    # overflows: of 313 panels, those where a determinant node is not finite
+    # take the map's own values at every point, as the trace's would
+    g = builtin_profile("cos")
+    lams = np.linspace(-1.3e5, -1.2e5, 8192)
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace, det = continuous_traces(g, lams)
+        ref_trace, ref_det = _trace_det(*bloch._continuous_entries(g, lams))
+    wild = ~np.isfinite(ref_det)
+    assert wild.any() and not wild.all() and np.all(np.isfinite(ref_trace))
+    assert det[wild].tobytes() == ref_det[wild].tobytes()
+    assert np.all(np.isfinite(det[~wild]))
+    assert np.all(np.abs(trace - ref_trace) <= 1e-12 * np.abs(ref_trace))
+
+
 def test_continuous_traces_keep_only_the_period_map():
-    # each map of 4 x 16384 entries costs 0.5 MB: holding all 15 segment maps,
-    # or any per-step history, on the grid would show here
+    # each map of 4 x 16384 entries costs 0.5 MB: holding the segment maps
+    # on the grid, or a Chebyshev-Vandermonde matrix of 17 x 16384 (2.2 MB),
+    # would show here; the panel path holds two rows of the grid and the
+    # Clenshaw buffers, about 2 MB
     lams = np.linspace(-200, 200, 16384)
     g = builtin_profile("cos")
     tracemalloc.start()
@@ -548,7 +660,7 @@ def test_continuous_traces_keep_only_the_period_map():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 25e6
+    assert peak < 3e6
 
 
 def _no_integration(*args, **kwargs):

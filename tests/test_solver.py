@@ -230,12 +230,45 @@ def test_cn_newton_quadratic_convergence(monkeypatch):
 
 
 def test_cn_newton_failure_reports_residual(monkeypatch):
+    # the rounding floor is tried only after a Newton update, so a Newton
+    # capped at one iteration fails and reports its one residual
     x = stacked(random_smooth_state(16, seed=7))
     monkeypatch.setattr(solver, "_NEWTON_TOL", 1e-300)
-    monkeypatch.setattr(solver, "_NEWTON_MAX_ITER", 3)
+    monkeypatch.setattr(solver, "_NEWTON_MAX_ITER", 1)
+    log: list = []
     with pytest.raises(NewtonError) as exc:
-        _step(16, x, 1e-3)
-    assert exc.value.residual > 0
+        step_cn(16, x, flow2_jacobian(16, x), 1e-3, residual_log=log)
+    assert exc.value.residual > 0 and log == [exc.value.residual]
+
+
+# dt N = 5243: the residuals stagnate at 1.2e-12 to 1.5e-12 from the third
+# on, above _NEWTON_TOL, but below 4 ulps (1 + dt N) max|x| = 7e-12
+_AT_THE_FLOOR = [(512, 10.24), (256, 20.48), (1024, 5.12)]
+
+
+@pytest.mark.parametrize("N, dt", _AT_THE_FLOOR)
+def test_cn_newton_stops_at_its_rounding_floor(N, dt, tmp_path, capsys):
+    code = main(["simulate", "--scheme", "cn", "--init", "builtin:cos2", "--N", str(N),
+                 "--dt", str(dt), "--t-end", str(dt), "--out", str(tmp_path / "run")])
+    assert code == 0, capsys.readouterr().err
+    x = stacked(init_from_profile(builtin_profile("cos2"), N, "consistent_R"))
+    log: list = []
+    step_cn(N, x, flow2_jacobian(N, x), dt, residual_log=log)
+    floor = 4 * np.finfo(float).eps * (1 + dt * N) * np.max(np.abs(x))
+    assert len(log) == 3 and solver._NEWTON_TOL < log[-1] <= floor < 1e-11, log
+
+
+@pytest.mark.parametrize("max_iter", [1, 2])
+def test_cn_newton_capped_short_of_its_floor_exits_3(monkeypatch, tmp_path, capsys, max_iter):
+    # the first residual is 1.2e-2, and one Newton update leaves 7.5e-8,
+    # far above the floor
+    monkeypatch.setattr(solver, "_NEWTON_MAX_ITER", max_iter)
+    out = tmp_path / "run"
+    code = main(["simulate", "--scheme", "cn", "--init", "builtin:cos2", "--N", "512",
+                 "--dt", "10.24", "--t-end", "10.24", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3 and err.startswith("numerical failure: Newton failure at step 1")
+    assert not out.exists()
 
 
 def _counting(monkeypatch, name):

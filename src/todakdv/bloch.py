@@ -13,9 +13,9 @@ lambdas at once.
 Both monodromies reach a long lambda grid by one rule (``_on_panels``): the
 grid is cut into panels of width at most 32, the monodromy is computed at 17
 Chebyshev nodes per panel only, and the degree-16 interpolants of its trace
-(and, on the Hill side, its determinant) give the grid values.  Grid points
-where the trace is small beside its panel's largest node value, or a value
-is not finite, and every other grid take the monodromy at their own lambdas.
+give the grid values.  Grid points where the trace is small beside its
+panel's largest node value, or not finite, and every other grid take the
+monodromy at their own lambdas.
 
 The continuous side is Hill's operator -psi'' + g psi.  Its period map is the
 ordered product of the maps of S = ceil(sqrt(max|lambda| + max|g|)) short
@@ -36,8 +36,9 @@ at a time, so memory stays bounded.  Real spectral bands are where
 A scan keeps its result in columns: ``discriminant_scan`` returns one
 ``DiscriminantTable`` of five float arrays (lambda, the two traces, the two
 determinants), built from the vectorized monodromies without a per-sample
-object.  The discrete determinant is the lambda-independent prod(-B(n)), held
-as a stride-0 broadcast of that one value, so the CSV writer formats it once.
+object.  Neither determinant needs the monodromy: the discrete one is
+prod(-B(n)) and Hill's, a Wronskian, is 1, each held as a stride-0 broadcast
+of that one lambda-independent value, so the CSV writer formats it once.
 """
 
 from __future__ import annotations
@@ -151,20 +152,19 @@ def _discrete_entries(A, B, lams: np.ndarray) -> tuple[np.ndarray, ...]:
     return top[0], top[1], bottom[0], bottom[1]
 
 
-def _on_panels(values, lams: np.ndarray) -> np.ndarray:
-    """The rows of ``values`` on a lambda grid, interpolated on panels where it is long.
+def _on_panels(value, lams: np.ndarray) -> np.ndarray:
+    """A trace on a lambda grid, interpolated on panels where the grid is long.
 
-    ``values(at)`` returns k rows of values at the lambdas ``at``, an array
-    (k, len(at)); row 0 is a trace.  A grid of L points on a finite span
-    lo < hi, cut into P = ceil((hi - lo)/32) equal panels with 17 P < L,
-    calls it at the 17 Chebyshev nodes of each panel only, and sums the
-    degree-16 interpolant of every row on each panel at that panel's grid
-    points by Clenshaw's recurrence.  It calls ``values`` again, for every
-    row, at the grid points where an interpolant is not finite (every point
-    of a panel with a non-finite node value) or where max(1, |row 0|) is
-    below 1/8 of the panel's largest |row 0 node value|: the interpolant's
-    rounding scales with that value, so there it would exceed that of a
-    direct evaluation.  Every other grid calls ``values`` at all its lambdas.
+    ``value(at)`` returns the trace at the lambdas ``at``.  A grid of L
+    points on a finite span lo < hi, cut into P = ceil((hi - lo)/32) equal
+    panels with 17 P < L, calls it at the 17 Chebyshev nodes of each panel
+    only, and sums the degree-16 interpolant on each panel at that panel's
+    grid points by Clenshaw's recurrence.  It calls ``value`` again at the
+    grid points where the interpolant is not finite (every point of a panel
+    with a non-finite node value) or where max(1, |trace|) is below 1/8 of
+    the panel's largest |node value|: the interpolant's rounding scales with
+    that value, so there it would exceed that of a direct evaluation.  Every
+    other grid calls ``value`` at all its lambdas.
     """
     L = len(lams)
     lo, hi = (float(np.min(lams)), float(np.max(lams))) if L else (0.0, 0.0)
@@ -172,13 +172,10 @@ def _on_panels(values, lams: np.ndarray) -> np.ndarray:
     panels = math.ceil(span / _PANEL) if 0 < span < math.inf else 0
     half = 0.5 * (span / panels) if panels else 0.0  # 0 on a span of one subnormal step
     if not (half > 0 and panels * _NODES < L):
-        return values(lams)
+        return value(lams)
     centre = lo + (2 * np.arange(panels) + 1) * half
-    nodes = values(np.add.outer(centre, half * _NODE_T).ravel())
-    rows = len(nodes)
-    nodes = nodes.reshape(rows * panels, _NODES)
-    # [k, row, panel]: the T_k coefficient of every row on every panel
-    coef = (nodes @ _CHEB_FIT.T).T.reshape(_NODES, rows, panels)
+    nodes = value(np.add.outer(centre, half * _NODE_T).ravel()).reshape(panels, _NODES)
+    coef = (nodes @ _CHEB_FIT.T).T  # [k, panel]: the T_k coefficient on every panel
     # each grid point's panel, and twice its offset t in [-1, 1] there, taken
     # from the panel centre: lambda - centre is exact or nearly, as the node
     # positions are, where an offset from lo would lose ulps of lambda - lo
@@ -186,24 +183,23 @@ def _on_panels(values, lams: np.ndarray) -> np.ndarray:
     t2 = lams - np.take(centre, panel)
     t2 /= half
     t2 *= 2.0
-    b1, b2 = np.zeros((rows, L)), np.zeros((rows, L))
+    b1, b2 = np.zeros(L), np.zeros(L)
     for c in coef[:0:-1]:  # b_k = c_k + 2t b_(k+1) - b_(k+2), in place of b_(k+2)
-        b2 -= np.take(c, panel, axis=1)
+        b2 -= np.take(c, panel)
         np.subtract(t2 * b1, b2, out=b2)
         b1, b2 = b2, b1
     t2 *= 0.5
     out = b1  # c_0 + t b_1 - b_2, in place of b_1
     out *= t2
     out -= b2
-    out += np.take(coef[0], panel, axis=1)
-    scale = np.maximum(np.abs(out[0], out=b2[0]), 1.0, out=b2[0])
+    out += np.take(coef[0], panel)
+    scale = np.maximum(np.abs(out, out=b2), 1.0, out=b2)
     scale *= _RANGE
     # nan-safe: a nan value or panel peak fails the comparison
-    peak = np.max(np.abs(nodes[:panels]), axis=1)  # of row 0 on every panel
-    kept = np.isfinite(out).all(axis=0) & (scale >= np.take(peak, panel))
-    redo = np.flatnonzero(~kept)
+    peak = np.max(np.abs(nodes), axis=1)
+    redo = np.flatnonzero(~(np.isfinite(out) & (scale >= np.take(peak, panel))))
     if len(redo):
-        out[:, redo] = values(lams[redo])
+        out[redo] = value(lams[redo])
     return out
 
 
@@ -229,9 +225,9 @@ def discrete_traces(A: np.ndarray, B: np.ndarray, lams: np.ndarray) -> tuple[np.
 
     def trace(at):
         m11, _, _, m22 = _discrete_entries(A, B, at)
-        return (m11 + m22)[None]
+        return m11 + m22
 
-    return _on_panels(trace, lams)[0], det
+    return _on_panels(trace, lams), det
 
 
 # Taylor terms of a segment map before its segment is halved, and how often
@@ -402,25 +398,26 @@ def _continuous_entries(g: Profile, lams: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def continuous_traces(g: Profile, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Traces/determinants of the Hill period map for all lambdas at once.
+    """Vectorized Hill period map traces and determinants over a lambda grid.
 
-    Both come from the period map of ``_period_map`` through ``_on_panels``,
-    the discrete side's rule: on a long grid the map is evaluated at the 17
-    Chebyshev nodes of each lambda-panel of width at most 32, the degree-16
-    interpolants of trace and determinant give the grid values, and the map
-    is evaluated again, for both, only where the trace is small beside its
-    panel's largest node value or a value is not finite.  Every other grid
-    takes the map at all its lambdas.
+    The trace comes from ``_period_map`` through ``_on_panels``, the
+    discrete side's rule: a long grid evaluates the map at the panel nodes,
+    and again only where the trace is small beside its panel's largest node
+    value or not finite; every other grid takes the map at all its lambdas.
+
+    psi'' = (g - lambda) psi has no first-derivative term, so the
+    determinant, the Wronskian of its two solutions, is 1 at every lambda.
+    It is returned as a read-only stride-0 broadcast of 1.0, because
+    m11 m22 - m12 m21 cancels where the entries are large.
     """
     lams = np.asarray(lams, float)
     period = _period_map(g, lams)
 
-    def trace_det(at):
-        m11, m12, m21, m22 = period(at)
-        return np.stack([m11 + m22, m11 * m22 - m12 * m21])
+    def trace(at):
+        m11, _, _, m22 = period(at)
+        return m11 + m22
 
-    trace, det = _on_panels(trace_det, lams)
-    return trace, det
+    return _on_panels(trace, lams), np.broadcast_to(1.0, lams.shape)
 
 
 def lattice_from_potential(g: Profile, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -441,8 +438,6 @@ def discriminant_scan(g: Profile, N: int, lams: np.ndarray) -> DiscriminantTable
     """
     A, B = lattice_from_potential(g, N)
     lams = np.asarray(lams, float)
-    if len(lams) == 0:
-        return DiscriminantTable(lams, lams, lams, lams, lams)
     # a grid far below the potential overflows the transfer products and the
     # Hill period map to inf: no float warnings
     with np.errstate(over="ignore", invalid="ignore"):

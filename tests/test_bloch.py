@@ -396,11 +396,28 @@ def _trace_det(m11, m12, m21, m22):
 def test_continuous_traces_match_full_period_oracle(tag):
     g = _hill_profile(tag)
     lams = np.linspace(-200, 200, 16384)
-    trace, det = continuous_traces(g, lams)
+    trace, _ = continuous_traces(g, lams)
     ref_trace, _ = _trace_det(*_continuous_entries_full_period(g, lams, 1e-13))
     assert np.all(np.abs(trace - ref_trace) <= 1e-9 * np.maximum(1.0, np.abs(ref_trace)))
-    _, oracle_det = _trace_det(*_continuous_entries_full_period(g, lams, 1e-10))
-    assert np.max(np.abs(det - 1.0)) <= np.max(np.abs(oracle_det - 1.0))
+
+
+@pytest.mark.parametrize("tag", _HILL_PROFILES)
+def test_period_map_has_unit_wronskian(tag):
+    """m11 m22 - m12 m21 of the period map is 1 to rounding relative to its
+    larger product: about 2.7e-13 on a grid that takes the segment fits, and
+    4.4e-15 on grids of at most 17 points, which sum the segments at their
+    own lambdas."""
+    g = _hill_profile(tag)
+    lams = np.linspace(-200, 200, 16384)
+
+    def wronskian_error(at):
+        m11, m12, m21, m22 = bloch._continuous_entries(g, at)
+        a, b = m11 * m22, m12 * m21
+        return np.max(np.abs(a - b - 1.0) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(b))))
+
+    assert wronskian_error(lams) <= 1e-12
+    small = [np.linspace(-200, 200, 17)] + np.array_split(lams[::64], 16)
+    assert max(wronskian_error(at) for at in small) <= 2e-14
 
 
 @pytest.mark.parametrize("tag, kappa", [("zero", 0.0), ("const:-2", -2.0)])
@@ -515,7 +532,7 @@ def test_continuous_traces_take_the_map_on_other_grids(monkeypatch, lams):
                 scan(g, lams)
         return
     with np.errstate(over="ignore", invalid="ignore"):
-        m11, m12, m21, m22 = bloch._continuous_entries(g, lams)
+        m11, _, _, m22 = bloch._continuous_entries(g, lams)
     sizes, _ = _recording_period_map(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -523,7 +540,27 @@ def test_continuous_traces_take_the_map_on_other_grids(monkeypatch, lams):
             trace, det = continuous_traces(g, lams)
     assert sizes == [len(lams)]
     assert trace.tobytes() == (m11 + m22).tobytes()
-    assert det.tobytes() == (m11 * m22 - m12 * m21).tobytes()
+    assert det.strides == (0,) and det.tolist() == [1.0] * len(lams)
+
+
+@pytest.mark.parametrize(
+    "lams",
+    [np.linspace(-200, 200, 1001), np.linspace(-200, 200, 13 * 17), _ALL_EQUAL, _UNSORTED[:-2],
+     _SUBNORMAL_STEP, np.array([])],
+    ids=["panels", "17P>=L", "all-equal", "unsorted", "subnormal-step", "empty"],
+)
+def test_continuous_determinant_is_one_broadcast_value(lams):
+    """det_continuous is the Wronskian of Hill's equation, a read-only
+    stride-0 view of 1.0 on every grid, so the CSV writer formats it once."""
+    g = builtin_profile("cos2")
+    tr, det = continuous_traces(g, lams)
+    assert det.shape == tr.shape == lams.shape
+    assert det.strides == (0,) and not det.flags.writeable
+    assert det.tolist() == [1.0] * len(lams)
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = discriminant_scan(g, 64, lams)
+    assert table.det_continuous.strides == (0,)
+    assert table.det_continuous.tolist() == det.tolist()
 
 
 @pytest.mark.parametrize(
@@ -632,26 +669,30 @@ def test_unsummable_hill_maps_raise_integration_error(g, message):
 
 
 def test_continuous_traces_keep_the_maps_overflow():
-    # near lambda = -1.25e5 the period map's entries pass 1e154, so m11 m22
-    # overflows: of 313 panels, those where a determinant node is not finite
-    # take the map's own values at every point, as the trace's would
+    # near lambda = -5e5 the period map's entries pass 1e306: fitted on the
+    # whole grid, the map reads inf at every point, as its product overflows
+    # in intermediate entries.  Panels with a non-finite node take the map's
+    # own values at every point; the rest of the grid, summed from the node
+    # values, is finite and agrees with the map summed at each lambda alone.
     g = builtin_profile("cos")
-    lams = np.linspace(-1.3e5, -1.2e5, 8192)
+    lams = np.linspace(-5.02e5, -4.98e5, 8192)
     with np.errstate(over="ignore", invalid="ignore"):
-        trace, det = continuous_traces(g, lams)
-        ref_trace, ref_det = _trace_det(*bloch._continuous_entries(g, lams))
-    wild = ~np.isfinite(ref_det)
-    assert wild.any() and not wild.all() and np.all(np.isfinite(ref_trace))
-    assert det[wild].tobytes() == ref_det[wild].tobytes()
-    assert np.all(np.isfinite(det[~wild]))
-    assert np.all(np.abs(trace - ref_trace) <= 1e-12 * np.abs(ref_trace))
+        trace, _ = continuous_traces(g, lams)
+        m11, _, _, m22 = bloch._continuous_entries(g, lams)
+        tame = np.flatnonzero(np.isfinite(trace))
+        alone = np.array([_continuous_at(g, lam) for lam in lams[tame].tolist()])
+    wild = ~np.isfinite(trace)
+    assert wild.any() and len(tame)
+    assert trace[wild].tobytes() == (m11 + m22)[wild].tobytes()
+    ref_trace = alone[:, 0] + alone[:, 3]
+    assert np.all(np.abs(trace[tame] - ref_trace) <= 1e-11 * np.abs(ref_trace))
 
 
 def test_continuous_traces_keep_only_the_period_map():
     # each map of 4 x 16384 entries costs 0.5 MB: holding the segment maps
     # on the grid, or a Chebyshev-Vandermonde matrix of 17 x 16384 (2.2 MB),
-    # would show here; the panel path holds two rows of the grid and the
-    # Clenshaw buffers, about 2 MB
+    # would show here; the panel path holds one row of the grid and the
+    # Clenshaw buffers, about 1.75 MB
     lams = np.linspace(-200, 200, 16384)
     g = builtin_profile("cos")
     tracemalloc.start()
@@ -663,14 +704,12 @@ def test_continuous_traces_keep_only_the_period_map():
     assert peak < 3e6
 
 
-def _no_integration(*args, **kwargs):
-    raise AssertionError("an integrator ran on an empty grid")
-
-
-def test_discriminant_scan_empty_grid(monkeypatch):
-    monkeypatch.setattr(bloch, "solve_ivp", _no_integration)
-    monkeypatch.setattr(bloch, "_discrete_entries", _no_integration)
-    assert len(discriminant_scan(builtin_profile("zero"), 16, np.array([]))) == 0
+def test_discriminant_scan_empty_grid():
+    # both trace functions return empty columns on an empty grid
+    table = discriminant_scan(builtin_profile("zero"), 16, np.array([]))
+    assert len(table) == 0
+    for name in ("lam", "trace_discrete", "trace_continuous", "det_discrete", "det_continuous"):
+        assert getattr(table, name).shape == (0,)
 
 
 def test_discriminant_scan_builds_the_lattice_before_an_empty_grid():

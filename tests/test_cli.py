@@ -579,9 +579,9 @@ def test_spectrum_zero_potential_closed_form(capsys, tmp_path):
         assert abs(trc - expect) < 1e-6 * max(1.0, abs(expect))
         # O(eps^2) discretization, relative to the (possibly cosh-large) trace
         assert abs(trd - expect) < 0.02 + 0.005 * abs(expect)
-        # Wronskian/product determinants: roundoff scales with the entry size
-        assert abs(detd - 1.0) < 1e-9 + 1e-12 * trd**2
-        assert abs(detc - 1.0) < 1e-9 + 1e-12 * trc**2
+        # prod(-B(n)) of the free lattice to rounding, and the Hill Wronskian exactly
+        assert abs(detd - 1.0) < 1e-9
+        assert detc == 1.0
 
 
 def _spectrum_csv_reference(path, table):
@@ -599,22 +599,24 @@ _LONG = 2 * lattice._CSV_CHUNK + 5  # over chunk boundaries, with a short last c
 
 @pytest.mark.parametrize("rows", [0, 1, 2, len(_AWKWARD), _LONG])
 def test_spectrum_csv_writer_matches_csv_module(tmp_path, rows):
-    # det: the det_discrete column as a stride-0 broadcast of one value, as
-    # discrete_traces returns it, which the writer formats once; the long
-    # block tiles _AWKWARD, so FMT-printed fields sit among positional ones
+    # det: the det_discrete column as a stride-0 broadcast of one value, and
+    # det_continuous as one of 1.0, as the trace functions return them, which
+    # the writer formats once; the long block tiles _AWKWARD, so FMT-printed
+    # fields sit among positional ones
     for k, det in enumerate([None, -0.0, math.nan, math.inf, -math.inf, 5e-324]):
         cols = [np.resize(np.roll(np.array(_AWKWARD), shift), rows) for shift in range(5)]
         if det is not None:
-            cols[3] = np.broadcast_to(det, rows)
-            assert cols[3].strides == (0,)
+            cols[3:] = np.broadcast_to(det, rows), np.broadcast_to(1.0, rows)
+            assert cols[3].strides == cols[4].strides == (0,)
         table = bloch.DiscriminantTable(*cols)
         _write_spectrum_csv(tmp_path / f"new{k}.csv", table)
         _spectrum_csv_reference(tmp_path / f"ref{k}.csv", table)
         new = (tmp_path / f"new{k}.csv").read_bytes()
         assert new == (tmp_path / f"ref{k}.csv").read_bytes()
         if det is not None and rows:
-            det_field = new.splitlines()[1].split(b",")[3].decode()
-            assert det_field == {-0.0: "-0", 5e-324: "4.9406564584124654e-324"}.get(det, FMT % det)
+            det_fields = new.splitlines()[1].split(b",")[3:]
+            assert det_fields[0].decode() == {-0.0: "-0", 5e-324: "4.9406564584124654e-324"}.get(det, FMT % det)
+            assert det_fields[1] == b"1"
 
 
 def test_spectrum_scan_csv_matches_csv_module(capsys, tmp_path):
@@ -625,7 +627,10 @@ def test_spectrum_scan_csv_matches_csv_module(capsys, tmp_path):
     assert code == 0
     table = bloch.discriminant_scan(builtin_profile("cos2"), 512, np.linspace(-200, 200, 16384))
     _spectrum_csv_reference(tmp_path / "ref.csv", table)
-    assert (out / "spectrum.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    written = (out / "spectrum.csv").read_bytes()
+    assert written == (tmp_path / "ref.csv").read_bytes()
+    # det_continuous is the Hill Wronskian, exactly 1 in every row
+    assert [row.split(b",")[4] for row in written.splitlines()[1:]] == [b"1"] * 16384
 
 
 @pytest.mark.parametrize("rows", [0, 1, len(_AWKWARD)])

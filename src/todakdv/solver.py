@@ -7,13 +7,17 @@ builds a LatticeState only for each snapshot it records.  The implicit step
 is a Newton iteration on the exact Jacobian, 10 N stencil values of a
 periodic block-tridiagonal matrix; with the sites folded as 0, N-1, 1, N-2,
 ... I - dt/2 J is a plain LAPACK band without corners, so one step costs
-O(N).  Each Newton point costs one linearization, the right side and the
-Jacobian from one pass (``flow2_jacobian``), then one banded factor and one
-solve; a step takes the linearization of its state and returns that of its
-result, which ``run`` hands to the next step.  A linearization is a function
-of the state alone, so carrying it changes no float.  Newton stops at a
-max-norm residual of 1e-12 and fails after 25 iterations.  The explicit
-stability diagnostic ``linear_spectral_radius`` is the closed form of the
+O(N).  Both steppers evaluate flow 2 by one kernel, lattice._flow2: RK4
+takes its right side (rhs_flow2_arrays), and the linearization
+``flow2_jacobian`` takes that right side and the neighbours and differences
+the kernel shares, and builds only the ten Jacobian rows itself.  Each
+Newton point costs one linearization, then one banded factor and one solve;
+a step takes the linearization of its state and returns that of its result,
+which ``run`` hands to the next step.  A linearization is a function of the
+state alone, so carrying it changes no float.  Newton stops at a max-norm
+residual of 1e-12 or, after its first update, at the residual's rounding
+floor 4 ulps (1 + |dt| N) max|x|, and fails after 25 iterations.  The
+explicit stability diagnostic ``linear_spectral_radius`` is the closed form of the
 block-circulant stencil symbol, also O(N).  The reference KdV oracle solves
 the scaled df/dt = eps^2 (-1/4 f''' + 3 f f') pseudo-spectrally by
 integrating-factor RK4 with global step doubling to the global tolerance
@@ -33,8 +37,8 @@ from .lattice import (
     ConservedReport,
     LatticeState,
     Profile,
+    _flow2,
     conserved_report,
-    periodic_neighbours,
     rhs_flow2_arrays,
 )
 
@@ -145,14 +149,32 @@ class Trajectory:
 
 
 def step_rk4(N: int, x: np.ndarray, dt: float) -> np.ndarray:
-    """Classical four-stage step of the second-flow right side on x = (a, b)."""
+    """Classical four-stage step of the second-flow right side on x = (a, b).
+
+    x + dt/2 k1, x + dt/2 k2, x + dt k3 and x + dt/6 (k1 + 2 k2 + 2 k3 + k4)
+    are formed in place, in one stage buffer and in k1, by the operations
+    of those formulas in their order; x itself is never written.
+    """
+    half = 0.5 * dt
     with np.errstate(over="ignore", invalid="ignore"):
         k1 = rhs_flow2_arrays(N, x)
-        k2 = rhs_flow2_arrays(N, x + 0.5 * dt * k1)
-        k3 = rhs_flow2_arrays(N, x + 0.5 * dt * k2)
-        k4 = rhs_flow2_arrays(N, x + dt * k3)
-        x1 = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    if not np.all(np.isfinite(x1)):
+        y = np.multiply(half, k1)
+        y += x
+        k2 = rhs_flow2_arrays(N, y)
+        np.multiply(half, k2, out=y)
+        y += x
+        k3 = rhs_flow2_arrays(N, y)
+        np.multiply(dt, k3, out=y)
+        y += x
+        k4 = rhs_flow2_arrays(N, y)
+        k2 *= 2.0
+        k1 += k2
+        k3 *= 2.0
+        k1 += k3
+        k1 += k4
+        k1 *= dt / 6.0
+        x1 = np.add(x, k1, out=k1)
+    if not np.isfinite(x1).all():
         raise BlowUpError("explicit step produced a non-finite state")
     return x1
 
@@ -193,11 +215,11 @@ class Flow2Jacobian:
 def flow2_jacobian(N: int, x: np.ndarray) -> Flow2Jacobian:
     """rhs_flow2 and its exact Jacobian at the float64 x = (a, b), in one pass.
 
-    Both read one set of neighbour views, and the differences they share
-    (bp - b, a + am, a + ap, 1 - eps^2 b, 2b) are formed once.  The right side
-    repeats the operations of rhs_flow2_arrays in their order, so it equals
-    rhs_flow2_arrays(N, x) byte for byte.  Each Jacobian row is built in place
-    in the operation order of the formula beside it, then all are scaled by N:
+    The right side is the f of the flow-2 kernel lattice._flow2, so it is
+    rhs_flow2_arrays(N, x) byte for byte, and the rows start from the
+    neighbours and differences that kernel shares (bp - b, a + am, a + ap,
+    1 - eps^2 b, 2b).  Each Jacobian row is built in place in the operation
+    order of the formula beside it, then all are scaled by N:
         J[0] = J[7] = 1 - eps^2 b
         J[1] = eps^2 (bp - b)
         J[2] = -1 + eps^2 bp
@@ -211,24 +233,15 @@ def flow2_jacobian(N: int, x: np.ndarray) -> Flow2Jacobian:
     5-9 are d(db_k) / d(a_{k-1}, a_k, b_{k-1}, b_k, b_{k+1}), as in _STENCIL.
     """
     eps2 = 1.0 / N**2
-    a, b = x[:N], x[N:]
-    am, ap = periodic_neighbours(a)
-    bm, bp = periodic_neighbours(b)
+    f, (g, d, vs, eb, c, twob) = _flow2(N, x)
+    bp, a, b, am, bm = g[0], g[1], g[2], g[3], g[7]
     J = np.empty((10, N))
-    d = np.subtract(bp, b, out=J[1])
-    v = np.add(a, am, out=J[3])
-    s = np.add(a, ap, out=J[4])
-    eb = eps2 * b
-    c = np.subtract(1.0, eb, out=J[0])
-    twob = 2.0 * b
-    u = a - am
-    w = bp - bm
-    f = np.empty(2 * N)
-    np.multiply(float(N), 2.0 * d - (ap - am) + eps2 * (bp * s - b * v), out=f[:N])
-    np.multiply(float(N), 2.0 * u - w + eps2 * (u * (v * c - twob) + b * w), out=f[N:])
-    # rows 1-6 without their factor eps^2 and constant (rows 1, 3 and 4 hold
-    # d, v and s already), then row 8 whole
+    # rows 0-4 start from the kernel's operands; rows 1-6 are formed without
+    # their factor eps^2 and constant first, row 8 whole
+    J[0] = c
+    J[1] = d[0]
     J[2] = bp
+    J[3:5] = vs
     twoam = 2.0 * am
     e2b = (2.0 * eps2) * b
     t = np.subtract(twob, twoam, out=J[5])

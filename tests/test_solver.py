@@ -68,6 +68,46 @@ def test_rk4_one_step_taylor():
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)  # O(dt^2) defect vs Euler
 
 
+def _rk4_formula(N, x, dt):
+    """The classical four-stage step, every stage and sum a fresh array."""
+    k1 = rhs_flow2_arrays(N, x)
+    k2 = rhs_flow2_arrays(N, x + 0.5 * dt * k1)
+    k3 = rhs_flow2_arrays(N, x + 0.5 * dt * k2)
+    k4 = rhs_flow2_arrays(N, x + dt * k3)
+    return x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=mixed_states(), dt=st.sampled_from([1e-3, -1e-3, 5e-2, -5e-2]))
+@example(s=random_smooth_state(8, seed=3), dt=-1e-3)
+@example(s=random_smooth_state(8, seed=4, amp=0.5), dt=5e-2)
+@example(s=random_smooth_state(9, seed=5), dt=1e-3)
+def test_rk4_step_is_the_classical_formula(s, dt):
+    """step_rk4, which forms its stages and sum in place, is byte for byte the
+    classical formula on fresh arrays, or raises BlowUpError where that is not
+    finite.  It never writes its input: neither x nor the snapshot an earlier
+    step returned changes, and no result shares memory with its input."""
+    N, x = s.N, stacked(s)
+    before = x.tobytes()
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _rk4_formula(N, x.copy(), dt)
+    if not np.isfinite(want).all():
+        with pytest.raises(BlowUpError):
+            step_rk4(N, x, dt)
+        assert x.tobytes() == before
+        return
+    x1 = step_rk4(N, x, dt)
+    assert x1.tobytes() == want.tobytes()
+    assert x.tobytes() == before and not np.shares_memory(x1, x)
+    snapshot = x1.tobytes()
+    try:
+        x2 = step_rk4(N, x1, dt)
+    except BlowUpError:
+        x2 = None
+    assert x1.tobytes() == snapshot and x.tobytes() == before
+    assert x2 is None or not (np.shares_memory(x2, x1) or np.shares_memory(x2, x))
+
+
 def test_jacobian_matches_finite_differences():
     s = random_smooth_state(12, seed=3, amp=0.5)
     N = s.N
@@ -421,8 +461,9 @@ def _scaled_states(draw):
 @example(s=random_smooth_state(9, seed=2, amp=1e-3))
 def test_linearization_is_the_right_side_and_the_jacobian_formula(s):
     """flow2_jacobian's right side is rhs_flow2_arrays byte for byte and its
-    values the stacked-row Jacobian formula byte for byte: this pins the CN
-    right side to the RK4 one, which is written out separately."""
+    values the stacked-row Jacobian formula byte for byte: both schemes take
+    the right side of the one flow-2 kernel, and the Jacobian rows built from
+    the operands it shares are the formula's."""
     N, x = s.N, stacked(s)
     lin = flow2_jacobian(N, x)
     assert lin.rhs.tobytes() == rhs_flow2_arrays(N, x).tobytes()

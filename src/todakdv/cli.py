@@ -144,16 +144,17 @@ def cmd_simulate(args) -> int:
             "output_every": args.output_every,
         },
     )
-    # one table: each snapshot's t repeated over its N sites, then the next snapshot
+    # one (snapshots, N) table in C order: each snapshot's t broadcast over its N sites
     times, states, reports = zip(*traj.samples)
+    shape = (len(states), args.N)
     lattice.write_csv(
         outdir / "trajectory.csv",
         _TRAJECTORY_HEADER,
         (
-            np.repeat(times, args.N),
-            np.tile(np.arange(args.N), len(states)),
-            np.concatenate([s.a for s in states]),
-            np.concatenate([s.b for s in states]),
+            np.broadcast_to(np.array(times)[:, None], shape),
+            np.broadcast_to(np.arange(args.N), shape),
+            np.stack([s.a for s in states]),
+            np.stack([s.b for s in states]),
         ),
     )
     lattice.write_csv(

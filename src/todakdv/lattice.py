@@ -32,22 +32,24 @@ Every CSV table is written by write_csv and read by read_csv, which rejects a
 wrong header, a row of another width or a field that is not a finite number,
 naming the file.  write_csv prints every field as FMT = "%.17g" does, 17
 significant digits, by one path: _format_rows formats the table in numpy, one
-chunk of _CSV_CHUNK = 2048 rows at a time.  There _digits17 computes a
+chunk of _CSV_CHUNK rows at a time, each column only at its distinct entries
+(a broadcast column at one per stride-0 axis).  There _digits17 computes a
 field's 17 digits exactly, by Dekker's two-product and a round half to even,
-wherever %g prints no exponent; a zero takes its sign and "0" by a pattern
-of its own, and every other field (infinities, nans, exponent forms) keeps
-FMT % v.
+wherever %g prints no exponent; a zero is "0" signed by its sign bit, and
+every other field (infinities, nans, exponent forms) keeps FMT % v.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import io
 import math
 import operator
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -623,48 +625,92 @@ def asymptotic_C(profile: Profile, N: int, depth: int = 3) -> tuple[float, float
 
 
 FMT = "%.17g"  # 17 significant digits: every float64 reads back exactly
-_CSV_CHUNK = 2048  # rows formatted per call: bounds the numpy work arrays held at once (about 3 MB at four columns)
+# Rows per chunk.  At four formatted columns each numpy work array of a
+# chunk stays below 128 KiB, glibc's initial mmap threshold, so it comes from
+# the heap; at 2048 rows they were mapped afresh for every chunk (about 150
+# page faults to write a trajectory.csv of 21 snapshots of 128 sites).
+_CSV_CHUNK = 1024
 _STATE_HEADER = ("n", "a", "b")
 
 
 def write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
-    """Write a table of equal-length 1-D columns, every field FMT % float(value).
+    """Write a table whose columns share one shape, every field FMT % float(value).
 
-    _format_rows formats the rows in numpy, _CSV_CHUNK at a time; the
-    varying columns are stacked one chunk at a time, and a column that is a
-    broadcast scalar (stride 0, as from np.broadcast_to) is formatted once.
-    The file is byte for byte what csv.writer writes for the FMT fields: none
-    of them needs quoting, and csv.writer ends lines in \\r\\n.  An integer
-    such as a site index prints as %d prints it, for every integer below 2^53.
-    A table of no rows is its header line.
+    The columns are 1-D, or 2-D of shape (S, N) with the rows in C order; a
+    column may be a broadcast view (np.broadcast_to), as trajectory.csv
+    passes each snapshot's t over its N sites and the site indices over the
+    S snapshots.  _format_rows formats each column only at its distinct
+    entries, those along its axes of nonzero stride.  The file is byte for
+    byte what csv.writer writes for the FMT fields: none of them needs
+    quoting, and csv.writer ends lines in \\r\\n.  An integer such as a site
+    index prints as %d prints it, for every integer below 2^53.  A table of
+    no rows is its header line.
     """
-    rows = len(columns[0])
-    if any(len(col) != rows for col in columns):
-        raise ValueError("the columns of a CSV table must have equal lengths")
-    fields = [FMT % col[0].item() if rows and col.strides == (0,) else None for col in columns]
-    varying = [col for col, field in zip(columns, fields) if field is None]
+    shape = np.shape(columns[0])
+    if len(shape) not in (1, 2) or any(np.shape(col) != shape for col in columns):
+        raise ValueError("the columns of a CSV table must have equal lengths, 1-D or of one 2-D shape")
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
-        for start in range(0, rows, _CSV_CHUNK):
-            stop = min(start + _CSV_CHUNK, rows)
-            part = np.column_stack([col[start:stop] for col in varying] or [np.empty((stop - start, 0))])
-            fh.write(_format_rows(part, fields))
+        for rows in _format_rows(columns):
+            fh.write(rows)
 
 
-# _format_rows assembles a field from a 28-byte source row: its sign ("-" or
-# NUL), "0.", its 17 digits, four spare bytes, and its separator NUL padded
-# (",\0\0\0" or "\r\n\0\0").  One gather of _WIDTH bytes through the pattern
-# of its decimal exponent X and digit count picks its text; every NUL is
-# dropped at the end.  The source row of a field that FMT prints holds that
-# text, NUL padded, in bytes 0..23 instead.
-_SIGN, _ZERO, _DOT, _DIGIT, _END, _NUL = 0, 1, 2, 3, 24, 27
+def _format_rows(columns: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
+    """The CSV rows of equal-shape columns as uint8 arrays, one chunk of rows at a time.
+
+    A 1-D column is taken as one of shape (rows, 1).  A chunk is a box of
+    the (S, N) grid of at most _CSV_CHUNK rows: whole rows of the first
+    axis, or part of one where N > _CSV_CHUNK.  A column's entries in the
+    box along its axes of nonzero stride are its distinct ones there;
+    _format_fields formats them, in one call for all columns, unless the
+    column covered the same entries in the previous chunk, whose fields it
+    keeps.  Each column's fields are broadcast over the rows of the box, and
+    one mask drops every NUL.
+    """
+    grid = [col if col.ndim == 2 else col[:, None] for col in map(np.asarray, columns)]
+    S, N = grid[0].shape
+    parts: list[tuple[slice, ...] | None] = [None] * len(grid)
+    fields: list[np.ndarray] = [np.empty(0, np.uint8)] * len(grid)
+    per = max(_CSV_CHUNK // max(N, 1), 1)  # first-axis rows per chunk
+    for i in range(0, S, per):
+        for j in range(0, N, _CSV_CHUNK):
+            box = (slice(i, min(i + per, S)), slice(j, min(j + _CSV_CHUNK, N)))
+            stale = []
+            for c, col in enumerate(grid):
+                part = tuple(span if stride else slice(0, 1) for span, stride in zip(box, col.strides))
+                if part != parts[c]:
+                    parts[c] = part
+                    stale.append(c)
+            if stale:
+                values = [grid[c][parts[c]] for c in stale]
+                ends = values[-1].size if stale[-1] == len(grid) - 1 else 0
+                text = _format_fields(np.concatenate([v.ravel() for v in values], dtype=np.float64), ends)
+                start = 0
+                for c, v in zip(stale, values):
+                    fields[c] = text[start : start + v.size].reshape(*v.shape, _WIDTH)
+                    start += v.size
+            out = np.empty((box[0].stop - i, box[1].stop - j, len(grid), _WIDTH), np.uint8)
+            for c, field in enumerate(fields):
+                out[:, :, c] = field
+            yield out[out != 0]
+
+
+# _format_fields reads each field from a source row of _SOURCE bytes: NUL,
+# NUL, its sign ("-" or NUL), "0000", its 17 digits and its separator NUL
+# padded (",\0\0\0" or "\r\n\0\0"), then the next row's two NULs.  Two views
+# of the rows, S0 from the sign on and S1 one byte before it (S1[q] =
+# S0[q - 1]), give the text: S0 up to the end e of the integer part, the
+# "." at e + 1, then S1, which carries the fraction digits and the
+# separator one place on.  Uint8 masks, rows of tables indexed by e and by
+# the last kept place, pick the bytes that stay; the rest are NUL, dropped
+# at the end.  A field that FMT prints takes its text and separator instead.
 _SOURCE = 28
 _TEXT = 24  # the longest FMT text, "-2.2250738585072014e-308"
 _WIDTH = _TEXT + 2  # and a separator
-_HEADS = np.frombuffer(b"\0" b"0.0" b"-0.0", np.uint32)  # source bytes 0..3; the first digit adds to byte 3
+_DIGIT = 5  # S0 place of the first significant digit
+_HEADS = np.frombuffer(b"\0\0\0" b"0" b"\0\0-0", np.uint32)  # source bytes 0..3, by the sign bit
 _ENDS = np.frombuffer(b",\0\0\0" b"\r\n\0\0", np.uint32)  # source bytes 24..27
-_FALLBACK = 21 * 17  # the pattern of FMT text follows those of X = -4..16, 1..17 digits
-_ZERO_CODE = _FALLBACK + 1  # and then that of "0" or "-0"
+_GROUP_PLACES = np.array([[-3], [1], [5], [9], [13]], np.int8)  # digit j of group i is D's 4 i - 3 + j
 _POW10 = np.array([float(10**p) for p in range(21)])  # 10^p is an exact double for p <= 22
 _SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitter for float64
 
@@ -680,36 +726,26 @@ _POW10_HI, _POW10_LO = _split(_POW10)
 
 
 @functools.cache
-def _format_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(quads, last, patterns), built once, by the first write.
+def _format_tables() -> tuple[np.ndarray, ...]:
+    """(quads, last, head, tail, stop, dots), built once, by the first write.
 
     quads[g] holds the four ASCII digits of g = 0..9999 as one uint32, and
     last[g] the 1-based place of its last nonzero digit (-20 for g = 0).
-    patterns[(X + 4) * 17 + digits - 1] lists the source bytes of a
-    positional field and its separator, NUL padded: X in [-4, 16] is the
-    decimal exponent and digits in 1..17 the significant digits left once
-    trailing zeros go (the integer digits always stay).  patterns[_FALLBACK]
-    copies FMT text, and patterns[_ZERO_CODE] the sign and "0" of a zero.
+    The masks are rows over the _SOURCE places q of a text: head[e] keeps
+    the sign and the integer part S0[min(e, _DIGIT)..e], tail[k] the places
+    from k on, stop[k] those up to k and the separator's, and dots[k] is
+    "." at k (none at k = _SOURCE).
     """
     g = np.arange(10000)
     pairs = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), np.uint16)
     quads = np.stack([pairs[g // 100], pairs[g % 100]], axis=1).view(np.uint32)[:, 0]
     last = np.where(g > 0, 4 - (g % 10 == 0) - (g % 100 == 0) - (g % 1000 == 0), -20).astype(np.int8)
-    patterns = np.full((_ZERO_CODE + 1, _WIDTH), _NUL, np.uint8)
-    for X in range(-4, 17):
-        for digits in range(1, 18):
-            places = list(range(_DIGIT, _DIGIT + max(digits, X + 1)))
-            if X < 0:
-                body = [_ZERO, _DOT] + [_ZERO] * (-X - 1) + places
-            elif digits > X + 1:
-                body = places[: X + 1] + [_DOT] + places[X + 1 :]
-            else:
-                body = places
-            text = [_SIGN] + body + [_END, _END + 1]
-            patterns[(X + 4) * 17 + digits - 1, : len(text)] = text
-    patterns[_FALLBACK] = list(range(_TEXT)) + [_END, _END + 1]
-    patterns[_ZERO_CODE, :4] = [_SIGN, _ZERO, _END, _END + 1]
-    return quads, last, patterns
+    q, k = np.arange(_SOURCE), np.arange(_SOURCE + 1)[:, None]
+    head = ((q == 0) | (q >= np.minimum(k, _DIGIT)) & (q <= k)).astype(np.uint8)
+    tail = (q >= k).astype(np.uint8)
+    stop = ((q <= k) | (q > _TEXT - 2) & (q <= _TEXT)).astype(np.uint8)
+    dots = np.where(q == k, ord("."), 0).astype(np.uint8)
+    return quads, last, head, tail, stop, dots
 
 
 def _digits17(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -725,7 +761,7 @@ def _digits17(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         estimate = np.floor(np.log10(np.abs(v)))
     positional = (estimate >= -5) & (estimate <= 17)
     a = np.where(positional, np.abs(v), 1.0)
-    X = np.clip(np.where(positional, estimate, 0.0), -4, 16).astype(np.intp)
+    X = np.minimum(np.maximum(np.where(positional, estimate, 0.0), -4), 16).astype(np.intp)
     # Dekker's two-product: a 10^p = hi + lo exactly (numpy fuses no multiply-add)
     p = 16 - X
     hi = a * _POW10[p]
@@ -742,72 +778,98 @@ def _digits17(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return positional, X, D
 
 
-def _format_rows(values: np.ndarray, fields: Sequence[str | None]) -> bytes:
-    """The CSV rows of a (rows, k) array, each field exactly FMT % float(value).
+def _fmt_text(values: np.ndarray) -> bytes:
+    """FMT % v of each value, NUL padded to _TEXT bytes."""
+    return ((f"%-{_TEXT}.17g" * len(values)) % tuple(values.tolist())).encode().replace(b" ", b"\0")
 
-    fields lists the columns of a row in order: the text of a constant
-    column, None for each column of values.  A field that _digits17 marks
-    positional takes its digits from a 4-digit table, keeps them up to the
-    last nonzero one, and gets its sign, "0." and zeros or decimal point by
-    the gather of its pattern.  A zero gets "0", signed by its sign bit,
-    from a pattern of its own, and any other field is FMT % v.  One mask
-    then drops the NUL padding of every field.
+
+def _format_fields(v: np.ndarray, ends: int) -> np.ndarray:
+    """Each field FMT % v and its separator, NUL padded: a (len(v), _WIDTH) uint8 array.
+
+    The separator of the last ends fields is "\\r\\n", that of the others ",".  A field
+    that _digits17 marks positional takes its digits from a 4-digit table
+    and keeps them up to the last nonzero one (the integer digits always
+    stay).  A zero is "0" signed by its sign bit, and any other field is
+    FMT % v.
     """
-    quads, last, patterns = _format_tables()
-    rows, k = values.shape
-    v = values.astype(np.float64, copy=False).ravel()
+    quads, last, head, tail, stop, dots = _format_tables()
     positional, X, D = _digits17(v)
+    # D in groups: the first digit (which quads prints after "000"), then four digits at a time
     top = D // 10**8
     lead = top // 10**8
     mid, low = top - lead * 10**8, D - top * 10**8
-    columns = [j for j, field in enumerate(fields) if field is None]
-    source = np.empty((len(v), _SOURCE), np.uint8)
-    words = source.view(np.uint32)
-    words[:, 0] = np.take(_HEADS, np.signbit(v))
-    source[:, _DIGIT] += lead.astype(np.uint8)
-    words[:, 6] = np.tile(np.take(_ENDS, np.array(columns) == len(fields) - 1), rows)
-    kept = np.ones(len(v), np.intp)
-    for i, group in enumerate((mid // 10000, mid % 10000, low // 10000, low % 10000)):
-        words[:, 1 + i] = np.take(quads, group)
-        np.maximum(kept, np.take(last, group) + 1 + 4 * i, out=kept)
-    code = (X + 4) * 17 + kept - 1
-    special = np.flatnonzero(~positional)
-    zero = v[special] == 0
-    code[special] = np.where(zero, _ZERO_CODE, _FALLBACK)
-    fallback = special[~zero]
+    mid_hi, low_hi = mid // 10**4, low // 10**4
+    groups = np.array([lead, mid_hi, mid - mid_hi * 10**4, low_hi, low - low_hi * 10**4])
+    kept = (last.take(groups) + _GROUP_PLACES).max(axis=0)
+    flat = np.empty(len(v) * _SOURCE + 2, np.uint8)
+    flat[-2:] = 0
+    words = flat[:-2].view(np.uint32).reshape(-1, _SOURCE // 4)
+    words[:, 0] = _HEADS.take(np.signbit(v))
+    for i, quad in enumerate(quads.take(groups)):
+        words[:, 1 + i] = quad
+    words[:, 6] = _ENDS[0]
+    words[len(v) - ends :, 6] = _ENDS[1]
+    S0 = flat[2:].reshape(-1, _SOURCE)
+    S1 = flat[1:-1].reshape(-1, _SOURCE)
+    # S0[e] ends the integer part ("0" where X < 0); the last kept digit is
+    # S0[_DIGIT - 1 + kept], which S1 shows one place on
+    e = X + _DIGIT
+    e[v == 0] = _DIGIT - 1
+    fraction = positional & (kept + _DIGIT - 1 > e)
+    text = head.take(e, axis=0)
+    text *= S0
+    digits = tail.take(e + 2, axis=0)
+    digits *= stop.take(np.where(fraction, kept + _DIGIT, e + 1), axis=0)
+    digits *= S1
+    text += digits
+    text += dots.take(np.where(fraction, e + 1, _SOURCE), axis=0)
+    fallback = np.flatnonzero(~positional & (v != 0))
     if len(fallback):
-        text = ((f"%-{_TEXT}.17g" * len(fallback)) % tuple(v[fallback].tolist())).encode().replace(b" ", b"\0")
-        source[fallback, :_TEXT] = np.frombuffer(text, np.uint8).reshape(-1, _TEXT)
-    index = np.add(np.arange(0, len(v) * _SOURCE, _SOURCE)[:, None], np.take(patterns, code, axis=0))
-    out = np.empty((rows, len(fields), _WIDTH), np.uint8)
-    out[:, columns] = np.take(source, index).reshape(rows, k, _WIDTH)
-    for j, field in enumerate(fields):
-        if field is not None:
-            end = "\r\n" if j == len(fields) - 1 else ","
-            out[:, j] = np.frombuffer((field + end).encode().ljust(_WIDTH, b"\0"), np.uint8)
-    return out[out != 0].tobytes()
+        text[fallback, :_TEXT] = np.frombuffer(_fmt_text(v[fallback]), np.uint8).reshape(-1, _TEXT)
+        text[fallback, _TEXT:_WIDTH] = S0[fallback, _TEXT - 2 : _WIDTH - 2]
+    return text[:, :_WIDTH]
 
 
 def read_csv(path, header: Sequence[str]) -> np.ndarray:
     """The rows of a CSV file with the given header, as a (rows, len(header)) float array.
 
-    Each field is read by float, so a FMT field reads back bit for bit.  Another
-    header (fields stripped), a row of another width or a field that is not a
-    finite number raises ValueError naming the file.
+    Every field reads as float reads it, so a FMT field reads back bit for
+    bit.  Another header (fields stripped), a row of another width or a
+    field that is not a finite number raises ValueError naming the file.
+    np.loadtxt parses the body after the header; where it rejects the body
+    or reads another shape than its lines hold (it skips blank lines),
+    _read_rows reads the body again by csv.reader and float.
     """
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or [h.strip() for h in rows[0]] != list(header):
-        raise ValueError(f"expected header {','.join(header)} in {path}")
-    if any(len(row) != len(header) for row in rows[1:]):
-        raise ValueError(f"every row of {path} needs {len(header)} columns {','.join(header)}")
+        if [h.strip() for h in next(csv.reader([fh.readline()]), [])] != list(header):
+            raise ValueError(f"expected header {','.join(header)} in {path}")
+        body = fh.read()
+    # the lines csv.reader splits the body into, at \r\n, \r or \n
+    ends = body.count("\n") + body.count("\r") - body.count("\r\n")
+    lines = ends + bool(body) - body.endswith(("\r", "\n"))
     try:
-        values = np.array([float(x) for row in rows[1:] for x in row]).reshape(-1, len(header))
-    except ValueError as err:
-        raise ValueError(f"non-numeric field in {path}: {err}") from None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a header alone is a table of no rows
+            text = io.StringIO(body, newline="")
+            values = np.loadtxt(text, delimiter=",", quotechar='"', comments=None, ndmin=2)
+    except ValueError:
+        values = None
+    if values is None or values.shape != (lines, len(header)):
+        values = _read_rows(path, header, body)
     if not np.isfinite(values).all():
         raise ValueError(f"non-finite field in {path}: {values[~np.isfinite(values)][0]}")
     return values
+
+
+def _read_rows(path, header: Sequence[str], body: str) -> np.ndarray:
+    """The rows of a CSV body by csv.reader and float, or ValueError naming the first fault."""
+    rows = list(csv.reader(io.StringIO(body, newline="")))
+    if any(len(row) != len(header) for row in rows):
+        raise ValueError(f"every row of {path} needs {len(header)} columns {','.join(header)}")
+    try:
+        return np.array([float(x) for row in rows for x in row]).reshape(-1, len(header))
+    except ValueError as err:
+        raise ValueError(f"non-numeric field in {path}: {err}") from None
 
 
 def write_state_csv(path, s: LatticeState) -> None:

@@ -484,12 +484,17 @@ def _keep_header(lines):
     del lines[1:]
 
 
+def _blank_line(lines):
+    lines.insert(2, "")
+
+
 _CSV_FAULTS = {
     "wrong_header": _upper_header,
     "short_row": _drop_last_field,
     "non_numeric": _set_last_field("x"),
     "inf": _set_last_field("inf"),
     "header_only": _keep_header,
+    "blank_line": _blank_line,
 }
 
 
@@ -594,7 +599,7 @@ def _spectrum_csv_reference(path, table):
 
 
 _AWKWARD = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e308, 0.1, -2.0, 1 / 3, 4.0e-17]
-_LONG = 2 * lattice._CSV_CHUNK + 5  # over chunk boundaries, with a short last chunk
+_LONG = 4 * lattice._CSV_CHUNK + 5  # over several chunk boundaries, with a short last chunk
 
 
 @pytest.mark.parametrize("rows", [0, 1, 2, len(_AWKWARD), _LONG])
@@ -730,6 +735,32 @@ def test_csv_writer_rejects_ragged_block(tmp_path):
     with pytest.raises(ValueError, match="equal lengths"):
         write_csv(tmp_path / "x.csv", ["t", "a"], (np.broadcast_to(1.0, 3), np.zeros(2)))
     assert not (tmp_path / "x.csv").exists()
+
+
+_EDGES = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -(2.0**-1030), 1e16, -1e16,
+                   np.nextafter(1e16, 0), 1e17, 1e-5, -1e-5, np.nextafter(1e-5, 1), 1e-4, 0.1, -2.5])
+
+
+@pytest.mark.parametrize("chunk", [None, 5])
+@pytest.mark.parametrize("S, N", [(0, 3), (4, 0), (1, 1), (3, 7), (len(_EDGES), 4), (2, len(_EDGES))])
+def test_csv_writer_broadcast_columns_match_csv_module(tmp_path, monkeypatch, chunk, S, N):
+    # a (S, N) table whose columns vary along one axis, the other or neither
+    # (np.broadcast_to views) or both: the file is the csv.writer output of
+    # the materialized table; chunks of 5 rows split a row of N = 7 or 17 sites
+    if chunk is not None:
+        monkeypatch.setattr(lattice, "_CSV_CHUNK", chunk)
+    rng = np.random.default_rng(S * 100 + N)
+    cols = (
+        np.broadcast_to(rng.choice(_EDGES, (S, 1)), (S, N)),
+        np.broadcast_to(np.arange(N) * 7919, (S, N)),
+        np.broadcast_to(rng.choice(_EDGES), (S, N)),
+        rng.choice(_EDGES, (S, N)),
+        np.broadcast_to(rng.choice(_EDGES, N), (S, N)),
+    )
+    header = ["t", "n", "c", "x", "y"]
+    write_csv(tmp_path / "new.csv", header, cols)
+    rows = zip(*(np.array(col).ravel().tolist() for col in cols))
+    assert (tmp_path / "new.csv").read_bytes() == _csv_module_bytes(tmp_path / "ref.csv", header, rows)
 
 
 @pytest.mark.parametrize(

@@ -627,6 +627,35 @@ def test_read_state_csv_takes_spaced_header_and_float_indices(tmp_path):
     assert np.array_equal(s.a, np.arange(8.0)) and np.array_equal(s.b, -np.arange(8.0))
 
 
+@pytest.mark.parametrize(
+    "body",
+    ["0,1,2\r\n\r\n1,2,3\r\n", "0,1,2\r\n1,2,3\r\n\r\n", "0,1,2\r\n \r\n", "\r\n0,1,2\r\n", "0,1,2\r\r\n"],
+    ids=["blank_inside", "blank_last", "blank_field", "blank_first", "lone_cr"],
+)
+def test_read_csv_rejects_a_blank_row(tmp_path, body):
+    # np.loadtxt skips a blank line; csv.reader reads it as a row of another
+    # width (a lone \r ends a row, so an empty one follows it), and so does read_csv
+    path = tmp_path / "x.csv"
+    path.write_bytes(b"n,a,b\r\n" + body.encode())
+    with pytest.raises(ValueError, match=r"^every row of .*x\.csv needs 3 columns n,a,b$"):
+        lattice.read_csv(path, ("n", "a", "b"))
+
+
+@pytest.mark.parametrize(
+    "body, rows",
+    [("0,1_0,2\r\n", [[0, 10, 2]]), ("0,1,2\r1,2,3\r", [[0, 1, 2], [1, 2, 3]]), ('"0\n",1,2\r\n', [[0, 1, 2]]),
+     ("", np.empty((0, 3)))],
+    ids=["float_underscore", "cr_rows", "quoted_newline", "header_only"],
+)
+def test_read_csv_reads_the_rows_csv_reader_and_float_read(tmp_path, body, rows):
+    # where np.loadtxt rejects the body or splits it into other rows, read_csv
+    # reads it as csv.reader and float do
+    path = tmp_path / "x.csv"
+    path.write_bytes(b"n,a,b\r\n" + body.encode())
+    values = lattice.read_csv(path, ("n", "a", "b"))
+    assert values.shape == np.shape(rows) and np.array_equal(values, rows)
+
+
 def _state_csv_reference(path, s):
     """The per-row csv.writer loop that write_state_csv replaced."""
     with open(path, "w", newline="") as fh:
@@ -659,7 +688,7 @@ def _assert_formats_as_fmt(values, columns=1):
     for start in range(0, len(values), _CSV_CHUNK):
         part = values[start : start + _CSV_CHUNK]
         expected = ((row * len(part)) % tuple(part.ravel().tolist())).encode()
-        assert _format_rows(part, [None] * columns) == expected
+        assert b"".join(_format_rows(part.T)) == expected
 
 
 def test_format_rows_matches_fmt_on_random_bit_patterns():
@@ -680,15 +709,12 @@ def test_format_rows_matches_fmt_on_edge_values():
 
 
 def test_format_rows_prints_signed_zeros_without_the_fmt_fallback(monkeypatch):
-    # with the fallback pattern blanked, a field printed by FMT % v (inf
-    # here) loses its text and separator, while +-0 keep theirs: they take a
-    # pattern of their own, signed by the sign bit
-    quads, last, patterns = lattice._format_tables()
-    blank = patterns.copy()
-    blank[lattice._FALLBACK] = lattice._NUL
-    monkeypatch.setattr(lattice, "_format_tables", lambda: (quads, last, blank))
+    # with the FMT text blanked, a field printed by FMT % v (inf here) loses
+    # its text, while +-0 keep theirs: they are "0" from the digit source,
+    # signed by the sign bit
+    monkeypatch.setattr(lattice, "_fmt_text", lambda values: bytes(lattice._TEXT * len(values)))
     zeros = np.array([[0.0, -0.0, 1.5], [-0.0, math.inf, 0.0]])
-    assert _format_rows(zeros, [None] * 3) == b"0,-0,1.5\r\n-0,0\r\n"
+    assert b"".join(_format_rows(zeros.T)) == b"0,-0,1.5\r\n-0,,0\r\n"
 
 
 def test_format_rows_rounds_half_way_ties_to_even():

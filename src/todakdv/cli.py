@@ -195,7 +195,14 @@ def cmd_spectrum(args) -> int:
     if not args.g.startswith("builtin:"):
         raise ValueError("--g must be builtin:<name>")
     prof = lattice.builtin_profile(args.g.split(":", 1)[1])
-    lams = np.linspace(-args.lambda_max, args.lambda_max, args.samples)
+    # above about 8.99e307 the span 2 * lambda_max overflows inside linspace
+    with np.errstate(over="ignore", invalid="ignore"):
+        lams = np.linspace(-args.lambda_max, args.lambda_max, args.samples)
+    if not np.isfinite(lams).all():
+        raise ValueError(
+            f"--lambda-max {args.lambda_max!r} is too large: the lambda grid "
+            "from -lambda_max to lambda_max overflows float64"
+        )
     # exit 2 (non-finite lattice data, also for --samples 0) and 3 before --out exists
     table = bloch.discriminant_scan(prof, args.N, lams)
     outdir = Path(args.out)

@@ -16,7 +16,9 @@ recombine into the right sides Z_k(f) by one rule, the Taylor coefficients of
 sqrt(1 + 4x) (flow_combination); the leading term of Z_k is the (2k-1)-th
 order member of the KdV hierarchy.  extend_R finds the next coefficient of
 the correction series R by exact integration of the flow-1 defect; it either
-extends R or reports the defect as an obstruction.
+extends R or reports the defect as an obstruction.  Its acceptance check
+builds the flow-1 residual of the extended R at the next step's working cap,
+and the accepted R carries it, so a chain of n steps builds n + 1 residuals.
 """
 
 from __future__ import annotations
@@ -355,6 +357,26 @@ class ExtendResult:
         )
 
 
+class _CheckedR(EpsSeries):
+    """A series that extend_R accepted, carrying the flow-1 residual that its
+    acceptance check built: residual(1, ...) of the series at its working
+    cap (or above it, with the same first defect), which is all the next
+    extend_R step reads of it.  Only extend_R makes one, so a value-equal
+    series computes its residual afresh."""
+
+    __slots__ = ("flow1_residual",)
+
+    def __init__(self, coeffs, flow1_residual: EpsSeries):
+        super().__init__(coeffs)
+        self.flow1_residual = flow1_residual
+
+
+def _working_cap(coeffs) -> int:
+    # max(known + 7, DEFAULT_CAP) for R_known the highest nonzero coefficient
+    known = max((k for k, c in enumerate(coeffs) if not c.is_zero()), default=-1)
+    return max(known + 7, DEFAULT_CAP)
+
+
 def extend_R(R: EpsSeries) -> ExtendResult:
     """Attempt to compute the next coefficient of the correction series.
 
@@ -372,10 +394,22 @@ def extend_R(R: EpsSeries) -> ExtendResult:
     nonzero coefficient, so the residual window reaches eps^(known + 4), the
     order of the defect that R_(known+1) fixes: the window always holds the
     next defect unless that coefficient is zero, and none of R_0..R_9 is.
+
+    The acceptance check runs at the working cap of the next step, that of
+    the candidate (known + 8 when it extends R past R_known), or at the
+    current cap if that is higher.  Truncation is consistent: a residual at
+    cap c is the one at any higher cap truncated to its cap c - 3, so the
+    check decides as it would at the current cap, and the next step finds
+    the same first defect in it.  The accepted new_R carries that residual,
+    and extend_R(new_R) starts from it instead of rebuilding it: a chain of
+    n steps runs n + 1 flow-1 residuals, not 2n.
     """
-    known = max((k for k, c in enumerate(R.coeffs) if not c.is_zero()), default=-1)
-    R_work = EpsSeries(list(R.coeffs), order_cap=max(known + 7, DEFAULT_CAP))
-    res = residual(1, AnsatzPair(R_work))
+    cap = _working_cap(R.coeffs)
+    R_work = EpsSeries(list(R.coeffs), order_cap=cap)
+    if isinstance(R, _CheckedR):
+        res = R.flow1_residual
+    else:
+        res = residual(1, AnsatzPair(R_work))
     q = res.first_nonzero_order()
     defect = res.coeff(q)
     try:
@@ -389,14 +423,14 @@ def extend_R(R: EpsSeries) -> ExtendResult:
     r_index = q - 3
     coeffs = list(R_work.coeffs)
     coeffs[r_index] = coeffs[r_index] + phi
-    R_new = EpsSeries(coeffs)
-    q_new = residual(1, AnsatzPair(R_new)).first_nonzero_order()
+    res_new = residual(1, AnsatzPair(EpsSeries(coeffs, order_cap=max(_working_cap(coeffs), cap))))
+    q_new = res_new.first_nonzero_order()
     if q_new is None or q_new > q:
         return ExtendResult(
             status="extended",
             order=r_index,
             phi=phi,
-            new_R=R_new,
+            new_R=_CheckedR(coeffs, res_new),
             first_defect_order=q,
         )
     return ExtendResult(

@@ -742,13 +742,19 @@ _EDGES = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -(2.0**-103
 
 
 @pytest.mark.parametrize("chunk", [None, 5])
-@pytest.mark.parametrize("S, N", [(0, 3), (4, 0), (1, 1), (3, 7), (len(_EDGES), 4), (2, len(_EDGES))])
+@pytest.mark.parametrize("S, N", [(0, 3), (4, 0), (1, 1), (3, 7), (len(_EDGES), 4), (2, len(_EDGES)),
+                                  (4, 1100)])
 def test_csv_writer_broadcast_columns_match_csv_module(tmp_path, monkeypatch, chunk, S, N):
     # a (S, N) table whose columns vary along one axis, the other or neither
     # (np.broadcast_to views) or both: the file is the csv.writer output of
-    # the materialized table; chunks of 5 rows split a row of N = 7 or 17 sites
+    # the materialized table; chunks of 5 rows split a row of N = 7 or 17
+    # sites, and the default chunk one of 1100.  Each column is formatted
+    # once per distinct entry, also where its parts alternate along a row.
     if chunk is not None:
         monkeypatch.setattr(lattice, "_CSV_CHUNK", chunk)
+    formatted = []
+    real = lattice._format_fields
+    monkeypatch.setattr(lattice, "_format_fields", lambda v, ends: formatted.append(len(v)) or real(v, ends))
     rng = np.random.default_rng(S * 100 + N)
     cols = (
         np.broadcast_to(rng.choice(_EDGES, (S, 1)), (S, N)),
@@ -761,6 +767,7 @@ def test_csv_writer_broadcast_columns_match_csv_module(tmp_path, monkeypatch, ch
     write_csv(tmp_path / "new.csv", header, cols)
     rows = zip(*(np.array(col).ravel().tolist() for col in cols))
     assert (tmp_path / "new.csv").read_bytes() == _csv_module_bytes(tmp_path / "ref.csv", header, rows)
+    assert sum(formatted) == (S + N + 1 + S * N + N if S * N else 0)
 
 
 @pytest.mark.parametrize(
@@ -859,6 +866,26 @@ def test_spectrum_integration_failure_exits_3(capsys, tmp_path):
     assert not (tmp_path / "s").exists()
 
 
+@pytest.mark.parametrize("lambda_max, code, message", [
+    # 2 * lambda_max overflows inside linspace: a usage error, with no numpy warning
+    ("1e308", 2, "error: --lambda-max 1e+308 is too large"),
+    # the grid is finite, and the Hill map needs too many segments
+    ("8.9e307", 3, "numerical failure: monodromy integration failed:"),
+], ids=["overflow", "finite"])
+def test_spectrum_lambda_grid_overflow_is_a_usage_error(capsys, tmp_path, lambda_max, code, message):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got, _, err = run_cli(
+            capsys, "spectrum", "--N", "8", "--samples", "5", "--lambda-max", lambda_max,
+            "--out", str(tmp_path / "s"),
+        )
+    assert got == code
+    assert len(err.splitlines()) == 1 and err.startswith(message)
+    assert "Warning" not in err
+    assert not caught
+    assert not (tmp_path / "s").exists()
+
+
 def test_spectrum_huge_potential_exits_3_without_output(capsys, tmp_path):
     out = tmp_path / "s"
     code, _, err = run_cli(
@@ -871,7 +898,7 @@ def test_spectrum_huge_potential_exits_3_without_output(capsys, tmp_path):
 
 _DT = st.sampled_from(["1e-3", "2e-3", "3e-3", "0", "-1e-3", "nan", "inf", "-inf"])
 _T_END = st.sampled_from(["0", "2e-3", "4e-3", "5e-3", "-2e-3", "nan", "inf"])
-_LAMBDA_MAX = st.sampled_from(["0", "10", "-30", "200", "1e300", "nan", "inf"])
+_LAMBDA_MAX = st.sampled_from(["0", "10", "-30", "200", "1e300", "1e308", "nan", "inf"])
 
 
 @st.composite

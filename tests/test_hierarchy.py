@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_fraction_state
+from todakdv import hierarchy
 from todakdv.diffpoly import DiffPoly, EpsSeries, Monomial
 from todakdv.hierarchy import (
     MAX_FLOW,
@@ -475,17 +476,61 @@ def test_extend_recovers_first_two_corrections():
     assert out2.phi == DiffPoly.f(exp=2, coeff=F(-1, 8))
 
 
-def test_extend_chain_from_zero_reaches_every_defect_through_R9():
+def _record_residual_caps(monkeypatch):
+    """Wrap hierarchy.residual; the list gets the order_cap of each call's R."""
+    caps = []
+    real = hierarchy.residual
+
+    def recording(j, ansatz):
+        caps.append(ansatz.R.order_cap)
+        return real(j, ansatz)
+
+    monkeypatch.setattr(hierarchy, "residual", recording)
+    return caps
+
+
+def test_extend_chain_from_zero_reaches_every_defect_through_R9(monkeypatch):
     """From R = 0 every step finds its defect inside the working window and
     extends R: each of R_0..R_9 is nonzero, so no window ever ends before the
-    next defect, and R_0..R_5 are those of standard_R."""
+    next defect, and R_0..R_5 are those of standard_R.  Each new_R carries
+    the flow-1 residual at its working cap, so the chain builds 11, not 20."""
+    caps = _record_residual_caps(monkeypatch)
     R = EpsSeries.zero(11)
     for order in range(10):
         out = extend_R(R)
         assert out.status == "extended" and out.order == order
         assert not out.phi.is_zero()
         R = out.new_R
+        cap = max(order + 7, 11)
+        assert R.flow1_residual == residual(1, AnsatzPair(EpsSeries(list(R.coeffs), order_cap=cap)))
     assert R.truncate(5) == standard_R(11).truncate(5)
+    assert len(caps) == 11
+
+
+def test_extend_chain_from_R3_runs_one_residual_per_step_plus_one(monkeypatch):
+    """Each accepted new_R carries the residual its acceptance check built at
+    the next step's working cap, so the next step does not rebuild it."""
+    caps = _record_residual_caps(monkeypatch)
+    R = EpsSeries(list(standard_R(11).coeffs[:4]), order_cap=11)
+    for order in range(4, 8):
+        out = extend_R(R)
+        assert out.status == "extended" and out.order == order
+        R = out.new_R
+    assert caps == [11, 11, 12, 13, 14]
+
+
+def test_extend_from_a_value_equal_copy_recomputes_the_residual(monkeypatch):
+    first = extend_R(EpsSeries(list(standard_R(11).coeffs[:4]), order_cap=11))
+    new_R = first.new_R
+    copy = EpsSeries(list(new_R.coeffs), order_cap=new_R.order_cap)
+    assert copy == new_R and copy is not new_R
+    caps = _record_residual_caps(monkeypatch)
+    carried = extend_R(new_R)
+    assert caps == [12]
+    caps.clear()
+    fresh = extend_R(copy)
+    assert caps == [11, 12]
+    assert fresh == carried and fresh.status == "extended" and fresh.order == 5
 
 
 def test_extend_full_R_continues_and_fixes_all_flows():

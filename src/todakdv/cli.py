@@ -186,8 +186,12 @@ def _write_spectrum_csv(path: Path, table: bloch.DiscriminantTable) -> None:
 
 
 def cmd_spectrum(args) -> int:
-    if not np.isfinite(args.lambda_max):
-        raise ValueError(f"--lambda-max must be finite, got {args.lambda_max}")
+    # the grid spans 2 * lambda_max, which overflows from about 8.99e307 on
+    if not np.isfinite(2.0 * args.lambda_max):
+        raise ValueError(
+            f"--lambda-max must be finite and so must the span 2 * lambda_max of its grid, "
+            f"got {args.lambda_max}"
+        )
     if args.N < 8:
         raise ValueError(f"--N must be >= 8, got {args.N}")
     if args.samples < 0:
@@ -195,14 +199,7 @@ def cmd_spectrum(args) -> int:
     if not args.g.startswith("builtin:"):
         raise ValueError("--g must be builtin:<name>")
     prof = lattice.builtin_profile(args.g.split(":", 1)[1])
-    # above about 8.99e307 the span 2 * lambda_max overflows inside linspace
-    with np.errstate(over="ignore", invalid="ignore"):
-        lams = np.linspace(-args.lambda_max, args.lambda_max, args.samples)
-    if not np.isfinite(lams).all():
-        raise ValueError(
-            f"--lambda-max {args.lambda_max!r} is too large: the lambda grid "
-            "from -lambda_max to lambda_max overflows float64"
-        )
+    lams = np.linspace(-args.lambda_max, args.lambda_max, args.samples)
     # exit 2 (non-finite lattice data, also for --samples 0) and 3 before --out exists
     table = bloch.discriminant_scan(prof, args.N, lams)
     outdir = Path(args.out)

@@ -372,7 +372,6 @@ class _CheckedR(EpsSeries):
 
 
 def _working_cap(coeffs) -> int:
-    # max(known + 7, DEFAULT_CAP) for R_known the highest nonzero coefficient
     known = max((k for k, c in enumerate(coeffs) if not c.is_zero()), default=-1)
     return max(known + 7, DEFAULT_CAP)
 

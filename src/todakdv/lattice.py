@@ -664,18 +664,13 @@ def _format_rows(columns: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
     box along its axes of nonzero stride are its distinct ones there;
     _format_fields formats them, in one call for all columns, unless the
     column covered the same entries in the previous chunk, whose fields it
-    keeps.  A column of first-axis stride 0 (trajectory.csv's n) keeps the
-    fields of every part it has covered: where N > _CSV_CHUNK its parts
-    alternate along a row, and each is formatted once, not once per row.
-    Each column's fields are broadcast over the rows of the box, and one
-    mask drops every NUL.
+    keeps.  Each column's fields are broadcast over the rows of the box, and
+    one mask drops every NUL.
     """
     grid = [col if col.ndim == 2 else col[:, None] for col in map(np.asarray, columns)]
     S, N = grid[0].shape
     parts: list[tuple[slice, ...] | None] = [None] * len(grid)
     fields: list[np.ndarray] = [np.empty(0, np.uint8)] * len(grid)
-    # the fields of a column of first-axis stride 0 by j: its part depends on j alone
-    kept: list[dict | None] = [None if col.strides[0] else {} for col in grid]
     per = max(_CSV_CHUNK // max(N, 1), 1)  # first-axis rows per chunk
     for i in range(0, S, per):
         for j in range(0, N, _CSV_CHUNK):
@@ -685,10 +680,7 @@ def _format_rows(columns: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
                 part = tuple(span if stride else slice(0, 1) for span, stride in zip(box, col.strides))
                 if part != parts[c]:
                     parts[c] = part
-                    if kept[c] is not None and j in kept[c]:
-                        fields[c] = kept[c][j]
-                    else:
-                        stale.append(c)
+                    stale.append(c)
             if stale:
                 values = [grid[c][parts[c]] for c in stale]
                 ends = values[-1].size if stale[-1] == len(grid) - 1 else 0
@@ -697,8 +689,6 @@ def _format_rows(columns: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
                 for c, v in zip(stale, values):
                     fields[c] = text[start : start + v.size].reshape(*v.shape, _WIDTH)
                     start += v.size
-                    if kept[c] is not None:
-                        kept[c][j] = fields[c]
             out = np.empty((box[0].stop - i, box[1].stop - j, len(grid), _WIDTH), np.uint8)
             for c, field in enumerate(fields):
                 out[:, :, c] = field
